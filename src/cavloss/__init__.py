@@ -18,8 +18,7 @@ from .dynamics import (EXCITED_STATE, RabiRegime, ReducedState,
 from .errors import (CavlossError, ConfigError, DivergenceError, DomainError,
                      StepSizeError)
 from .kinematics import (CollisionTimes, collision_times, fraction_f,
-                         fraction_f_with_error, g0_constant,
-                         phase_exceeds_single_cycle, total_time)
+                         g0_constant, phase_exceeds_single_cycle, total_time)
 from .potential import (ResonanceGeometry, condon_radius, escape_radius,
                         omega_r, potential_slope, resonance_geometry, u_dd)
 from .traploss import (DEFAULT_WINDOW_MHZ, LossPoint, P_MODELS,
@@ -36,7 +35,7 @@ __all__ = [
     "PhysicalParams", "RabiRegime", "ReducedState", "ResonanceGeometry",
     "StepSizeError", "atomic_dipole", "collective_rabi", "collision_times",
     "condon_radius", "escape_radius", "field_per_photon", "fraction_f",
-    "fraction_f_with_error", "g0_constant", "in_default_window",
+    "g0_constant", "in_default_window",
     "integrate_master", "landau_zener", "loss_closed_form", "loss_no_cavity",
     "loss_point", "loss_series", "master_rhs", "max_stable_dt",
     "mode_geometry", "molecular_dipole", "omega_r", "p_omega_analytic",

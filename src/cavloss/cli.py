@@ -23,7 +23,7 @@ Schema (defaults in parentheses)::
     scan:     from_mhz (-1000.0), to_mhz (-350.0), points (200),
               p_model ("approx"), allow_out_of_window (false),
               include_p_excite (false)
-    output:   path (null = stdout), precision (12 significant digits)
+    output:   path (null = stdout), precision (12 significant digits, 6..17)
 
 All numeric CSV fields are written in scientific notation at the
 configured precision; identical configs produce byte-identical output.
@@ -37,7 +37,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -111,7 +111,7 @@ _DEFAULTS: dict = {
 }
 
 
-def _merge_config(document: dict) -> dict:
+def _merge_config(document: dict, overrides: dict) -> dict:
     merged = {section: dict(keys) for section, keys in _DEFAULTS.items()}
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
@@ -129,18 +129,27 @@ def _merge_config(document: dict) -> dict:
     if "trap_depth_mhz" in species and species["trap_depth_mhz"] is not None \
             and "trap_depth_mk" not in species:
         merged["species"]["trap_depth_mk"] = None
+    for (section, key), value in overrides.items():
+        merged[section][key] = value
     return merged
 
 
 def _number(section: str, key: str, value, *, integer: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    kind = "an integer" if integer else "a finite number"
+    try:
+        valid = (not isinstance(value, bool) and math.isfinite(value)
+                 and (not integer or float(value).is_integer()))
+    except (TypeError, OverflowError):   # not a number, or beyond a double
+        valid = False
+    if not valid:
+        raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
     return int(value) if integer else float(value)
 
 
-def build_run_config(document: Optional[dict] = None) -> RunConfig:
-    """Validate a raw config document into a RunConfig."""
-    raw = _merge_config(document or {})
+def build_run_config(document: Optional[dict] = None,
+                     overrides: Optional[dict] = None) -> RunConfig:
+    """Validate a config document with (section, key) -> value overrides."""
+    raw = _merge_config(document or {}, overrides or {})
     species = HumanUnitsConfig(
         lambda_nm=raw["species"]["lambda_nm"],
         gamma_a_mhz=raw["species"]["gamma_a_mhz"],
@@ -169,8 +178,9 @@ def build_run_config(document: Optional[dict] = None) -> RunConfig:
             f"got {raw['coupling']['mode']!r}")
     precision = _number("output", "precision", raw["output"]["precision"],
                         integer=True)
-    if precision < 6:
-        raise ConfigError(f"output.precision must be >= 6, got {precision!r}")
+    if not 6 <= precision <= 17:
+        raise ConfigError(
+            f"output.precision must be in 6..17, got {precision!r}")
     path = raw["output"]["path"]
     if path is not None and not isinstance(path, str):
         raise ConfigError(f"output.path must be a string, got {path!r}")
@@ -199,9 +209,10 @@ def build_run_config(document: Optional[dict] = None) -> RunConfig:
     )
 
 
-def load_config(path: Optional[str]) -> RunConfig:
+def load_config(path: Optional[str],
+                overrides: Optional[dict] = None) -> RunConfig:
     if path is None:
-        return build_run_config({})
+        return build_run_config({}, overrides)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -209,7 +220,7 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    return build_run_config(document)
+    return build_run_config(document, overrides)
 
 
 def cavity_config(cfg: RunConfig, params: PhysicalParams) -> cavity_mod.CavityConfig:
@@ -353,7 +364,7 @@ SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
                "loss_free"]
 
 
-def cmd_scan(cfg: RunConfig, jobs: int = 1) -> str:
+def cmd_scan(cfg: RunConfig) -> str:
     """CSV of the full detuning scan."""
     params = resolve_params(cfg.species)
     cav = cavity_config(cfg, params)
@@ -361,7 +372,7 @@ def cmd_scan(cfg: RunConfig, jobs: int = 1) -> str:
               np.linspace(cfg.scan_from_mhz, cfg.scan_to_mhz, cfg.scan_points)]
     points = traploss_mod.scan_detuning(
         deltas, cav, params, cfg.scan_p_model,
-        allow_out_of_window=cfg.scan_allow_out_of_window, jobs=jobs)
+        allow_out_of_window=cfg.scan_allow_out_of_window)
 
     header = list(SCAN_HEADER)
     if cfg.scan_include_p_excite:
@@ -588,6 +599,17 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
 # argument parsing and dispatch
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and inf exit 2 naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavloss",
@@ -604,54 +626,43 @@ def build_parser() -> argparse.ArgumentParser:
     coupling_and_output(p_const)
 
     p_times = sub.add_parser("times", help="collision time scales at one detuning")
-    p_times.add_argument("--delta-mhz", type=float, required=True)
+    p_times.add_argument("--delta-mhz", type=_finite_float, required=True)
     coupling_and_output(p_times)
 
     p_dyn = sub.add_parser("dynamics", help="master-equation time series")
-    p_dyn.add_argument("--delta-mhz", type=float, required=True)
-    p_dyn.add_argument("--t-max-ns", type=float)
-    p_dyn.add_argument("--dt-ps", type=float)
+    p_dyn.add_argument("--delta-mhz", type=_finite_float, required=True)
+    p_dyn.add_argument("--t-max-ns", type=_finite_float)
+    p_dyn.add_argument("--dt-ps", type=_finite_float)
     coupling_and_output(p_dyn)
 
     p_scan = sub.add_parser("scan", help="detuning scan of trap-loss probabilities")
-    p_scan.add_argument("--from-mhz", type=float)
-    p_scan.add_argument("--to-mhz", type=float)
+    p_scan.add_argument("--from-mhz", type=_finite_float)
+    p_scan.add_argument("--to-mhz", type=_finite_float)
     p_scan.add_argument("--points", type=int)
     p_scan.add_argument("--p-model", choices=sorted(traploss_mod.P_MODELS))
-    p_scan.add_argument("--allow-out-of-window", action="store_true")
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--allow-out-of-window", action="store_true",
+                        default=None)
     coupling_and_output(p_scan)
 
     sub.add_parser("validate", help="run the invariant suite")
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "coupling", None) is not None:
-        cfg = replace(cfg, coupling_mode=args.coupling)
-    if getattr(args, "output", None) is not None:
-        cfg = replace(cfg, output_path=args.output)
-    if args.command == "scan":
-        updates = {}
-        if args.from_mhz is not None:
-            updates["scan_from_mhz"] = args.from_mhz
-        if args.to_mhz is not None:
-            updates["scan_to_mhz"] = args.to_mhz
-        if args.points is not None:
-            updates["scan_points"] = args.points
-        if args.p_model is not None:
-            updates["scan_p_model"] = args.p_model
-        if args.allow_out_of_window:
-            updates["scan_allow_out_of_window"] = True
-        if updates:
-            cfg = replace(cfg, **updates)
-        if not (cfg.scan_from_mhz < cfg.scan_to_mhz < 0.0):
-            raise ConfigError(
-                "scan.from_mhz < scan.to_mhz < 0 required, got "
-                f"{cfg.scan_from_mhz!r} .. {cfg.scan_to_mhz!r}")
-        if cfg.scan_points < 2:
-            raise ConfigError(f"scan.points must be >= 2, got {cfg.scan_points!r}")
-    return cfg
+#: flag attribute -> the (section, key) of the config value it overrides
+_FLAG_KEYS = {
+    "coupling": ("coupling", "mode"),
+    "output": ("output", "path"),
+    "from_mhz": ("scan", "from_mhz"),
+    "to_mhz": ("scan", "to_mhz"),
+    "points": ("scan", "points"),
+    "p_model": ("scan", "p_model"),
+    "allow_out_of_window": ("scan", "allow_out_of_window"),
+}
+
+
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    return {target: getattr(args, flag) for flag, target in _FLAG_KEYS.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -666,7 +677,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config, _flag_overrides(args))
         if args.command == "constants":
             _emit(cfg, cmd_constants(cfg))
         elif args.command == "times":
@@ -676,7 +687,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             dt = args.dt_ps * 1.0e-12 if args.dt_ps is not None else None
             _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, t_max, dt))
         elif args.command == "scan":
-            _emit(cfg, cmd_scan(cfg, jobs=args.jobs))
+            _emit(cfg, cmd_scan(cfg))
         elif args.command == "validate":
             report, status = cmd_validate(cfg)
             sys.stdout.write(report)

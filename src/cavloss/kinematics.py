@@ -9,33 +9,40 @@ and the fraction of it spent inside the resonant region R_e < R < R_C
 
     f = (1/g0) * integral_r^1 du / sqrt(u^-3 - 1),   r = R_e/R_C,
 
-with g0 the r -> 0 value of the integral, which normalizes f to one.
+with g0 = B(5/6, 1/2)/3 = Gamma(5/6) Gamma(1/2) / (3 Gamma(4/3)) = 0.7468342
+the r -> 0 value of the integral, which normalizes f to one.
 
-The integrand has an integrable singularity at u = 1.  Substituting
-u = 1 - s^2 removes it exactly:
+The integrand has an integrable singularity at u = 1.  For r >= 1/2,
+u = 1 - s^2 removes it exactly,
 
     du / sqrt(u^-3 - 1) = 2*(1 - s^2)^(3/2) / sqrt(3 - 3*s^2 + s^4) ds,
 
-an analytic integrand on 0 <= s <= sqrt(1 - r).  The production
-quadrature is adaptive Gauss-Kronrod on this form, absolute tolerance
-1e-10; a naive panel rule on the raw form loses about half the digits
-near u = 1.
+analytic on 0 <= s <= sqrt(1 - r).  For r < 1/2 that range would reach
+the branch point at s = 1, so the integral is g0 minus the head
+integral_0^r, which u = t^2 turns into 2*t^4 / sqrt(1 - t^6) dt on
+0 <= t <= sqrt(r).  Each form takes one fixed 14-node Gauss-Legendre rule
+(Golub & Welsch, Math. Comp. 23, 1969), exact to rounding (~3e-16
+absolute) for every r in [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .constants import HBAR, PhysicalParams
 from .errors import DomainError
 from .potential import ResonanceGeometry, resonance_geometry
 
-QUAD_TOL = 1.0e-10
+#: closed-form normalization B(5/6, 1/2)/3 of the in-fall integral
+_G0 = math.gamma(5.0 / 6.0) * math.gamma(0.5) / (3.0 * math.gamma(4.0 / 3.0))
+
+#: 14-node Gauss-Legendre (node, weight) pairs on [0, 1]; 13 nodes leave 2e-15
+_NODES, _WEIGHTS = leggauss(14)
+_RULE = list(zip((0.5 * (_NODES + 1.0)).tolist(), (0.5 * _WEIGHTS).tolist()))
 
 
 @dataclass(frozen=True)
@@ -56,29 +63,32 @@ class CollisionTimes:
 
 
 def _regular_integrand(s: float) -> float:
-    # integrand after u = 1 - s^2; analytic on [0, 1]
+    # integrand after u = 1 - s^2; analytic on [0, 1)
     s2 = s * s
     return 2.0 * (1.0 - s2) ** 1.5 / math.sqrt(3.0 - 3.0 * s2 + s2 * s2)
 
 
-def _infall_integral(r_ratio: float, tol: float = QUAD_TOL) -> tuple[float, float]:
-    """integral_r^1 du/sqrt(u^-3 - 1) with an error estimate."""
-    s_max = math.sqrt(1.0 - r_ratio)
-    if s_max == 0.0:
-        return 0.0, 0.0
-    value, err = quad(_regular_integrand, 0.0, s_max,
-                      epsabs=tol, epsrel=1.0e-13, limit=200)
-    return value, err
+def _head_integrand(t: float) -> float:
+    # integrand after u = t^2; analytic on [0, 1)
+    t2 = t * t
+    return 2.0 * t2 * t2 / math.sqrt(1.0 - t2 * t2 * t2)
 
 
-@lru_cache(maxsize=None)
+def _gauss_legendre(integrand, upper: float) -> float:
+    return upper * sum(w * integrand(upper * x) for x, w in _RULE)
+
+
+def _infall_integral(r_ratio: float) -> float:
+    """integral_r^1 du/sqrt(u^-3 - 1)."""
+    if r_ratio >= 0.5:
+        return _gauss_legendre(_regular_integrand, math.sqrt(1.0 - r_ratio))
+    # _G0, not g0_constant(), so that validate catches a replaced accessor
+    return _G0 - _gauss_legendre(_head_integrand, math.sqrt(r_ratio))
+
+
 def g0_constant() -> float:
-    """Normalization integral over the full range (r -> 0); cached.
-
-    Evaluates to 0.7468342 with the production quadrature.  The cache
-    makes concurrent first calls race at worst to the same value.
-    """
-    return _infall_integral(0.0, tol=1.0e-13)[0]
+    """Normalization integral over the full range (r -> 0), 0.7468342."""
+    return _G0
 
 
 def _ratio_escape(delta: float, omega_tilde: float) -> float:
@@ -90,18 +100,9 @@ def _ratio_escape(delta: float, omega_tilde: float) -> float:
     return (1.0 + omega_tilde / abs(delta)) ** (-1.0 / 3.0)
 
 
-def fraction_f(delta: float, omega_tilde: float, tol: float = QUAD_TOL) -> float:
+def fraction_f(delta: float, omega_tilde: float) -> float:
     """Fraction of the in-fall time spent in the resonant region, in [0, 1]."""
-    return fraction_f_with_error(delta, omega_tilde, tol)[0]
-
-
-def fraction_f_with_error(delta: float, omega_tilde: float,
-                          tol: float = QUAD_TOL) -> tuple[float, float]:
-    """As :func:`fraction_f`, plus the quadrature error estimate."""
-    ratio = _ratio_escape(delta, omega_tilde)
-    value, err = _infall_integral(ratio, tol)
-    g0 = g0_constant()
-    return value / g0, err / g0
+    return _infall_integral(_ratio_escape(delta, omega_tilde)) / g0_constant()
 
 
 def total_time(delta: float, params: PhysicalParams) -> float:

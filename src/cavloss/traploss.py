@@ -27,7 +27,6 @@ minima and maxima on L_c while L_o stays smooth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -63,7 +62,6 @@ class LossPoint:
     phase: float             # omega_tilde * t_c, rad
     loss_cavity: float
     loss_free: float
-    series_terms_used: int
 
 
 def _resolve_p_model(p_model: Union[str, PModel]) -> PModel:
@@ -149,7 +147,6 @@ def loss_point(delta: float, cavity: CavityConfig, params: PhysicalParams,
     times = collision_times(delta, coupling.omega_tilde, params)
     gamma = params.gamma_mol
     cavity_loss = loss_closed_form(times, coupling.omega_tilde, gamma, p_model)
-    _, terms_used = loss_series(times, coupling.omega_tilde, gamma, p_model)
     return LossPoint(
         delta=delta,
         omega_tilde=coupling.omega_tilde,
@@ -158,7 +155,6 @@ def loss_point(delta: float, cavity: CavityConfig, params: PhysicalParams,
         phase=coupling.omega_tilde * times.t_resonant,
         loss_cavity=cavity_loss,
         loss_free=loss_no_cavity(times, gamma),
-        series_terms_used=terms_used,
     )
 
 
@@ -172,14 +168,11 @@ def in_default_window(delta: float) -> bool:
 def scan_detuning(deltas: Sequence[float], cavity: CavityConfig,
                   params: PhysicalParams,
                   p_model: Union[str, PModel] = "approx", *,
-                  allow_out_of_window: bool = False,
-                  jobs: int = 1) -> list[LossPoint]:
+                  allow_out_of_window: bool = False) -> list[LossPoint]:
     """Compute loss points over a detuning grid, ordered by ascending delta.
 
     Detunings outside the default window are rejected unless
-    ``allow_out_of_window`` is set.  Points are independent pure
-    computations; ``jobs`` bounds the worker pool, and the output
-    ordering never depends on execution order.
+    ``allow_out_of_window`` is set.
     """
     if len(deltas) < 2:
         raise ConfigError(f"scan needs at least 2 points, got {len(deltas)}")
@@ -192,9 +185,4 @@ def scan_detuning(deltas: Sequence[float], cavity: CavityConfig,
                 f"detuning {delta / (2.0e6 * math.pi):.6g} MHz is outside the "
                 f"validity window {DEFAULT_WINDOW_MHZ} MHz; pass "
                 f"allow_out_of_window=True to override")
-    ordered = sorted(deltas)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(
-                lambda d: loss_point(d, cavity, params, p_model), ordered))
-    return [loss_point(d, cavity, params, p_model) for d in ordered]
+    return [loss_point(d, cavity, params, p_model) for d in sorted(deltas)]

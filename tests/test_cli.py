@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cavloss
 from cavloss import kinematics
 from cavloss.cli import main
 
@@ -138,11 +143,6 @@ class TestScanCommand:
         _, second, _ = run(capsys, argv)
         assert first == second
 
-    def test_jobs_do_not_change_bytes(self, capsys):
-        _, serial, _ = run(capsys, ["scan", "--points", "30"])
-        _, threaded, _ = run(capsys, ["scan", "--points", "30", "--jobs", "4"])
-        assert serial == threaded
-
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
         code, out, _ = run(capsys, ["scan", "--points", "10",
@@ -165,6 +165,15 @@ class TestScanCommand:
         assert header[-1] == "in_window"
         tags = [r["in_window"] for r in rows]
         assert "0" in tags and "1" in tags
+
+    def test_out_of_window_from_config_without_flag(self, capsys, tmp_path):
+        # an absent flag must not reset the file's allow_out_of_window
+        config = write_config(tmp_path, {"scan": {
+            "from_mhz": -1500.0, "points": 10, "allow_out_of_window": True}})
+        code, out, _ = run(capsys, ["--config", config, "scan"])
+        assert code == 0
+        header, _ = parse_csv(out)
+        assert header[-1] == "in_window"
 
     def test_p_excite_column(self, capsys, tmp_path):
         config = write_config(tmp_path, {"scan": {"include_p_excite": True,
@@ -261,6 +270,34 @@ class TestConfigHandling:
             main([])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("document, argv, name", [
+        ({"cavity": {"length_cm": math.nan}}, ["scan"], "cavity.length_cm"),
+        ({"coupling": {"v_inf_cm_s": math.inf}}, ["scan"],
+         "coupling.v_inf_cm_s"),
+        ({"scan": {"points": 2.7}}, ["scan"], "scan.points"),
+        ({"output": {"precision": 40}}, ["scan"], "output.precision"),
+        ({}, ["times", "--delta-mhz", "nan"], "--delta-mhz"),
+        ({}, ["dynamics", "--delta-mhz", "nan"], "--delta-mhz"),
+        ({}, ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "nan"],
+         "--t-max-ns"),
+        ({}, ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "inf"],
+         "--t-max-ns"),
+        ({}, ["dynamics", "--delta-mhz", "-350", "--dt-ps", "nan"],
+         "--dt-ps"),
+        ({}, ["scan", "--from-mhz", "nan"], "--from-mhz"),
+        ({}, ["scan", "--to-mhz", "inf"], "--to-mhz"),
+    ])
+    def test_non_finite_or_non_integral_exits_2(self, capsys, tmp_path,
+                                                document, argv, name):
+        config = write_config(tmp_path, document)
+        try:
+            code = main(["--config", config] + argv)
+        except SystemExit as exc:   # argparse rejects flag values itself
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert name in captured.err
+
 
 class TestValidateCommand:
     def test_default_config_passes(self, capsys):
@@ -282,3 +319,12 @@ class TestValidateCommand:
         code, out, _ = run(capsys, ["validate"])
         assert code == 1
         assert "FAIL kinematics.g0_normalization" in out
+
+
+def test_cli_import_leaves_out_scipy():
+    src = str(Path(cavloss.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, cavloss.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cavloss import (DomainError, HumanUnitsConfig, collision_times,
-                     fraction_f, fraction_f_with_error, g0_constant,
-                     phase_exceeds_single_cycle, resolve_params, total_time)
-from oracles import (TWO_PI_MHZ, fraction_oracle, g0_oracle,
-                     infall_integral_oracle, total_time_oracle)
+                     fraction_f, g0_constant, phase_exceeds_single_cycle,
+                     resolve_params, total_time)
+from cavloss.kinematics import _infall_integral
+from oracles import (TWO_PI_MHZ, DenseFractionOracle, fraction_oracle,
+                     g0_oracle, infall_integral_oracle, total_time_oracle)
 
 RB85 = resolve_params(HumanUnitsConfig())
 
@@ -36,13 +37,11 @@ class TestG0:
     def test_cached_value_stable(self):
         assert g0_constant() == g0_constant()
 
-    def test_concurrent_first_access(self):
-        # initialize-once contract: racing first calls agree exactly
-        from concurrent.futures import ThreadPoolExecutor
-        g0_constant.cache_clear()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            values = list(pool.map(lambda _: g0_constant(), range(16)))
-        assert len(set(values)) == 1
+    def test_branches_agree_at_half(self):
+        # r >= 1/2 integrates the tail directly; r < 1/2 subtracts the head
+        # from the closed-form g0, so agreement checks g0 against the rule
+        below = _infall_integral(math.nextafter(0.5, 0.0))
+        assert abs(_infall_integral(0.5) - below) <= 1.0e-15
 
 
 class TestFraction:
@@ -67,14 +66,15 @@ class TestFraction:
                                   panels=200_000)
             assert abs(mine - ref) <= 1.0e-8
 
-    def test_quadrature_convergence(self):
+    def test_matches_dense_oracle(self):
+        # random r over (0, 1) reaches both branches of the rule
+        oracle = DenseFractionOracle(nodes=2**21)
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            delta = -rng.uniform(350.0, 1000.0) * TWO_PI_MHZ
-            omega = rng.uniform(1.0, 500.0) * TWO_PI_MHZ
-            coarse, err = fraction_f_with_error(delta, omega, tol=1.0e-8)
-            fine = fraction_f(delta, omega, tol=5.0e-9)
-            assert abs(fine - coarse) <= max(err, 1.0e-14)
+        for r in rng.uniform(0.0, 1.0, 200):
+            omega = r**-3 - 1.0
+            ratio = (1.0 + omega) ** (-1.0 / 3.0)
+            assert abs(fraction_f(-1.0, omega) - oracle.fraction(ratio)) \
+                <= 1.0e-12
 
     def test_monotone_in_coupling(self):
         omegas = np.linspace(0.0, 1000.0, 25) * TWO_PI_MHZ

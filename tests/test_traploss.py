@@ -284,13 +284,6 @@ class TestScan:
                                     "approx")
             assert abs(series - point.loss_cavity) <= 1.0e-12
 
-    def test_jobs_do_not_change_results(self):
-        deltas = [m * TWO_PI_MHZ for m in np.linspace(-900.0, -400.0, 24)]
-        serial = scan_detuning(deltas, make_cavity(), RB85, "approx")
-        threaded = scan_detuning(deltas, make_cavity(), RB85, "approx", jobs=4)
-        for a, b in zip(serial, threaded):
-            assert a == b
-
     def test_window_gate(self):
         good = [-900.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ]
         scan_detuning(good, make_cavity(), RB85, "approx")
@@ -313,5 +306,4 @@ class TestScan:
     def test_loss_point_bundle(self):
         point = loss_point(DELTA_350, make_cavity(), RB85, "approx")
         assert point.phase == point.omega_tilde * point.times.t_resonant
-        assert point.series_terms_used >= 1
         assert point.n_pairs > 0.0
