@@ -7,23 +7,14 @@ Commands
     scan        detuning scan of the trap-loss probabilities (CSV)
     validate    run the cross-module invariant suite
 
-Configuration is a JSON document with sections ``species``, ``cavity``,
-``coupling``, ``scan`` and ``output``; every key has a default that
-reproduces the shipped Rb-85 preset, and command-line flags override
-file values.  No environment variables are consulted.
-
-Schema (defaults in parentheses)::
-
-    species:  mass_amu (84.911789738), lambda_nm (795.0),
-              gamma_a_mhz (6.0), c3_erg_ang3 (1.1e-10),
-              trap_depth_mk (5.0) | trap_depth_mhz (exclusive)
-    cavity:   length_cm (1.0), n_atoms (2.0e9), density_cm3 (4.0e13)
-    coupling: mode ("anchored"), omega_tilde_ref_mhz (200.0),
-              delta_ref_mhz (-350.0), v_inf_cm_s (12.0)
-    scan:     from_mhz (-1000.0), to_mhz (-350.0), points (200),
-              p_model ("approx"), allow_out_of_window (false),
-              include_p_excite (false)
-    output:   path (null = stdout), precision (12 significant digits, 6..17)
+Configuration is a JSON document whose sections are the fields of
+:class:`RunConfig`: ``species`` (:class:`~cavloss.constants.HumanUnitsConfig`),
+``cavity``, ``coupling``, ``scan`` and ``output``.  Those frozen section
+dataclasses are the schema: each field gives a key, its type, its
+default (the shipped Rb-85 preset) and, for a string, its allowed
+choices.  :func:`build_run_config` checks a document against them in one
+pass, and each command-line flag overrides the ``section.key`` named by
+its argparse ``dest``.  No environment variables are consulted.
 
 All numeric CSV fields are written in scientific notation at the
 configured precision; identical configs produce byte-identical output.
@@ -37,8 +28,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -53,160 +44,153 @@ from .errors import CavlossError, ConfigError, DomainError
 
 TWO_PI_MHZ = 2.0 * math.pi * 1.0e6   # rad/s per MHz
 
+#: largest scan grid accepted, in points
+MAX_SCAN_POINTS = 1_000_000
+
+
+@dataclass(frozen=True)
+class CavitySection:
+    """The ``cavity`` config section: resonator and gas."""
+
+    length_cm: float = 1.0
+    n_atoms: float = 2.0e9
+    density_cm3: float = 4.0e13
+
+
+@dataclass(frozen=True)
+class CouplingSection:
+    """The ``coupling`` config section: the collective coupling model."""
+
+    mode: str = field(default="anchored",
+                      metadata={"choices": cavity_mod.COUPLING_MODES})
+    omega_tilde_ref_mhz: float = 200.0
+    delta_ref_mhz: float = -350.0
+    v_inf_cm_s: float = 12.0
+
+
+@dataclass(frozen=True)
+class ScanSection:
+    """The ``scan`` config section: detuning grid and survival kernel.
+
+    The default grid spans the model's validity window.
+    """
+
+    from_mhz: float = traploss_mod.DEFAULT_WINDOW_MHZ[0]
+    to_mhz: float = traploss_mod.DEFAULT_WINDOW_MHZ[1]
+    points: int = 200
+    p_model: str = field(default="approx",
+                         metadata={"choices": traploss_mod.P_MODELS})
+    allow_out_of_window: bool = False
+    include_p_excite: bool = False
+
+
+@dataclass(frozen=True)
+class OutputSection:
+    """The ``output`` config section: destination and digits."""
+
+    path: Optional[str] = None   # None writes to stdout
+    precision: int = 12          # significant digits, 6..17
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully merged run configuration (file defaults + overrides)."""
+    """Validated run configuration, one frozen dataclass per section."""
 
-    species: HumanUnitsConfig
-    cavity_length_cm: float
-    cavity_n_atoms: float
-    cavity_density_cm3: float
-    coupling_mode: str
-    omega_tilde_ref_mhz: float
-    delta_ref_mhz: float
-    v_inf_cm_s: float
-    scan_from_mhz: float
-    scan_to_mhz: float
-    scan_points: int
-    scan_p_model: str
-    scan_allow_out_of_window: bool
-    scan_include_p_excite: bool
-    output_path: Optional[str]
-    output_precision: int
+    species: HumanUnitsConfig = field(default_factory=HumanUnitsConfig)
+    cavity: CavitySection = field(default_factory=CavitySection)
+    coupling: CouplingSection = field(default_factory=CouplingSection)
+    scan: ScanSection = field(default_factory=ScanSection)
+    output: OutputSection = field(default_factory=OutputSection)
 
 
-_DEFAULTS: dict = {
-    "species": {
-        "mass_amu": 84.911789738,
-        "lambda_nm": 795.0,
-        "gamma_a_mhz": 6.0,
-        "c3_erg_ang3": 1.1e-10,
-        "trap_depth_mk": 5.0,
-        "trap_depth_mhz": None,
-    },
-    "cavity": {
-        "length_cm": 1.0,
-        "n_atoms": 2.0e9,
-        "density_cm3": 4.0e13,
-    },
-    "coupling": {
-        "mode": "anchored",
-        "omega_tilde_ref_mhz": 200.0,
-        "delta_ref_mhz": -350.0,
-        "v_inf_cm_s": 12.0,
-    },
-    "scan": {
-        "from_mhz": -1000.0,
-        "to_mhz": -350.0,
-        "points": 200,
-        "p_model": "approx",
-        "allow_out_of_window": False,
-        "include_p_excite": False,
-    },
-    "output": {
-        "path": None,
-        "precision": 12,
-    },
-}
+#: section name -> {key: declared type}, read once from the dataclasses
+_TYPES = {section.name: get_type_hints(section.default_factory)
+          for section in fields(RunConfig)}
 
 
-def _merge_config(document: dict, overrides: dict) -> dict:
-    merged = {section: dict(keys) for section, keys in _DEFAULTS.items()}
-    if not isinstance(document, dict):
-        raise ConfigError("config document must be a JSON object")
-    for section, keys in document.items():
-        if section not in merged:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(keys, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key, value in keys.items():
-            if key not in merged[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            merged[section][key] = value
-    # an explicit trap_depth_mhz supersedes the default trap_depth_mk
-    species = document.get("species", {})
-    if "trap_depth_mhz" in species and species["trap_depth_mhz"] is not None \
-            and "trap_depth_mk" not in species:
-        merged["species"]["trap_depth_mk"] = None
-    for (section, key), value in overrides.items():
-        merged[section][key] = value
-    return merged
+def _choices(section: type, key: str):
+    """The allowed values a section declares for one of its str fields."""
+    return next(f for f in fields(section) if f.name == key).metadata["choices"]
 
 
-def _number(section: str, key: str, value, *, integer: bool = False) -> float:
-    kind = "an integer" if integer else "a finite number"
+def _checked(name: str, value, kind, choices):
+    """One config value, checked against the type its field declares.
+
+    A float takes any finite number, an int an integral one, a bool only a
+    JSON boolean, a str one of the field's declared choices and an
+    Optional[str] any string; an Optional field also takes null.
+    """
+    if value is None and kind in (Optional[float], Optional[str]):
+        return None
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{name} must be a JSON boolean, got {value!r}")
+    if kind in (str, Optional[str]):
+        if isinstance(value, str) and (choices is None or value in choices):
+            return value
+        wanted = f"one of {sorted(choices)}" if choices else "a string or null"
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    integer = kind is int
     try:
         valid = (not isinstance(value, bool) and math.isfinite(value)
                  and (not integer or float(value).is_integer()))
     except (TypeError, OverflowError):   # not a number, or beyond a double
         valid = False
     if not valid:
-        raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
+        wanted = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
     return int(value) if integer else float(value)
 
 
 def build_run_config(document: Optional[dict] = None,
                      overrides: Optional[dict] = None) -> RunConfig:
-    """Validate a config document with (section, key) -> value overrides."""
-    raw = _merge_config(document or {}, overrides or {})
-    species = HumanUnitsConfig(
-        lambda_nm=raw["species"]["lambda_nm"],
-        gamma_a_mhz=raw["species"]["gamma_a_mhz"],
-        mass_amu=raw["species"]["mass_amu"],
-        c3_erg_ang3=raw["species"]["c3_erg_ang3"],
-        trap_depth_mk=raw["species"]["trap_depth_mk"],
-        trap_depth_mhz=raw["species"]["trap_depth_mhz"],
-    )
-    scan = raw["scan"]
-    from_mhz = _number("scan", "from_mhz", scan["from_mhz"])
-    to_mhz = _number("scan", "to_mhz", scan["to_mhz"])
-    points = _number("scan", "points", scan["points"], integer=True)
-    if not (from_mhz < to_mhz < 0.0):
+    """Check a config document, with (section, key) -> value overrides.
+
+    Unknown sections and keys are rejected; every given value is checked
+    against the type of its field; absent keys keep their defaults.
+    """
+    document = {} if document is None else document
+    if not isinstance(document, dict):
+        raise ConfigError("config document must be a JSON object")
+    given = {}
+    for section, keys in document.items():
+        if section not in _TYPES:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(keys, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        for key, value in keys.items():
+            if key not in _TYPES[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            given[section, key] = value
+    # an explicit trap_depth_mhz supersedes the default trap_depth_mk
+    if given.get(("species", "trap_depth_mhz")) is not None:
+        given.setdefault(("species", "trap_depth_mk"), None)
+    given.update(overrides or {})
+
+    sections = {}
+    for section in fields(RunConfig):
+        name, values = section.name, {}
+        for key in fields(section.default_factory):
+            if (name, key.name) in given:
+                values[key.name] = _checked(
+                    f"{name}.{key.name}", given[name, key.name],
+                    _TYPES[name][key.name], key.metadata.get("choices"))
+        sections[name] = section.default_factory(**values)
+    cfg = RunConfig(**sections)
+
+    scan = cfg.scan
+    if not scan.from_mhz < scan.to_mhz < 0.0:
         raise ConfigError(
             "scan.from_mhz < scan.to_mhz < 0 required, got "
-            f"{from_mhz!r} .. {to_mhz!r}")
-    if points < 2:
-        raise ConfigError(f"scan.points must be >= 2, got {points!r}")
-    if scan["p_model"] not in traploss_mod.P_MODELS:
+            f"{scan.from_mhz!r} .. {scan.to_mhz!r}")
+    if not 2 <= scan.points <= MAX_SCAN_POINTS:
         raise ConfigError(
-            f"scan.p_model must be one of {sorted(traploss_mod.P_MODELS)}, "
-            f"got {scan['p_model']!r}")
-    if raw["coupling"]["mode"] not in cavity_mod.COUPLING_MODES:
+            f"scan.points must be in 2..{MAX_SCAN_POINTS}, got {scan.points!r}")
+    if not 6 <= cfg.output.precision <= 17:
         raise ConfigError(
-            f"coupling.mode must be one of {cavity_mod.COUPLING_MODES}, "
-            f"got {raw['coupling']['mode']!r}")
-    precision = _number("output", "precision", raw["output"]["precision"],
-                        integer=True)
-    if not 6 <= precision <= 17:
-        raise ConfigError(
-            f"output.precision must be in 6..17, got {precision!r}")
-    path = raw["output"]["path"]
-    if path is not None and not isinstance(path, str):
-        raise ConfigError(f"output.path must be a string, got {path!r}")
-    return RunConfig(
-        species=species,
-        cavity_length_cm=_number("cavity", "length_cm",
-                                 raw["cavity"]["length_cm"]),
-        cavity_n_atoms=_number("cavity", "n_atoms", raw["cavity"]["n_atoms"]),
-        cavity_density_cm3=_number("cavity", "density_cm3",
-                                   raw["cavity"]["density_cm3"]),
-        coupling_mode=raw["coupling"]["mode"],
-        omega_tilde_ref_mhz=_number("coupling", "omega_tilde_ref_mhz",
-                                    raw["coupling"]["omega_tilde_ref_mhz"]),
-        delta_ref_mhz=_number("coupling", "delta_ref_mhz",
-                              raw["coupling"]["delta_ref_mhz"]),
-        v_inf_cm_s=_number("coupling", "v_inf_cm_s",
-                           raw["coupling"]["v_inf_cm_s"]),
-        scan_from_mhz=from_mhz,
-        scan_to_mhz=to_mhz,
-        scan_points=points,
-        scan_p_model=scan["p_model"],
-        scan_allow_out_of_window=bool(scan["allow_out_of_window"]),
-        scan_include_p_excite=bool(scan["include_p_excite"]),
-        output_path=path,
-        output_precision=precision,
-    )
+            f"output.precision must be in 6..17, got {cfg.output.precision!r}")
+    return cfg
 
 
 def load_config(path: Optional[str],
@@ -225,13 +209,13 @@ def load_config(path: Optional[str],
 
 def cavity_config(cfg: RunConfig, params: PhysicalParams) -> cavity_mod.CavityConfig:
     return cavity_mod.CavityConfig(
-        length=cfg.cavity_length_cm,
-        omega_c=params.omega_a + cfg.delta_ref_mhz * TWO_PI_MHZ,
-        n_atoms_total=cfg.cavity_n_atoms,
-        density=cfg.cavity_density_cm3,
-        coupling_mode=cfg.coupling_mode,
-        omega_tilde_ref=cfg.omega_tilde_ref_mhz * TWO_PI_MHZ,
-        delta_ref=cfg.delta_ref_mhz * TWO_PI_MHZ,
+        length=cfg.cavity.length_cm,
+        omega_c=params.omega_a + cfg.coupling.delta_ref_mhz * TWO_PI_MHZ,
+        n_atoms_total=cfg.cavity.n_atoms,
+        density=cfg.cavity.density_cm3,
+        coupling_mode=cfg.coupling.mode,
+        omega_tilde_ref=cfg.coupling.omega_tilde_ref_mhz * TWO_PI_MHZ,
+        delta_ref=cfg.coupling.delta_ref_mhz * TWO_PI_MHZ,
     )
 
 
@@ -272,9 +256,9 @@ def cmd_constants(cfg: RunConfig) -> str:
         f"dipole_molecular_esu_cm={cavity_mod.molecular_dipole(params)!r}",
         f"field_per_photon_cgs={cavity_mod.field_per_photon(cav.omega_c, volume)!r}",
         f"omega_single_mhz={omega_single / TWO_PI_MHZ!r}",
-        f"coupling_mode={cfg.coupling_mode}",
+        f"coupling_mode={cfg.coupling.mode}",
     ]
-    if cfg.coupling_mode == "microscopic":
+    if cfg.coupling.mode == "microscopic":
         point = cavity_mod.collective_rabi(cav.delta_ref, cav, params)
         lines.append(f"n_pairs_at_delta_ref={point.n_pairs!r}")
         lines.append(f"omega_tilde_at_delta_ref_mhz={point.omega_tilde / TWO_PI_MHZ!r}")
@@ -295,7 +279,7 @@ def cmd_times(cfg: RunConfig, delta_mhz: float) -> str:
     coupling = cavity_mod.collective_rabi(delta, cav, params)
     times = kinematics_mod.collision_times(delta, coupling.omega_tilde, params)
     phase = coupling.omega_tilde * times.t_resonant
-    p = cfg.output_precision
+    p = cfg.output.precision
     row = [
         _sci(delta_mhz, p),
         _sci(times.geometry.r_condon * 1.0e8, p),
@@ -327,23 +311,10 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     delta = delta_mhz * TWO_PI_MHZ
     omega_tilde = cavity_mod.collective_rabi(delta, cav, params).omega_tilde
     gamma = params.gamma_mol
-
-    if t_max_s is None:
-        if gamma > 0.0:
-            t_max_s = 5.0 / gamma
-        elif omega_tilde > 0.0:
-            t_max_s = 5.0 * 2.0 * math.pi / omega_tilde
-        else:
-            raise ConfigError("--t-max-ns required when both rates are zero")
-    if dt_s is None:
-        dt_max = dynamics_mod.max_stable_dt(omega_tilde, gamma)
-        if not math.isfinite(dt_max):
-            raise ConfigError("--dt-ps required when both rates are zero")
-        dt_s = dt_max / 10.0
-
+    t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
     series = dynamics_mod.integrate_master(
         dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s)
-    p = cfg.output_precision
+    p = cfg.output.precision
     rows = []
     for t, state in series:
         analytic = dynamics_mod.p_omega_analytic(t, omega_tilde, gamma)
@@ -368,18 +339,19 @@ def cmd_scan(cfg: RunConfig) -> str:
     """CSV of the full detuning scan."""
     params = resolve_params(cfg.species)
     cav = cavity_config(cfg, params)
+    scan = cfg.scan
     deltas = [mhz * TWO_PI_MHZ for mhz in
-              np.linspace(cfg.scan_from_mhz, cfg.scan_to_mhz, cfg.scan_points)]
+              np.linspace(scan.from_mhz, scan.to_mhz, scan.points)]
     points = traploss_mod.scan_detuning(
-        deltas, cav, params, cfg.scan_p_model,
-        allow_out_of_window=cfg.scan_allow_out_of_window)
+        deltas, cav, params, scan.p_model,
+        allow_out_of_window=scan.allow_out_of_window)
 
     header = list(SCAN_HEADER)
-    if cfg.scan_include_p_excite:
+    if scan.include_p_excite:
         header.append("p_excite")
-    if cfg.scan_allow_out_of_window:
+    if scan.allow_out_of_window:
         header.append("in_window")
-    p = cfg.output_precision
+    p = cfg.output.precision
     rows = []
     for point in points:
         row = [
@@ -396,10 +368,10 @@ def cmd_scan(cfg: RunConfig) -> str:
             _sci(point.loss_cavity, p),
             _sci(point.loss_free, p),
         ]
-        if cfg.scan_include_p_excite:
+        if scan.include_p_excite:
             row.append(_sci(cavity_mod.landau_zener(
-                point.delta, point.omega_tilde, cfg.v_inf_cm_s, params), p))
-        if cfg.scan_allow_out_of_window:
+                point.delta, point.omega_tilde, cfg.coupling.v_inf_cm_s, params), p))
+        if scan.allow_out_of_window:
             row.append("1" if traploss_mod.in_default_window(point.delta) else "0")
         rows.append(row)
     return _csv(header, rows)
@@ -411,19 +383,12 @@ def cmd_scan(cfg: RunConfig) -> str:
 
 def _check_round_trip(params: PhysicalParams, species: HumanUnitsConfig) -> None:
     back = to_human_units(params)
-    pairs = [
-        ("lambda_nm", species.lambda_nm, back.lambda_nm),
-        ("gamma_a_mhz", species.gamma_a_mhz, back.gamma_a_mhz),
-        ("mass_amu", species.mass_amu, back.mass_amu),
-        ("c3_erg_ang3", species.c3_erg_ang3, back.c3_erg_ang3),
-    ]
-    if species.trap_depth_mk is not None:
-        pairs.append(("trap_depth_mk", species.trap_depth_mk, back.trap_depth_mk))
-    for name, want, got in pairs:
-        if want == 0.0 and got == 0.0:
-            continue
+    for key in fields(species):
+        want, got = getattr(species, key.name), getattr(back, key.name)
+        if want is None or got is None or (want == 0.0 and got == 0.0):
+            continue   # the trap depth given in the other unit, or zero
         if abs(got - want) > 1.0e-12 * abs(want):
-            raise AssertionError(f"{name} round-trip {want!r} -> {got!r}")
+            raise AssertionError(f"{key.name} round-trip {want!r} -> {got!r}")
 
 
 def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
@@ -433,7 +398,7 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     rng = np.random.default_rng(20250101)
     delta_samples = [-mhz * TWO_PI_MHZ for mhz in
                      rng.uniform(350.0, 1000.0, size=50)]
-    delta_mid = 0.5 * (cfg.scan_from_mhz + cfg.scan_to_mhz) * TWO_PI_MHZ
+    delta_mid = 0.5 * (cfg.scan.from_mhz + cfg.scan.to_mhz) * TWO_PI_MHZ
 
     def resolve_strict():
         resolve_params(cfg.species)
@@ -493,7 +458,7 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
         assert 0 <= flagged <= len(delta_samples)
 
     def coupling_identity():
-        if cfg.coupling_mode == "microscopic":
+        if cfg.coupling.mode == "microscopic":
             for delta in delta_samples:
                 point = cavity_mod.collective_rabi(delta, cav, params)
                 assert abs(point.omega_tilde**2 - point.n_pairs
@@ -508,8 +473,7 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     def dynamics_fidelity():
         omega_tilde = cavity_mod.collective_rabi(delta_mid, cav, params).omega_tilde
         gamma = params.gamma_mol
-        t_end = 5.0 / gamma if gamma > 0.0 else 5.0 * 2.0 * math.pi / omega_tilde
-        dt = dynamics_mod.max_stable_dt(omega_tilde, gamma) / 10.0
+        t_end, dt = dynamics_mod.default_run(omega_tilde, gamma)
         series = dynamics_mod.integrate_master(
             dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_end, dt)
         worst = max(abs(s.p_e - dynamics_mod.p_omega_analytic(t, omega_tilde, gamma))
@@ -532,27 +496,27 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
 
     def scan_identities():
         deltas = [mhz * TWO_PI_MHZ for mhz in
-                  np.linspace(cfg.scan_from_mhz, cfg.scan_to_mhz,
-                              min(cfg.scan_points, 50))]
+                  np.linspace(cfg.scan.from_mhz, cfg.scan.to_mhz,
+                              min(cfg.scan.points, 50))]
         gamma = params.gamma_mol
         for point in traploss_mod.scan_detuning(
-                deltas, cav, params, cfg.scan_p_model,
+                deltas, cav, params, cfg.scan.p_model,
                 allow_out_of_window=True):
             series_value, _ = traploss_mod.loss_series(
-                point.times, point.omega_tilde, gamma, cfg.scan_p_model)
+                point.times, point.omega_tilde, gamma, cfg.scan.p_model)
             assert abs(series_value - point.loss_cavity) <= 1.0e-12
             kernel = traploss_mod.loss_closed_form(
                 point.times, point.omega_tilde, gamma,
                 lambda t, _w, g: math.exp(-g * t))
             assert abs(kernel - point.loss_free) <= 1.0e-12
-            p_model = traploss_mod.P_MODELS[cfg.scan_p_model]
+            p_model = traploss_mod.P_MODELS[cfg.scan.p_model]
             envelope = p_model(point.times.t_resonant, point.omega_tilde, gamma)
             assert point.loss_cavity <= envelope + 1.0e-15
             assert 0.0 <= point.loss_cavity <= 1.0
             assert 0.0 <= point.loss_free <= 1.0
 
     def landau_zener_monotonic():
-        probs = [cavity_mod.landau_zener(delta_mid, w, cfg.v_inf_cm_s, params)
+        probs = [cavity_mod.landau_zener(delta_mid, w, cfg.coupling.v_inf_cm_s, params)
                  for w in np.linspace(0.0, 2.0e6, 10)]
         assert probs[0] == 0.0
         assert all(a <= b for a, b in zip(probs, probs[1:]))
@@ -618,9 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a flag that overrides a config value names its section.key as dest
     def coupling_and_output(p):
-        p.add_argument("--coupling", choices=list(cavity_mod.COUPLING_MODES))
-        p.add_argument("--output", metavar="PATH")
+        p.add_argument("--coupling", dest="coupling.mode",
+                       choices=_choices(CouplingSection, "mode"))
+        p.add_argument("--output", dest="output.path")
 
     p_const = sub.add_parser("constants", help="resolved parameter report")
     coupling_and_output(p_const)
@@ -636,38 +602,28 @@ def build_parser() -> argparse.ArgumentParser:
     coupling_and_output(p_dyn)
 
     p_scan = sub.add_parser("scan", help="detuning scan of trap-loss probabilities")
-    p_scan.add_argument("--from-mhz", type=_finite_float)
-    p_scan.add_argument("--to-mhz", type=_finite_float)
-    p_scan.add_argument("--points", type=int)
-    p_scan.add_argument("--p-model", choices=sorted(traploss_mod.P_MODELS))
-    p_scan.add_argument("--allow-out-of-window", action="store_true",
-                        default=None)
+    p_scan.add_argument("--from-mhz", dest="scan.from_mhz", type=_finite_float)
+    p_scan.add_argument("--to-mhz", dest="scan.to_mhz", type=_finite_float)
+    p_scan.add_argument("--points", dest="scan.points", type=int)
+    p_scan.add_argument("--p-model", dest="scan.p_model",
+                        choices=_choices(ScanSection, "p_model"))
+    p_scan.add_argument("--allow-out-of-window", dest="scan.allow_out_of_window",
+                        action="store_true", default=None)
     coupling_and_output(p_scan)
 
     sub.add_parser("validate", help="run the invariant suite")
     return parser
 
 
-#: flag attribute -> the (section, key) of the config value it overrides
-_FLAG_KEYS = {
-    "coupling": ("coupling", "mode"),
-    "output": ("output", "path"),
-    "from_mhz": ("scan", "from_mhz"),
-    "to_mhz": ("scan", "to_mhz"),
-    "points": ("scan", "points"),
-    "p_model": ("scan", "p_model"),
-    "allow_out_of_window": ("scan", "allow_out_of_window"),
-}
-
-
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    return {target: getattr(args, flag) for flag, target in _FLAG_KEYS.items()
-            if getattr(args, flag, None) is not None}
+    """(section, key) -> value for every config flag given."""
+    return {tuple(dest.split(".")): value for dest, value in vars(args).items()
+            if "." in dest and value is not None}
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
+    if cfg.output.path:
+        with open(cfg.output.path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

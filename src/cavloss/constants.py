@@ -44,10 +44,10 @@ class HumanUnitsConfig:
     (the resonance-condition frequency 2*V0/h) must be given.
     """
 
-    lambda_nm: Optional[float] = 795.0
-    gamma_a_mhz: Optional[float] = 6.0       # Gamma_A / 2 pi
-    mass_amu: Optional[float] = RB85_MASS_AMU
-    c3_erg_ang3: Optional[float] = 1.1e-10
+    lambda_nm: float = 795.0
+    gamma_a_mhz: float = 6.0       # Gamma_A / 2 pi
+    mass_amu: float = RB85_MASS_AMU
+    c3_erg_ang3: float = 1.1e-10
     trap_depth_mk: Optional[float] = 5.0
     trap_depth_mhz: Optional[float] = None   # 2*V0/h in MHz
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import DomainError, StepSizeError
 
@@ -43,6 +44,9 @@ CRITICAL_BAND = 1.0e-6
 
 #: minimum number of steps per fastest cycle enforced by default
 STEPS_PER_CYCLE = 200
+
+#: most steps one integration may take; every step is kept as a sample
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,29 @@ def max_stable_dt(omega_tilde: float, gamma: float) -> float:
     return 2.0 * math.pi / rate / STEPS_PER_CYCLE
 
 
+def default_run(omega_tilde: float, gamma: float,
+                t_end: Optional[float] = None,
+                dt: Optional[float] = None) -> tuple[float, float]:
+    """The (t_end, dt) of a run from the excited state; given values are kept.
+
+    The default span is 5/gamma, or five Rabi cycles when gamma = 0; the
+    default step is a tenth of :func:`max_stable_dt`.
+    """
+    if t_end is None:
+        if gamma > 0.0:
+            t_end = 5.0 / gamma
+        elif omega_tilde > 0.0:
+            t_end = 5.0 * 2.0 * math.pi / omega_tilde
+        else:
+            raise DomainError("t_end must be given when both rates are zero")
+    if dt is None:
+        dt_max = max_stable_dt(omega_tilde, gamma)
+        if not math.isfinite(dt_max):
+            raise DomainError("dt must be given when both rates are zero")
+        dt = dt_max / 10.0
+    return t_end, dt
+
+
 def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
                      t_end: float, dt: float, *, record_every: int = 1,
                      allow_coarse_dt: bool = False
@@ -115,11 +142,12 @@ def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
 
     The step is shrunk slightly so an integer number of steps lands
     exactly on ``t_end``.  Steps coarser than :func:`max_stable_dt` are
-    rejected unless ``allow_coarse_dt`` is set.
+    rejected unless ``allow_coarse_dt`` is set; a run of more than
+    :data:`MAX_STEPS` steps is always rejected.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:   # NaN fails too
         raise DomainError(f"dt must be positive, got {dt!r}")
-    if t_end < 0.0:
+    if not t_end >= 0.0:
         raise DomainError(f"t_end must be >= 0, got {t_end!r}")
     dt_max = max_stable_dt(omega_tilde, gamma)
     if dt > dt_max and not allow_coarse_dt:
@@ -127,6 +155,10 @@ def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
             f"dt={dt:.6e} exceeds the enforced ceiling {dt_max:.6e} s "
             f"({STEPS_PER_CYCLE} steps per fastest cycle); pass "
             f"allow_coarse_dt=True to override")
+    steps = t_end / dt
+    if steps - 1.0e-9 > MAX_STEPS:   # before any sample is stored
+        raise DomainError(
+            f"t_end/dt = {steps:.6g} steps exceeds the cap of {MAX_STEPS}")
 
     y = (complex(initial.p_e), complex(initial.p_g), complex(initial.p_v),
          complex(initial.c_eg), complex(initial.c_ev), complex(initial.c_gv))
@@ -134,7 +166,7 @@ def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
     if t_end == 0.0:
         return samples
 
-    n_steps = max(1, math.ceil(t_end / dt - 1.0e-9))
+    n_steps = max(1, math.ceil(steps - 1.0e-9))
     h = t_end / n_steps
     half_g = 0.5 * gamma
     i_w = 1j * omega_tilde

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, CSV contracts, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import cavloss
 from cavloss import kinematics
-from cavloss.cli import main
+from cavloss.cli import RunConfig, main
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -121,6 +122,12 @@ class TestDynamicsCommand:
                                       "--dt-ps", "1000"])
         assert code == 2 and out == ""
         assert "ceiling" in err
+
+    def test_step_count_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, ["dynamics", "--delta-mhz", "-350",
+                                      "--t-max-ns", "1e6"])
+        assert code == 2 and out == ""
+        assert "cap" in err
 
 
 class TestScanCommand:
@@ -265,6 +272,17 @@ class TestConfigHandling:
         assert float(report["trap_resonant_omega_tilde_mhz"]) \
             == pytest.approx(200.0, rel=1.0e-9)
 
+    def test_readme_schema_matches_defaults(self):
+        # the README block is the one user-facing copy of the defaults;
+        # species.trap_depth_mhz is documented in prose beside it
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("Configuration schema with defaults:", 1)[1]
+        block = block.split("```json", 1)[1].split("```", 1)[0]
+        defaults = dataclasses.asdict(RunConfig())
+        del defaults["species"]["trap_depth_mhz"]
+        assert json.loads(block) == defaults
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -286,6 +304,12 @@ class TestConfigHandling:
          "--dt-ps"),
         ({}, ["scan", "--from-mhz", "nan"], "--from-mhz"),
         ({}, ["scan", "--to-mhz", "inf"], "--to-mhz"),
+        ({"scan": {"include_p_excite": "false"}}, ["scan"],
+         "scan.include_p_excite"),
+        ({"scan": {"allow_out_of_window": "no", "from_mhz": -3000}}, ["scan"],
+         "scan.allow_out_of_window"),
+        ({"scan": {"points": 1_000_001}}, ["scan"], "scan.points"),
+        ({}, ["scan", "--points", "1000001"], "scan.points"),
     ])
     def test_non_finite_or_non_integral_exits_2(self, capsys, tmp_path,
                                                 document, argv, name):

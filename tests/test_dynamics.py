@@ -8,6 +8,7 @@ import pytest
 from cavloss import (EXCITED_STATE, DomainError, ReducedState, StepSizeError,
                      integrate_master, master_rhs, max_stable_dt,
                      p_omega_analytic, p_omega_approx, rabi_regime)
+from cavloss.dynamics import MAX_STEPS
 from oracles import TWO_PI_MHZ, p_underdamped_reference
 
 OMEGA_200 = 200.0 * TWO_PI_MHZ
@@ -132,6 +133,12 @@ class TestIntegrator:
             integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL, 1.0e-9, 0.0)
         with pytest.raises(DomainError):
             integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL, -1.0, 1.0e-12)
+        for t_end, dt in ((math.nan, 1.0e-12), (1.0e-9, math.nan)):
+            with pytest.raises(DomainError):
+                integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL, t_end, dt)
+        with pytest.raises(DomainError, match="cap"):
+            integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
+                             (MAX_STEPS + 1) * 1.0e-12, 1.0e-12)
 
 
 class TestClosedForm:
