@@ -13,6 +13,10 @@ Two coupling modes are supported:
   reference detuning.
 * ``microscopic``: Omega~ built from the geometry and gas parameters as
   Omega * sqrt(N(delta)); used for consistency checks.
+
+The mode frequency is not configured: it tracks the scan point as
+omega_c = omega_a + delta.  Every quantity that depends on the detuning
+or the mode frequency is elementwise over grids (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .constants import C_LIGHT, HBAR, PhysicalParams
 from .errors import ConfigError, DomainError
+from .grid import as_grid, like, red_detuning, refuse
 from .potential import condon_radius, potential_slope
 
 #: fixed orientation/mode-profile average <|f_c|^2><|eps.e|^2> = 1/6
@@ -36,7 +43,6 @@ class CavityConfig:
     """Resonator geometry, gas parameters, and the coupling model."""
 
     length: float                        # mirror separation, cm
-    omega_c: float                       # mode frequency, rad/s
     n_atoms_total: float                 # N_A
     density: float                       # n_A, cm^-3
     coupling_mode: str = "anchored"
@@ -69,19 +75,23 @@ class CouplingPoint:
     omega_tilde: float    # collective Rabi frequency, rad/s
 
 
-def mode_geometry(config: CavityConfig) -> tuple[float, float]:
+def mode_geometry(omega_c, config: CavityConfig):
     """Gaussian mode waist w0 = sqrt(c*l/omega_c) (cm) and volume pi*w0^2*l (cm^3)."""
-    if config.length <= 0.0 or config.omega_c <= 0.0:
+    omega = as_grid(omega_c)
+    if config.length <= 0.0 or (omega <= 0.0).any():
         raise DomainError("cavity length and mode frequency must be positive")
-    waist = math.sqrt(C_LIGHT * config.length / config.omega_c)
-    return waist, math.pi * waist**2 * config.length
+    waist = np.sqrt(C_LIGHT * config.length / omega)
+    volume = math.pi * waist**2 * config.length
+    return like(waist, omega_c), like(volume, omega_c)
 
 
-def field_per_photon(omega: float, volume: float) -> float:
+def field_per_photon(omega, volume):
     """Vacuum field amplitude (2*pi*hbar*omega/V)^(1/2), (erg/cm^3)^(1/2)."""
-    if omega <= 0.0 or volume <= 0.0:
+    omega_grid, volume_grid = as_grid(omega), as_grid(volume)
+    if (omega_grid <= 0.0).any() or (volume_grid <= 0.0).any():
         raise DomainError("mode frequency and volume must be positive")
-    return math.sqrt(2.0 * math.pi * HBAR * omega / volume)
+    return like(np.sqrt(2.0 * math.pi * HBAR * omega_grid / volume_grid),
+                omega, volume)
 
 
 def atomic_dipole(params: PhysicalParams) -> float:
@@ -99,62 +109,56 @@ def molecular_dipole(params: PhysicalParams) -> float:
     return math.sqrt(2.0) * atomic_dipole(params)
 
 
-def single_rabi(config: CavityConfig, params: PhysicalParams) -> float:
+def single_rabi(omega_c, config: CavityConfig, params: PhysicalParams):
     """Orientation-averaged single quasimolecule Rabi frequency (rad/s)."""
-    _, volume = mode_geometry(config)
-    field = field_per_photon(config.omega_c, volume)
+    _, volume = mode_geometry(omega_c, config)
+    field = field_per_photon(omega_c, volume)
     return (field * molecular_dipole(params)
             * math.sqrt(ORIENTATION_AVERAGE) / HBAR)
 
 
-def pair_count(delta: float, config: CavityConfig,
-               params: PhysicalParams) -> float:
+def pair_count(delta, config: CavityConfig, params: PhysicalParams):
     """Number of pairs resonant within a linewidth of the Condon radius.
 
     N(delta) = N_A * n_A * (2*pi*C3 / (3*hbar*Gamma)) * (Gamma/delta)^2,
     an order-of-magnitude count that scales as delta^-2.
     """
-    if delta >= 0.0:
-        raise DomainError(f"red detuning required, got delta={delta!r}")
+    grid = red_detuning(delta)
     gamma = params.gamma_mol
-    return (config.n_atoms_total * config.density
-            * (2.0 * math.pi * params.c3 / (3.0 * HBAR * gamma))
-            * (gamma / delta) ** 2)
+    return like(config.n_atoms_total * config.density
+                * (2.0 * math.pi * params.c3 / (3.0 * HBAR * gamma))
+                * (gamma / grid) ** 2, delta)
+
+
+def coupling(delta, config: CavityConfig, params: PhysicalParams):
+    """``(omega_single, n_pairs, omega_tilde)`` at each detuning.
+
+    The mode frequency tracks the scan point: omega_c = omega_a + delta.
+    In anchored mode the pair count N is back-filled from omega_tilde.
+    """
+    grid = red_detuning(delta)
+    omega_single = single_rabi(params.omega_a + grid, config, params)
+    if config.coupling_mode == "microscopic":
+        n_pairs = pair_count(grid, config, params)
+        omega_tilde = omega_single * np.sqrt(n_pairs)
+    else:
+        omega_tilde = config.omega_tilde_ref * np.abs(config.delta_ref / grid)
+        # dipole (and Omega) vanish in the decay-free limit; the implied
+        # pair count is then unbounded rather than an error
+        n_pairs = np.divide(omega_tilde, omega_single,
+                            where=omega_single > 0.0,
+                            out=np.full_like(omega_tilde, math.inf)) ** 2
+    return (like(omega_single, delta), like(n_pairs, delta),
+            like(omega_tilde, delta))
 
 
 def collective_rabi(delta: float, config: CavityConfig,
                     params: PhysicalParams) -> CouplingPoint:
-    """Collective Rabi frequency at one detuning, with N back-filled.
-
-    The mode frequency tracks the scan point: omega_c = omega_a + delta.
-    """
-    if delta >= 0.0:
-        raise DomainError(f"red detuning required, got delta={delta!r}")
-    point_config = CavityConfig(
-        length=config.length,
-        omega_c=params.omega_a + delta,
-        n_atoms_total=config.n_atoms_total,
-        density=config.density,
-        coupling_mode=config.coupling_mode,
-        omega_tilde_ref=config.omega_tilde_ref,
-        delta_ref=config.delta_ref,
-    )
-    omega_single = single_rabi(point_config, params)
-    if config.coupling_mode == "microscopic":
-        n_pairs = pair_count(delta, config, params)
-        omega_tilde = omega_single * math.sqrt(n_pairs)
-    else:
-        omega_tilde = config.omega_tilde_ref * abs(config.delta_ref / delta)
-        # dipole (and Omega) vanish in the decay-free limit; the implied
-        # pair count is then unbounded rather than an error
-        n_pairs = ((omega_tilde / omega_single) ** 2
-                   if omega_single > 0.0 else math.inf)
-    return CouplingPoint(delta=delta, omega_single=omega_single,
-                         n_pairs=n_pairs, omega_tilde=omega_tilde)
+    """Collective Rabi frequency at one detuning, with N back-filled."""
+    return CouplingPoint(delta, *coupling(delta, config, params))
 
 
-def landau_zener(delta: float, omega_tilde: float, v_inf: float,
-                 params: PhysicalParams) -> float:
+def landau_zener(delta, omega_tilde, v_inf: float, params: PhysicalParams):
     """Excitation probability 1 - exp(-2*pi*Dt) at the Condon crossing.
 
     Dt = hbar*omega_tilde^2 / (v_inf * |U'(R_C)|).  With the shipped
@@ -163,9 +167,9 @@ def landau_zener(delta: float, omega_tilde: float, v_inf: float,
     """
     if v_inf <= 0.0:
         raise DomainError(f"asymptotic velocity must be positive, got {v_inf!r}")
-    if omega_tilde < 0.0:
-        raise DomainError(
-            f"collective Rabi frequency must be >= 0, got {omega_tilde!r}")
+    omega = as_grid(omega_tilde)
+    refuse(omega < 0.0, omega,
+           "collective Rabi frequency must be >= 0, got {!r}")
     slope = potential_slope(condon_radius(delta, params), params)
-    adiabaticity = HBAR * omega_tilde**2 / (v_inf * slope)
-    return -math.expm1(-2.0 * math.pi * adiabaticity)
+    adiabaticity = HBAR * omega**2 / (v_inf * slope)
+    return like(-np.expm1(-2.0 * math.pi * adiabaticity), delta, omega_tilde)

@@ -25,6 +25,7 @@ failed validation suite, 2 for configuration or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,6 +47,9 @@ TWO_PI_MHZ = 2.0 * math.pi * 1.0e6   # rad/s per MHz
 
 #: largest scan grid accepted, in points
 MAX_SCAN_POINTS = 1_000_000
+
+#: scan rows turned into Python numbers at a time while writing the CSV
+CSV_CHUNK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -207,10 +211,9 @@ def load_config(path: Optional[str],
     return build_run_config(document, overrides)
 
 
-def cavity_config(cfg: RunConfig, params: PhysicalParams) -> cavity_mod.CavityConfig:
+def cavity_config(cfg: RunConfig) -> cavity_mod.CavityConfig:
     return cavity_mod.CavityConfig(
         length=cfg.cavity.length_cm,
-        omega_c=params.omega_a + cfg.coupling.delta_ref_mhz * TWO_PI_MHZ,
         n_atoms_total=cfg.cavity.n_atoms,
         density=cfg.cavity.density_cm3,
         coupling_mode=cfg.coupling.mode,
@@ -219,14 +222,23 @@ def cavity_config(cfg: RunConfig, params: PhysicalParams) -> cavity_mod.CavityCo
     )
 
 
-def _sci(value: float, precision: int) -> str:
-    return f"{value:.{precision - 1}e}"
+def _row_format(count: int, precision: int) -> str:
+    """printf format of a CSV row of ``count`` numbers in scientific form."""
+    return ",".join([f"%.{precision - 1}e"] * count)
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
+def _csv(header: list[str], rows, row_format: str) -> str:
+    """The header line, then ``row_format % row`` for each row tuple."""
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(row_format % row for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _column_rows(columns: list[np.ndarray]):
+    """Row tuples of builtin numbers from equal-length columns."""
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        stop = start + CSV_CHUNK_ROWS
+        yield from zip(*(column[start:stop].tolist() for column in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +248,11 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 def cmd_constants(cfg: RunConfig) -> str:
     """Key=value report of every resolved quantity."""
     params = resolve_params(cfg.species)
-    cav = cavity_config(cfg, params)
-    waist, volume = cavity_mod.mode_geometry(cav)
+    cav = cavity_config(cfg)
+    omega_c = params.omega_a + cav.delta_ref
+    waist, volume = cavity_mod.mode_geometry(omega_c, cav)
     d_atom = cavity_mod.atomic_dipole(params)
-    omega_single = cavity_mod.single_rabi(cav, params)
+    omega_single = cavity_mod.single_rabi(omega_c, cav, params)
     lines = [
         f"omega_a_rad_s={params.omega_a!r}",
         f"gamma_a_rad_s={params.gamma_a!r}",
@@ -254,7 +267,7 @@ def cmd_constants(cfg: RunConfig) -> str:
         f"mode_volume_cm3={volume!r}",
         f"dipole_atomic_esu_cm={d_atom!r}",
         f"dipole_molecular_esu_cm={cavity_mod.molecular_dipole(params)!r}",
-        f"field_per_photon_cgs={cavity_mod.field_per_photon(cav.omega_c, volume)!r}",
+        f"field_per_photon_cgs={cavity_mod.field_per_photon(omega_c, volume)!r}",
         f"omega_single_mhz={omega_single / TWO_PI_MHZ!r}",
         f"coupling_mode={cfg.coupling.mode}",
     ]
@@ -274,23 +287,17 @@ def cmd_times(cfg: RunConfig, delta_mhz: float) -> str:
     if delta_mhz >= 0.0:
         raise DomainError(f"--delta-mhz must be negative, got {delta_mhz!r}")
     params = resolve_params(cfg.species)
-    cav = cavity_config(cfg, params)
+    cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
     coupling = cavity_mod.collective_rabi(delta, cav, params)
     times = kinematics_mod.collision_times(delta, coupling.omega_tilde, params)
     phase = coupling.omega_tilde * times.t_resonant
-    p = cfg.output.precision
-    row = [
-        _sci(delta_mhz, p),
-        _sci(times.geometry.r_condon * 1.0e8, p),
-        _sci(times.geometry.r_escape * 1.0e8, p),
-        _sci(times.t_total, p),
-        _sci(times.frac_resonant, p),
-        _sci(times.t_resonant, p),
-        _sci(times.t_escape_region, p),
-        _sci(phase / math.pi, p),
-    ]
-    return _csv(TIMES_HEADER, [row])
+    row = (delta_mhz, times.geometry.r_condon * 1.0e8,
+           times.geometry.r_escape * 1.0e8, times.t_total,
+           times.frac_resonant, times.t_resonant, times.t_escape_region,
+           phase / math.pi)
+    return _csv(TIMES_HEADER, [row],
+                _row_format(len(row), cfg.output.precision))
 
 
 DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
@@ -307,27 +314,20 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     if delta_mhz >= 0.0:
         raise DomainError(f"--delta-mhz must be negative, got {delta_mhz!r}")
     params = resolve_params(cfg.species, allow_zero_gamma=True)
-    cav = cavity_config(cfg, params)
+    cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
     omega_tilde = cavity_mod.collective_rabi(delta, cav, params).omega_tilde
     gamma = params.gamma_mol
     t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
     series = dynamics_mod.integrate_master(
         dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s)
-    p = cfg.output.precision
     rows = []
     for t, state in series:
         analytic = dynamics_mod.p_omega_analytic(t, omega_tilde, gamma)
-        rows.append([
-            _sci(t, p),
-            _sci(state.p_e, p),
-            _sci(analytic, p),
-            _sci(state.p_g, p),
-            _sci(state.p_v, p),
-            _sci(abs(state.p_e - analytic), p),
-            _sci(state.trace, p),
-        ])
-    return _csv(DYNAMICS_HEADER, rows)
+        rows.append((t, state.p_e, analytic, state.p_g, state.p_v,
+                     abs(state.p_e - analytic), state.trace))
+    return _csv(DYNAMICS_HEADER, rows,
+                _row_format(len(DYNAMICS_HEADER), cfg.output.precision))
 
 
 SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
@@ -338,43 +338,28 @@ SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
 def cmd_scan(cfg: RunConfig) -> str:
     """CSV of the full detuning scan."""
     params = resolve_params(cfg.species)
-    cav = cavity_config(cfg, params)
     scan = cfg.scan
-    deltas = [mhz * TWO_PI_MHZ for mhz in
-              np.linspace(scan.from_mhz, scan.to_mhz, scan.points)]
-    points = traploss_mod.scan_detuning(
-        deltas, cav, params, scan.p_model,
+    grid = traploss_mod.scan_grid(
+        np.linspace(scan.from_mhz, scan.to_mhz, scan.points) * TWO_PI_MHZ,
+        cavity_config(cfg), params, scan.p_model,
         allow_out_of_window=scan.allow_out_of_window)
 
     header = list(SCAN_HEADER)
+    columns = [grid.delta / TWO_PI_MHZ, grid.omega_tilde / TWO_PI_MHZ,
+               grid.n_pairs, grid.r_condon * 1.0e8, grid.r_escape * 1.0e8,
+               grid.t_total, grid.frac_resonant, grid.t_resonant,
+               grid.t_escape_region, grid.phase / math.pi, grid.loss_cavity,
+               grid.loss_free]
     if scan.include_p_excite:
         header.append("p_excite")
+        columns.append(cavity_mod.landau_zener(
+            grid.delta, grid.omega_tilde, cfg.coupling.v_inf_cm_s, params))
+    row_format = _row_format(len(columns), cfg.output.precision)
     if scan.allow_out_of_window:
         header.append("in_window")
-    p = cfg.output.precision
-    rows = []
-    for point in points:
-        row = [
-            _sci(point.delta / TWO_PI_MHZ, p),
-            _sci(point.omega_tilde / TWO_PI_MHZ, p),
-            _sci(point.n_pairs, p),
-            _sci(point.times.geometry.r_condon * 1.0e8, p),
-            _sci(point.times.geometry.r_escape * 1.0e8, p),
-            _sci(point.times.t_total, p),
-            _sci(point.times.frac_resonant, p),
-            _sci(point.times.t_resonant, p),
-            _sci(point.times.t_escape_region, p),
-            _sci(point.phase / math.pi, p),
-            _sci(point.loss_cavity, p),
-            _sci(point.loss_free, p),
-        ]
-        if scan.include_p_excite:
-            row.append(_sci(cavity_mod.landau_zener(
-                point.delta, point.omega_tilde, cfg.coupling.v_inf_cm_s, params), p))
-        if scan.allow_out_of_window:
-            row.append("1" if traploss_mod.in_default_window(point.delta) else "0")
-        rows.append(row)
-    return _csv(header, rows)
+        columns.append(traploss_mod.in_default_window(grid.delta))
+        row_format += ",%d"
+    return _csv(header, _column_rows(columns), row_format)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +379,7 @@ def _check_round_trip(params: PhysicalParams, species: HumanUnitsConfig) -> None
 def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     """Build the named invariant checks; each is a zero-arg callable."""
     params = resolve_params(cfg.species, allow_zero_gamma=True)
-    cav = cavity_config(cfg, params)
+    cav = cavity_config(cfg)
     rng = np.random.default_rng(20250101)
     delta_samples = [-mhz * TWO_PI_MHZ for mhz in
                      rng.uniform(350.0, 1000.0, size=50)]
@@ -615,6 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of :func:`main`, built on its first call; argparse keeps no
+#: state between ``parse_args`` calls, so one parser serves them all
+_main_parser = functools.cache(build_parser)
+
+
 def _flag_overrides(args: argparse.Namespace) -> dict:
     """(section, key) -> value for every config flag given."""
     return {tuple(dest.split(".")): value for dest, value in vars(args).items()
@@ -630,8 +620,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _flag_overrides(args))
         if args.command == "constants":

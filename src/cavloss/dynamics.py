@@ -26,6 +26,11 @@ evaluates the (G/(4*b))*sin term through sinc-style kernels that are
 analytic in b^2, so the value crosses the boundary continuously and no
 0/0 arises anywhere.
 
+The two survival kernels take plain numbers or numpy arrays.  An array
+is computed by numpy, each damping branch on its own elements; plain
+numbers are computed by :mod:`math`, so a scalar call, and with it every
+``dynamics`` CSV row, reproduces libm to the last bit.
+
 Numerical integration is classical fixed-step RK4: the system is linear
 with known stiffest rate max(b, G), so adaptivity buys nothing and
 fixed steps keep runs bit-for-bit reproducible.
@@ -37,7 +42,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError, StepSizeError
+from .grid import refuse
 
 #: relative half-width of the band reported as critically damped
 CRITICAL_BAND = 1.0e-6
@@ -195,64 +203,120 @@ def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
     return samples
 
 
-def _sinc(x: float) -> float:
+def _require_nonnegative(t, gamma=0.0, omega_tilde=0.0) -> None:
+    """Raise DomainError naming the first negative time, rate or coupling."""
+    for value, what in ((t, "time"), (gamma, "decay rate"),
+                        (omega_tilde, "collective Rabi frequency")):
+        if isinstance(value, np.ndarray):
+            refuse(value < 0.0, value, what + " must be >= 0, got {!r}")
+        elif value < 0.0:
+            raise DomainError(f"{what} must be >= 0, got {value!r}")
+
+
+def _sinc(x, xp):
     # sin(x)/x, analytic through x = 0
-    if abs(x) < 1.0e-4:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
-    return math.sin(x) / x
+    if xp is math and abs(x) >= 1.0e-4:
+        return math.sin(x) / x
+    x2 = x * x
+    series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
+    if xp is math:
+        return series
+    small = np.abs(x) < 1.0e-4
+    return np.where(small, series, np.sin(x) / np.where(small, 1.0, x))
 
 
-def _sinhc(x: float) -> float:
+def _sinhc(x, xp):
     # sinh(x)/x, analytic through x = 0
-    if abs(x) < 1.0e-4:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
-    return math.sinh(x) / x
+    if xp is math and abs(x) >= 1.0e-4:
+        return math.sinh(x) / x
+    x2 = x * x
+    series = 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
+    if xp is math:
+        return series
+    small = np.abs(x) < 1.0e-4
+    return np.where(small, series, np.sinh(x) / np.where(small, 1.0, x))
 
 
-def p_omega_analytic(t: float, omega_tilde: float, gamma: float) -> float:
+def _decoupled(t, omega_tilde, gamma, xp):
+    return xp.exp(-gamma * t)
+
+
+def _oscillating(t, omega_tilde, gamma, xp):
+    quarter = 0.25 * gamma
+    x = xp.sqrt(omega_tilde**2 - quarter**2) * t
+    bracket = xp.cos(x) - quarter * t * _sinc(x, xp)
+    return xp.exp(-0.5 * gamma * t) * bracket**2
+
+
+def _hyperbolic_near(t, omega_tilde, gamma, xp):
+    quarter = 0.25 * gamma
+    x = xp.sqrt(-(omega_tilde**2 - quarter**2)) * t
+    bracket = xp.cosh(x) - quarter * t * _sinhc(x, xp)
+    return xp.exp(-0.5 * gamma * t) * bracket**2
+
+
+def _hyperbolic_far(t, omega_tilde, gamma, xp):
+    # fold the exp(-gamma*t/4) prefactor into the exponentials so
+    # cosh - sinh never cancels catastrophically
+    quarter = 0.25 * gamma
+    b = xp.sqrt(-(omega_tilde**2 - quarter**2))
+    x = b * t
+    a = quarter / b
+    w = 0.5 * ((1.0 - a) * xp.exp(x - quarter * t)
+               + (1.0 + a) * xp.exp(-x - quarter * t))
+    return w * w
+
+
+#: the forms of p(t), indexed by :func:`_branch`
+_BRANCHES = (_decoupled, _oscillating, _hyperbolic_near, _hyperbolic_far)
+
+
+def _branch(t, omega_tilde, gamma, xp):
+    """Index into _BRANCHES: no coupling, W >= G/4, else b*t <= 1 or beyond."""
+    beta_sq = omega_tilde**2 - (0.25 * gamma)**2
+    if xp is math:
+        if omega_tilde == 0.0:
+            return 0
+        if beta_sq >= 0.0:
+            return 1
+        return 2 if math.sqrt(-beta_sq) * t <= 1.0 else 3
+    hyperbolic = beta_sq < 0.0
+    far = hyperbolic & (np.sqrt(np.abs(beta_sq)) * t > 1.0)
+    return (omega_tilde != 0.0) * (1 + hyperbolic + far)
+
+
+def p_omega_analytic(t, omega_tilde, gamma: float):
     """Closed-form excited-state survival probability p(t).
 
     Covers all damping regimes continuously; the decoupled limit
     omega_tilde = 0 returns exp(-gamma*t) exactly.
     """
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
-    if gamma < 0.0:
-        raise DomainError(f"decay rate must be >= 0, got {gamma!r}")
-    if omega_tilde < 0.0:
-        raise DomainError(
-            f"collective Rabi frequency must be >= 0, got {omega_tilde!r}")
-    if omega_tilde == 0.0:
-        return math.exp(-gamma * t)
-
-    quarter = 0.25 * gamma
-    beta_sq = omega_tilde**2 - quarter**2
-    if beta_sq >= 0.0:
-        x = math.sqrt(beta_sq) * t
-        bracket = math.cos(x) - quarter * t * _sinc(x)
-        return math.exp(-0.5 * gamma * t) * bracket**2
-    # hyperbolic branch: fold the exp(-gamma*t/4) prefactor into the
-    # exponentials so cosh - sinh never cancels catastrophically
-    b = math.sqrt(-beta_sq)
-    x = b * t
-    if x <= 1.0:
-        bracket = math.cosh(x) - quarter * t * _sinhc(x)
-        return math.exp(-0.5 * gamma * t) * bracket**2
-    a = quarter / b
-    w = 0.5 * ((1.0 - a) * math.exp(x - quarter * t)
-               + (1.0 + a) * math.exp(-x - quarter * t))
-    return w * w
+    if not (isinstance(t, np.ndarray) or isinstance(omega_tilde, np.ndarray)):
+        if t < 0.0 or gamma < 0.0 or omega_tilde < 0.0:
+            _require_nonnegative(t, gamma, omega_tilde)
+        return _BRANCHES[_branch(t, omega_tilde, gamma, math)](
+            t, omega_tilde, gamma, math)
+    _require_nonnegative(t, gamma, omega_tilde)
+    t, omega_tilde = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                         np.asarray(omega_tilde, dtype=float))
+    branch = _branch(t, omega_tilde, gamma, np)
+    value = np.empty(t.shape)
+    for index, form in enumerate(_BRANCHES):
+        rows = branch == index
+        if rows.any():
+            value[rows] = form(t[rows], omega_tilde[rows], gamma, np)
+    return value
 
 
-def p_omega_approx(t: float, omega_tilde: float, gamma: float) -> float:
+def p_omega_approx(t, omega_tilde, gamma: float):
     """Simplified survival probability exp(-gamma*t/2)*cos^2(omega_tilde*t).
 
     Drops the sine correction and replaces the oscillation rate by
     omega_tilde itself; intended for omega_tilde >> gamma/4, where it
     deviates from the full form by order gamma/(4*omega_tilde).
     """
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
-    return math.exp(-0.5 * gamma * t) * math.cos(omega_tilde * t) ** 2
+    grid = isinstance(t, np.ndarray) or isinstance(omega_tilde, np.ndarray)
+    if grid or t < 0.0:
+        _require_nonnegative(t)
+    xp = np if grid else math
+    return xp.exp(-0.5 * gamma * t) * xp.cos(omega_tilde * t) ** 2

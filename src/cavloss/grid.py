@@ -1,0 +1,42 @@
+"""Elementwise evaluation shared by the functions of the scan chain.
+
+Every function from the coupling to the loss takes plain numbers or numpy
+arrays of them.  An array is computed in one pass; a plain number is
+computed as a one-element array, so a scalar call runs exactly the
+operations of one element of a grid and agrees with it bit for bit, and
+the result comes back as a builtin float.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DomainError
+
+
+def as_grid(value) -> np.ndarray:
+    """A number or an array of numbers as a float array of >= 1 dimension."""
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+def like(result, *inputs):
+    """``result`` in the form of the inputs: a float unless one is an array."""
+    if any(isinstance(value, np.ndarray) for value in inputs):
+        return result
+    return result.item()
+
+
+def refuse(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise DomainError naming the first element of ``values`` found ``bad``.
+
+    ``message`` holds one ``{!r}`` field for that element.
+    """
+    if bad.any():
+        raise DomainError(message.format(float(values[bad][0])))
+
+
+def red_detuning(delta) -> np.ndarray:
+    """``delta`` as a grid, refusing any detuning that is not red (< 0)."""
+    grid = as_grid(delta)
+    refuse(grid >= 0.0, grid, "red detuning required, got delta={!r}")
+    return grid

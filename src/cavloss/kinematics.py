@@ -22,7 +22,9 @@ the branch point at s = 1, so the integral is g0 minus the head
 integral_0^r, which u = t^2 turns into 2*t^4 / sqrt(1 - t^6) dt on
 0 <= t <= sqrt(r).  Each form takes one fixed 14-node Gauss-Legendre rule
 (Golub & Welsch, Math. Comp. 23, 1969), exact to rounding (~3e-16
-absolute) for every r in [0, 1].
+absolute) for every r in [0, 1].  The rule runs node by node over a
+whole grid of r at once, and every time scale here is elementwise over
+detuning grids (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import HBAR, PhysicalParams
-from .errors import DomainError
-from .potential import ResonanceGeometry, resonance_geometry
+from .grid import as_grid, like, red_detuning
+from .potential import ResonanceGeometry, escape_ratio, resonance_geometry
 
 #: closed-form normalization B(5/6, 1/2)/3 of the in-fall integral
 _G0 = math.gamma(5.0 / 6.0) * math.gamma(0.5) / (3.0 * math.gamma(4.0 / 3.0))
@@ -62,28 +65,39 @@ class CollisionTimes:
     geometry: Optional[ResonanceGeometry] = None
 
 
-def _regular_integrand(s: float) -> float:
+def _regular_integrand(s: np.ndarray) -> np.ndarray:
     # integrand after u = 1 - s^2; analytic on [0, 1)
     s2 = s * s
-    return 2.0 * (1.0 - s2) ** 1.5 / math.sqrt(3.0 - 3.0 * s2 + s2 * s2)
+    return 2.0 * (1.0 - s2) ** 1.5 / np.sqrt(3.0 - 3.0 * s2 + s2 * s2)
 
 
-def _head_integrand(t: float) -> float:
+def _head_integrand(t: np.ndarray) -> np.ndarray:
     # integrand after u = t^2; analytic on [0, 1)
     t2 = t * t
-    return 2.0 * t2 * t2 / math.sqrt(1.0 - t2 * t2 * t2)
+    return 2.0 * t2 * t2 / np.sqrt(1.0 - t2 * t2 * t2)
 
 
-def _gauss_legendre(integrand, upper: float) -> float:
-    return upper * sum(w * integrand(upper * x) for x, w in _RULE)
+def _gauss_legendre(integrand, upper: np.ndarray) -> np.ndarray:
+    total = 0.0
+    for x, w in _RULE:
+        total = total + w * integrand(upper * x)
+    return upper * total
 
 
-def _infall_integral(r_ratio: float) -> float:
-    """integral_r^1 du/sqrt(u^-3 - 1)."""
-    if r_ratio >= 0.5:
-        return _gauss_legendre(_regular_integrand, math.sqrt(1.0 - r_ratio))
-    # _G0, not g0_constant(), so that validate catches a replaced accessor
-    return _G0 - _gauss_legendre(_head_integrand, math.sqrt(r_ratio))
+def _infall_integral(r_ratio):
+    """integral_r^1 du/sqrt(u^-3 - 1), elementwise."""
+    grid = as_grid(r_ratio)
+    tail = grid >= 0.5
+    head = ~tail
+    value = np.empty_like(grid)
+    if tail.any():
+        value[tail] = _gauss_legendre(_regular_integrand,
+                                      np.sqrt(1.0 - grid[tail]))
+    if head.any():
+        # _G0, not g0_constant(), so that validate catches a replaced accessor
+        value[head] = _G0 - _gauss_legendre(_head_integrand,
+                                            np.sqrt(grid[head]))
+    return like(value, r_ratio)
 
 
 def g0_constant() -> float:
@@ -91,27 +105,17 @@ def g0_constant() -> float:
     return _G0
 
 
-def _ratio_escape(delta: float, omega_tilde: float) -> float:
-    if delta >= 0.0:
-        raise DomainError(f"red detuning required, got delta={delta!r}")
-    if omega_tilde < 0.0:
-        raise DomainError(
-            f"collective Rabi frequency must be >= 0, got {omega_tilde!r}")
-    return (1.0 + omega_tilde / abs(delta)) ** (-1.0 / 3.0)
-
-
-def fraction_f(delta: float, omega_tilde: float) -> float:
+def fraction_f(delta, omega_tilde):
     """Fraction of the in-fall time spent in the resonant region, in [0, 1]."""
-    return _infall_integral(_ratio_escape(delta, omega_tilde)) / g0_constant()
+    return _infall_integral(escape_ratio(delta, omega_tilde)) / g0_constant()
 
 
-def total_time(delta: float, params: PhysicalParams) -> float:
+def total_time(delta, params: PhysicalParams):
     """In-fall time t0 from R_C to R = 0 (s); scales as |delta|^(-5/6)."""
-    if delta >= 0.0:
-        raise DomainError(f"red detuning required, got delta={delta!r}")
-    return (g0_constant()
-            * math.sqrt(params.mu / (2.0 * params.c3))
-            * (params.c3 / (HBAR * abs(delta))) ** (5.0 / 6.0))
+    grid = red_detuning(delta)
+    return like(g0_constant()
+                * math.sqrt(params.mu / (2.0 * params.c3))
+                * (params.c3 / (HBAR * np.abs(grid))) ** (5.0 / 6.0), delta)
 
 
 def collision_times(delta: float, omega_tilde: float,

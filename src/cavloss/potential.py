@@ -6,14 +6,20 @@ R-dependent pair splitting at the Condon radius R_C, where
 C3/R_C^3 = hbar*|delta|.  The coupling stays effective until the
 splitting has walked off resonance by the collective Rabi frequency,
 which defines the escape radius R_e = R_C * (1 + Omega~/|delta|)^(-1/3).
+
+The radii and the slope are elementwise over detuning grids (see
+:mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import HBAR, PhysicalParams
 from .errors import DomainError
+from .grid import as_grid, like, red_detuning, refuse
 
 
 @dataclass(frozen=True)
@@ -44,33 +50,37 @@ def omega_r(r: float, params: PhysicalParams) -> float:
     return params.omega_a + u_dd(r, params) / HBAR
 
 
-def condon_radius(delta: float, params: PhysicalParams) -> float:
+def condon_radius(delta, params: PhysicalParams):
     """Radius where the mode is resonant: (C3/(hbar*|delta|))^(1/3) (cm)."""
-    if delta >= 0.0:
-        raise DomainError(f"red detuning required, got delta={delta!r}")
-    return (params.c3 / (HBAR * abs(delta))) ** (1.0 / 3.0)
+    grid = red_detuning(delta)
+    return like((params.c3 / (HBAR * np.abs(grid))) ** (1.0 / 3.0), delta)
 
 
-def escape_radius(delta: float, omega_tilde: float,
-                  params: PhysicalParams) -> tuple[float, float]:
-    """Off-resonance boundary.
+def escape_ratio(delta, omega_tilde):
+    """R_e/R_C = (1 + omega_tilde/|delta|)^(-1/3); omega_tilde = 0 gives 1."""
+    grid = red_detuning(delta)
+    omega = as_grid(omega_tilde)
+    refuse(omega < 0.0, omega,
+           "collective Rabi frequency must be >= 0, got {!r}")
+    return like((1.0 + omega / np.abs(grid)) ** (-1.0 / 3.0),
+                delta, omega_tilde)
 
-    Returns ``(r_escape, r_ratio)`` with
-    r_ratio = (1 + omega_tilde/|delta|)^(-1/3); omega_tilde = 0 gives
-    r_escape = r_condon.
+
+def escape_radius(delta, omega_tilde, params: PhysicalParams):
+    """Off-resonance boundary ``(r_escape, r_ratio)``; see :func:`escape_ratio`.
+
+    omega_tilde = 0 gives r_escape = r_condon.
     """
-    if omega_tilde < 0.0:
-        raise DomainError(
-            f"collective Rabi frequency must be >= 0, got {omega_tilde!r}")
-    ratio = (1.0 + omega_tilde / abs(delta)) ** (-1.0 / 3.0)
+    ratio = escape_ratio(delta, omega_tilde)
     return condon_radius(delta, params) * ratio, ratio
 
 
-def potential_slope(r: float, params: PhysicalParams) -> float:
+def potential_slope(r, params: PhysicalParams):
     """|U'(r)| = 3*C3/r^4 (erg/cm); equals 3*hbar*|delta|/R_C at r = R_C."""
-    if r <= 0.0:
-        raise DomainError(f"internuclear distance must be positive, got {r!r}")
-    return 3.0 * params.c3 / r**4
+    grid = as_grid(r)
+    refuse(grid <= 0.0, grid,
+           "internuclear distance must be positive, got {!r}")
+    return like(3.0 * params.c3 / grid**4, r)
 
 
 def resonance_geometry(delta: float, omega_tilde: float,

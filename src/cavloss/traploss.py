@@ -22,6 +22,10 @@ L_c to the no-cavity loss L_o = sinh(G*t_e)/sinh(G*(t_c+t_e)) of
 independently colliding pairs.  Scanning the detuning sweeps the phase
 omega_tilde*t_c through several half-cycles, which is what imprints
 minima and maxima on L_c while L_o stays smooth.
+
+:func:`loss_grid` computes the whole chain, coupling -> radii -> times ->
+kernel -> losses, over an array of detunings at once; :func:`loss_point`
+and :func:`scan_detuning` are views of it (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -30,16 +34,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .cavity import CavityConfig, collective_rabi
+import numpy as np
+
+from .cavity import CavityConfig, coupling
 from .constants import PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError, DomainError
-from .kinematics import CollisionTimes, collision_times
+from .grid import like, red_detuning
+from .kinematics import CollisionTimes, fraction_f, total_time
+from .potential import ResonanceGeometry, condon_radius, escape_ratio
 
 #: detuning window (MHz) inside which the semiclassical model is trusted
 DEFAULT_WINDOW_MHZ = (-1000.0, -350.0)
 
-#: survival-kernel callable signature: (t, omega_tilde, gamma) -> probability
+#: survival-kernel callable signature: (t, omega_tilde, gamma) -> probability;
+#: :func:`loss_grid` calls it with arrays of t and omega_tilde
 PModel = Callable[[float, float, float], float]
 
 P_MODELS: dict[str, PModel] = {
@@ -62,6 +71,41 @@ class LossPoint:
     phase: float             # omega_tilde * t_c, rad
     loss_cavity: float
     loss_free: float
+
+
+@dataclass(frozen=True)
+class LossGrid:
+    """The detuning scan as columns: one array per quantity of LossPoint."""
+
+    delta: np.ndarray            # rad/s
+    omega_tilde: np.ndarray      # rad/s
+    n_pairs: np.ndarray
+    r_condon: np.ndarray         # cm
+    r_escape: np.ndarray         # cm
+    r_ratio: np.ndarray
+    t_total: np.ndarray          # s
+    frac_resonant: np.ndarray
+    t_resonant: np.ndarray       # s
+    t_escape_region: np.ndarray  # s
+    phase: np.ndarray            # omega_tilde * t_c, rad
+    loss_cavity: np.ndarray
+    loss_free: np.ndarray
+
+    def points(self) -> list[LossPoint]:
+        """One LossPoint of builtin floats per detuning."""
+        columns = (self.delta, self.omega_tilde, self.n_pairs, self.r_condon,
+                   self.r_escape, self.r_ratio, self.t_total,
+                   self.frac_resonant, self.t_resonant, self.t_escape_region,
+                   self.phase, self.loss_cavity, self.loss_free)
+        return [
+            LossPoint(delta=d, omega_tilde=w, n_pairs=n, times=CollisionTimes(
+                t_total=t0, frac_resonant=f, t_resonant=t_c,
+                t_escape_region=t_e, t_prime=0.0,
+                geometry=ResonanceGeometry(detuning=d, r_condon=r_c,
+                                           r_escape=r_e, r_ratio=ratio)),
+                      phase=phase, loss_cavity=l_c, loss_free=l_o)
+            for d, w, n, r_c, r_e, ratio, t0, f, t_c, t_e, phase, l_c, l_o
+            in zip(*(column.tolist() for column in columns))]
 
 
 def _resolve_p_model(p_model: Union[str, PModel]) -> PModel:
@@ -117,9 +161,12 @@ def loss_series(times: CollisionTimes, omega_tilde: float, gamma: float,
     return total, terms_used
 
 
-def loss_closed_form(times: CollisionTimes, omega_tilde: float, gamma: float,
-                     p_model: Union[str, PModel]) -> float:
-    """Multiple-passage loss in closed form (requires gamma > 0)."""
+def loss_closed_form(times: CollisionTimes, omega_tilde, gamma: float,
+                     p_model: Union[str, PModel]):
+    """Multiple-passage loss in closed form (requires gamma > 0).
+
+    Elementwise when the times and omega_tilde are arrays.
+    """
     if gamma <= 0.0:
         raise DomainError(
             f"decay rate must be positive for the closed form, got {gamma!r}")
@@ -127,62 +174,102 @@ def loss_closed_form(times: CollisionTimes, omega_tilde: float, gamma: float,
     g_te = gamma * times.t_escape_region
     g_off = gamma * (times.t_prime + times.t_escape_region)
     p_return = p(2.0 * times.t_resonant, omega_tilde, gamma)
-    return (p(times.t_resonant, omega_tilde, gamma) * math.sinh(g_te)
-            / (0.5 * (math.exp(g_off) - p_return * math.exp(-g_off))))
+    loss = (p(times.t_resonant, omega_tilde, gamma) * np.sinh(g_te)
+            / (0.5 * (np.exp(g_off) - p_return * np.exp(-g_off))))
+    return like(loss, times.t_resonant, omega_tilde)
 
 
-def loss_no_cavity(times: CollisionTimes, gamma: float) -> float:
+def loss_no_cavity(times: CollisionTimes, gamma: float):
     """Free-space loss sinh(G*t_e)/sinh(G*(t_c+t_e)) of independent pairs."""
     if gamma <= 0.0:
         raise DomainError(
             f"decay rate must be positive, got {gamma!r}")
-    return (math.sinh(gamma * times.t_escape_region)
-            / math.sinh(gamma * (times.t_resonant + times.t_escape_region)))
+    loss = (np.sinh(gamma * times.t_escape_region)
+            / np.sinh(gamma * (times.t_resonant + times.t_escape_region)))
+    return like(loss, times.t_resonant)
+
+
+def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
+              p_model: Union[str, PModel] = "approx") -> LossGrid:
+    """Everything the scan reports, at every detuning at once, in given order.
+
+    A floating-point overflow or invalid operation anywhere in the chain
+    raises DomainError instead of writing inf or NaN.
+    """
+    delta = red_detuning(deltas)
+    gamma = params.gamma_mol
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _, n_pairs, omega_tilde = coupling(delta, cavity, params)
+            r_condon = condon_radius(delta, params)
+            r_ratio = escape_ratio(delta, omega_tilde)
+            r_escape = r_condon * r_ratio
+            t_total = total_time(delta, params)
+            frac = fraction_f(delta, omega_tilde)
+            t_c = t_total * frac
+            times = CollisionTimes(t_total=t_total, frac_resonant=frac,
+                                   t_resonant=t_c,
+                                   t_escape_region=t_total - t_c)
+            loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
+            loss_free = loss_no_cavity(times, gamma)
+    except FloatingPointError as exc:
+        raise DomainError(f"the loss chain left the floating-point range: "
+                          f"{exc}") from None
+    if not ((0.0 < r_escape) & (r_escape <= r_condon)).all():
+        raise DomainError("requires 0 < r_escape <= r_condon")
+    return LossGrid(delta=delta, omega_tilde=omega_tilde, n_pairs=n_pairs,
+                    r_condon=r_condon, r_escape=r_escape, r_ratio=r_ratio,
+                    t_total=t_total, frac_resonant=frac, t_resonant=t_c,
+                    t_escape_region=times.t_escape_region,
+                    phase=omega_tilde * t_c, loss_cavity=loss_cavity,
+                    loss_free=loss_free)
 
 
 def loss_point(delta: float, cavity: CavityConfig, params: PhysicalParams,
                p_model: Union[str, PModel] = "approx") -> LossPoint:
     """Everything the scan reports, for a single detuning."""
-    coupling = collective_rabi(delta, cavity, params)
-    times = collision_times(delta, coupling.omega_tilde, params)
-    gamma = params.gamma_mol
-    cavity_loss = loss_closed_form(times, coupling.omega_tilde, gamma, p_model)
-    return LossPoint(
-        delta=delta,
-        omega_tilde=coupling.omega_tilde,
-        n_pairs=coupling.n_pairs,
-        times=times,
-        phase=coupling.omega_tilde * times.t_resonant,
-        loss_cavity=cavity_loss,
-        loss_free=loss_no_cavity(times, gamma),
-    )
+    return loss_grid([delta], cavity, params, p_model).points()[0]
 
 
-def in_default_window(delta: float) -> bool:
+def in_default_window(delta):
     """True if the detuning lies in the trusted semiclassical window."""
     lo = 2.0 * math.pi * DEFAULT_WINDOW_MHZ[0] * 1.0e6
     hi = 2.0 * math.pi * DEFAULT_WINDOW_MHZ[1] * 1.0e6
-    return lo * (1.0 + 1.0e-12) <= delta <= hi * (1.0 - 1.0e-12)
+    return (lo * (1.0 + 1.0e-12) <= delta) & (delta <= hi * (1.0 - 1.0e-12))
+
+
+def scan_grid(deltas: Sequence[float], cavity: CavityConfig,
+              params: PhysicalParams,
+              p_model: Union[str, PModel] = "approx", *,
+              allow_out_of_window: bool = False) -> LossGrid:
+    """The loss over a detuning grid as columns, ordered by ascending delta.
+
+    Detunings outside the default window are rejected unless
+    ``allow_out_of_window`` is set; the error names the first offending
+    detuning in input order.
+    """
+    if len(deltas) < 2:
+        raise ConfigError(f"scan needs at least 2 points, got {len(deltas)}")
+    grid = np.asarray(deltas, dtype=float)
+    bad = grid >= 0.0
+    if not allow_out_of_window:
+        bad |= ~in_default_window(grid)
+    if bad.any():
+        delta = float(grid[bad][0])
+        if delta >= 0.0:
+            raise ConfigError(
+                f"scan detunings must be negative, got {delta!r}")
+        raise ConfigError(
+            f"detuning {delta / (2.0e6 * math.pi):.6g} MHz is outside the "
+            f"validity window {DEFAULT_WINDOW_MHZ} MHz; pass "
+            f"allow_out_of_window=True to override")
+    return loss_grid(np.sort(grid), cavity, params, p_model)
 
 
 def scan_detuning(deltas: Sequence[float], cavity: CavityConfig,
                   params: PhysicalParams,
                   p_model: Union[str, PModel] = "approx", *,
                   allow_out_of_window: bool = False) -> list[LossPoint]:
-    """Compute loss points over a detuning grid, ordered by ascending delta.
-
-    Detunings outside the default window are rejected unless
-    ``allow_out_of_window`` is set.
-    """
-    if len(deltas) < 2:
-        raise ConfigError(f"scan needs at least 2 points, got {len(deltas)}")
-    for delta in deltas:
-        if delta >= 0.0:
-            raise ConfigError(
-                f"scan detunings must be negative, got {delta!r}")
-        if not allow_out_of_window and not in_default_window(delta):
-            raise ConfigError(
-                f"detuning {delta / (2.0e6 * math.pi):.6g} MHz is outside the "
-                f"validity window {DEFAULT_WINDOW_MHZ} MHz; pass "
-                f"allow_out_of_window=True to override")
-    return [loss_point(d, cavity, params, p_model) for d in sorted(deltas)]
+    """:func:`scan_grid` as one LossPoint per detuning."""
+    return scan_grid(deltas, cavity, params, p_model,
+                     allow_out_of_window=allow_out_of_window).points()

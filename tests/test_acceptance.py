@@ -30,8 +30,7 @@ CONFIG = build_run_config()
 
 
 def make_cavity(mode="anchored"):
-    return CavityConfig(length=1.0, omega_c=RB85.omega_a + DELTA_350,
-                        n_atoms_total=2.0e9, density=4.0e13,
+    return CavityConfig(length=1.0, n_atoms_total=2.0e9, density=4.0e13,
                         coupling_mode=mode,
                         omega_tilde_ref=OMEGA_200, delta_ref=DELTA_350)
 

@@ -14,40 +14,41 @@ from oracles import TWO_PI_MHZ
 
 RB85 = resolve_params(HumanUnitsConfig())
 DELTA_REF = -350.0 * TWO_PI_MHZ
+OMEGA_C = RB85.omega_a + DELTA_REF   # mode frequency at the reference point
 
 
 def make_config(mode="anchored", **overrides):
-    base = dict(length=1.0, omega_c=RB85.omega_a + DELTA_REF,
-                n_atoms_total=2.0e9, density=4.0e13, coupling_mode=mode,
-                omega_tilde_ref=200.0 * TWO_PI_MHZ, delta_ref=DELTA_REF)
+    base = dict(length=1.0, n_atoms_total=2.0e9, density=4.0e13,
+                coupling_mode=mode, omega_tilde_ref=200.0 * TWO_PI_MHZ,
+                delta_ref=DELTA_REF)
     base.update(overrides)
     return CavityConfig(**base)
 
 
 class TestGeometry:
     def test_published_waist_and_volume(self):
-        waist, volume = mode_geometry(make_config())
+        waist, volume = mode_geometry(OMEGA_C, make_config())
         assert waist * 1.0e4 == pytest.approx(36.0, rel=3.0e-2)
         assert volume == pytest.approx(4.0e-5, rel=6.0e-2)
 
     def test_scaling_with_length(self):
-        waist, volume = mode_geometry(make_config())
-        waist4, volume4 = mode_geometry(make_config(length=4.0))
+        waist, volume = mode_geometry(OMEGA_C, make_config())
+        waist4, volume4 = mode_geometry(OMEGA_C, make_config(length=4.0))
         assert waist4 == pytest.approx(2.0 * waist, rel=1.0e-12)
         assert volume4 == pytest.approx(16.0 * volume, rel=1.0e-12)
 
     def test_formula(self):
         config = make_config()
-        waist, volume = mode_geometry(config)
+        waist, volume = mode_geometry(OMEGA_C, config)
         assert waist == pytest.approx(
-            math.sqrt(C_LIGHT * config.length / config.omega_c), rel=1.0e-12)
+            math.sqrt(C_LIGHT * config.length / OMEGA_C), rel=1.0e-12)
         assert volume == pytest.approx(math.pi * waist**2 * config.length,
                                        rel=1.0e-12)
 
 
 class TestField:
     def test_reference_value(self):
-        _, volume = mode_geometry(make_config())
+        _, volume = mode_geometry(OMEGA_C, make_config())
         field = field_per_photon(RB85.omega_a, volume)
         assert field == pytest.approx(6.3e-4, rel=2.0e-2)
 
@@ -84,12 +85,12 @@ class TestDipole:
 
 class TestSingleRabi:
     def test_published_value(self):
-        omega = single_rabi(make_config(), RB85)
+        omega = single_rabi(OMEGA_C, make_config(), RB85)
         assert omega / TWO_PI_MHZ == pytest.approx(0.42, rel=5.0e-2)
 
     def test_volume_scaling(self):
-        omega = single_rabi(make_config(), RB85)
-        omega4 = single_rabi(make_config(length=4.0), RB85)
+        omega = single_rabi(OMEGA_C, make_config(), RB85)
+        omega4 = single_rabi(OMEGA_C, make_config(length=4.0), RB85)
         # V x16 at fixed frequency means the field and coupling halve twice
         assert omega4 == pytest.approx(omega / 4.0, rel=1.0e-12)
 

@@ -9,11 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavloss
-from cavloss import kinematics
-from cavloss.cli import RunConfig, main
+from cavloss import cli, in_default_window, kinematics
+from cavloss.cli import TWO_PI_MHZ, RunConfig, main
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -173,6 +174,18 @@ class TestScanCommand:
         tags = [r["in_window"] for r in rows]
         assert "0" in tags and "1" in tags
 
+    def test_in_window_column_matches_library(self, capsys):
+        # the grid steps by 65 MHz and so holds both window edges exactly
+        code, out, _ = run(capsys, ["scan", "--from-mhz", "-1650",
+                                    "--to-mhz", "-25", "--points", "26",
+                                    "--allow-out-of-window"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        deltas = np.linspace(-1650.0, -25.0, 26) * TWO_PI_MHZ
+        assert [r["in_window"] for r in rows] \
+            == ["1" if in_default_window(d) else "0" for d in deltas]
+        assert [r["in_window"] for r in rows].count("1") == 11
+
     def test_out_of_window_from_config_without_flag(self, capsys, tmp_path):
         # an absent flag must not reset the file's allow_out_of_window
         config = write_config(tmp_path, {"scan": {
@@ -321,6 +334,43 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert name in captured.err
+
+
+#: calls whose results must not depend on the calls made before them
+REUSE_ARGVS = [
+    ["scan", "--points", "4", "--from-mhz", "-1500", "--allow-out-of-window",
+     "--p-model", "analytic"],
+    ["scan", "--points", "3"],
+    ["times", "--delta-mhz", "-500", "--coupling", "microscopic"],
+    ["times", "--delta-mhz", "5"],
+    ["constants"],
+    [],
+    ["scan", "--p-model", "nope"],
+    ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "0.05"],
+    ["--help"],
+    ["scan", "--points", "3"],
+]
+
+
+def test_one_parser_serves_every_call(capsys):
+    def call(argv):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    alone = []
+    for argv in REUSE_ARGVS:
+        cli._main_parser.cache_clear()
+        alone.append(call(argv))
+    cli._main_parser.cache_clear()
+    together = [call(argv) for argv in REUSE_ARGVS]
+    assert together == alone
+    assert cli._main_parser.cache_info().misses == 1
+    assert [status for status, _, _ in together] == [0, 0, 0, 2, 0, 2, 2, 0,
+                                                     0, 0]
 
 
 class TestValidateCommand:

@@ -1,0 +1,172 @@
+"""Property tests of the array scan core over random configurations.
+
+Each example draws a species, a resonator, a coupling mode, a survival
+kernel and a detuning grid.  The anchored coupling is drawn both strong
+and weak, where weak means below Gamma_mol/4 at the reference detuning,
+so the overdamped branches of the analytic kernel are exercised too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cavloss import (CavityConfig, HumanUnitsConfig, collective_rabi,
+                     collision_times, condon_radius, escape_radius,
+                     fraction_f, landau_zener, loss_closed_form, loss_grid,
+                     loss_no_cavity, loss_point, loss_series,
+                     p_omega_analytic, p_omega_approx, resolve_params,
+                     total_time)
+from cavloss.dynamics import _branch
+from oracles import TWO_PI_MHZ
+
+#: LossPoint quantities and the LossGrid column holding each
+COLUMNS = {
+    "omega_tilde": lambda p: p.omega_tilde,
+    "n_pairs": lambda p: p.n_pairs,
+    "r_condon": lambda p: p.times.geometry.r_condon,
+    "r_escape": lambda p: p.times.geometry.r_escape,
+    "r_ratio": lambda p: p.times.geometry.r_ratio,
+    "t_total": lambda p: p.times.t_total,
+    "frac_resonant": lambda p: p.times.frac_resonant,
+    "t_resonant": lambda p: p.times.t_resonant,
+    "t_escape_region": lambda p: p.times.t_escape_region,
+    "phase": lambda p: p.phase,
+    "loss_cavity": lambda p: p.loss_cavity,
+    "loss_free": lambda p: p.loss_free,
+}
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def scan_cases(draw):
+    gamma_a_mhz = draw(st.floats(1.0, 20.0))
+    species = HumanUnitsConfig(
+        lambda_nm=draw(st.floats(600.0, 900.0)),
+        gamma_a_mhz=gamma_a_mhz,
+        mass_amu=draw(st.floats(6.0, 140.0)),
+        c3_erg_ang3=draw(st.floats(0.3e-10, 3.0e-10)),
+        trap_depth_mk=draw(st.floats(0.5, 10.0)))
+    delta_ref_mhz = draw(st.floats(-1000.0, -350.0))
+    if draw(st.booleans()):
+        omega_ref_mhz = draw(log_uniform(5.0, 400.0))
+    else:   # below Gamma_mol/4 = gamma_a/2 at the reference detuning
+        omega_ref_mhz = draw(st.floats(0.05, 0.95)) * 0.5 * gamma_a_mhz
+    cavity = CavityConfig(
+        length=draw(st.floats(0.2, 5.0)),
+        n_atoms_total=draw(log_uniform(1.0e8, 1.0e10)),
+        density=draw(log_uniform(1.0e12, 1.0e14)),
+        coupling_mode=draw(st.sampled_from(["anchored", "microscopic"])),
+        omega_tilde_ref=omega_ref_mhz * TWO_PI_MHZ,
+        delta_ref=delta_ref_mhz * TWO_PI_MHZ)
+    lo = draw(st.floats(-2000.0, -200.0))
+    hi = draw(st.floats(lo, -100.0))
+    mhz = np.linspace(lo, hi, draw(st.integers(1, 40)))
+    return (species, cavity, draw(st.sampled_from(["approx", "analytic"])),
+            mhz * TWO_PI_MHZ)
+
+
+#: the overdamped analytic kernel over the whole default window
+OVERDAMPED = (HumanUnitsConfig(),
+              CavityConfig(length=1.0, n_atoms_total=2.0e9, density=4.0e13,
+                           omega_tilde_ref=1.0 * TWO_PI_MHZ,
+                           delta_ref=-350.0 * TWO_PI_MHZ),
+              "analytic", np.linspace(-1000.0, -350.0, 25) * TWO_PI_MHZ)
+
+
+def run_case(case):
+    species, cavity, p_model, deltas = case
+    params = resolve_params(species)
+    return params, cavity, p_model, deltas, loss_grid(deltas, cavity, params,
+                                                      p_model)
+
+
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(scan_cases())
+@example(OVERDAMPED)
+def test_rows_equal_loss_point_bitwise(case):
+    params, cavity, p_model, deltas, grid = run_case(case)
+    for i, delta in enumerate(deltas.tolist()):
+        point = loss_point(delta, cavity, params, p_model)
+        assert point.delta == delta
+        for name, of_point in COLUMNS.items():
+            assert getattr(grid, name)[i].hex() == of_point(point).hex(), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(scan_cases())
+@example(OVERDAMPED)
+def test_loss_identities(case):
+    params, cavity, p_model, _, grid = run_case(case)
+    gamma = params.gamma_mol
+    assert np.all((grid.loss_cavity >= 0.0) & (grid.loss_cavity <= 1.0))
+    assert np.all((grid.loss_free >= 0.0) & (grid.loss_free <= 1.0))
+    for point in grid.points():
+        series, _ = loss_series(point.times, point.omega_tilde, gamma, p_model)
+        assert abs(series - point.loss_cavity) <= 1.0e-12
+        decay = loss_closed_form(point.times, point.omega_tilde, gamma,
+                                 lambda t, _w, g: math.exp(-g * t))
+        assert abs(decay - point.loss_free) <= 1.0e-12
+
+
+def test_overdamped_example_takes_the_hyperbolic_branch():
+    params, _, _, _, grid = run_case(OVERDAMPED)
+    for t in (grid.t_resonant, 2.0 * grid.t_resonant):
+        assert np.all(_branch(t, grid.omega_tilde, params.gamma_mol, np) == 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(gamma=st.one_of(st.just(0.0), st.floats(1.0e3, 1.0e9)),
+       ratios=st.lists(st.sampled_from([0.0, 0.1, 0.2499999, 0.25, 0.2500001,
+                                        0.3, 1.0, 30.0]), min_size=1,
+                       max_size=8),
+       scaled_t=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8))
+def test_analytic_kernel_array_matches_scalar(gamma, ratios, scaled_t):
+    # every damping branch: decoupled, oscillating, hyperbolic below and
+    # beyond b*t = 1; the array runs numpy, the scalar calls run math
+    rate = gamma if gamma > 0.0 else 1.0e8
+    size = min(len(ratios), len(scaled_t))
+    t = np.array(scaled_t[:size]) / rate
+    omega = np.array(ratios[:size]) * rate
+    values = p_omega_analytic(t, omega, gamma)
+    for i in range(size):
+        scalar = p_omega_analytic(float(t[i]), float(omega[i]), gamma)
+        assert isinstance(scalar, float)
+        assert abs(values[i] - scalar) <= 1.0e-13
+
+
+def test_scalar_views_return_builtin_floats():
+    # numpy scalars would slow the RK4 loop fed by collective_rabi and
+    # print as np.float64(...) in the constants report
+    species, cavity, _, _ = OVERDAMPED
+    params = resolve_params(species)
+    delta, omega = -500.0 * TWO_PI_MHZ, 140.0 * TWO_PI_MHZ
+    point = loss_point(delta, cavity, params)
+    times = collision_times(delta, omega, params)
+    values = [condon_radius(delta, params),
+              *escape_radius(delta, omega, params),
+              fraction_f(delta, omega), total_time(delta, params),
+              landau_zener(delta, omega, 12.0, params),
+              p_omega_approx(1.0e-9, omega, 1.0e8),
+              p_omega_analytic(1.0e-9, omega, 1.0e8),
+              loss_closed_form(times, omega, 1.0e8, "analytic"),
+              loss_no_cavity(times, 1.0e8),
+              point.omega_tilde, point.n_pairs, point.times.t_resonant,
+              point.times.geometry.r_escape, point.phase, point.loss_cavity,
+              point.loss_free, times.t_total, times.frac_resonant,
+              times.geometry.r_condon]
+    coupling = collective_rabi(delta, cavity, params)
+    values += [coupling.omega_single, coupling.n_pairs, coupling.omega_tilde]
+    assert [type(v) for v in values] == [float] * len(values)

@@ -19,8 +19,7 @@ OMEGA_200 = 200.0 * TWO_PI_MHZ
 
 
 def make_cavity(mode="anchored"):
-    return CavityConfig(length=1.0, omega_c=RB85.omega_a + DELTA_350,
-                        n_atoms_total=2.0e9, density=4.0e13,
+    return CavityConfig(length=1.0, n_atoms_total=2.0e9, density=4.0e13,
                         coupling_mode=mode,
                         omega_tilde_ref=OMEGA_200, delta_ref=DELTA_350)
 
@@ -295,6 +294,20 @@ class TestScan:
         assert len(points) == 2
         assert not in_default_window(outside[0])
         assert in_default_window(outside[1])
+
+    def test_errors_name_the_first_offender(self):
+        mhz = [-400.0, -1200.0, 5.0, -2000.0]
+        with pytest.raises(ConfigError) as info:
+            scan_detuning([m * TWO_PI_MHZ for m in mhz], make_cavity(), RB85)
+        assert str(info.value) == (
+            "detuning -1200 MHz is outside the validity window "
+            "(-1000.0, -350.0) MHz; pass allow_out_of_window=True to override")
+        deltas = [-400.0 * TWO_PI_MHZ, 5.0, -1200.0 * TWO_PI_MHZ, 7.0]
+        for allow in (False, True):
+            with pytest.raises(ConfigError) as info:
+                scan_detuning(deltas, make_cavity(), RB85,
+                              allow_out_of_window=allow)
+            assert str(info.value) == "scan detunings must be negative, got 5.0"
 
     def test_rejects_degenerate_grids(self):
         with pytest.raises(ConfigError):
