@@ -14,8 +14,9 @@ from .cavity import (CavityConfig, CouplingPoint, atomic_dipole,
 from .constants import (HBAR, HumanUnitsConfig, PhysicalParams,
                         resolve_params, to_human_units)
 from .dynamics import (EXCITED_STATE, RabiRegime, ReducedState,
-                       integrate_master, master_rhs, max_stable_dt,
-                       p_omega_analytic, p_omega_approx, rabi_regime)
+                       integrate_grid, integrate_master, master_rhs,
+                       max_stable_dt, p_omega_analytic, p_omega_approx,
+                       rabi_regime)
 from .errors import (CavlossError, ConfigError, DivergenceError, DomainError,
                      StepSizeError)
 from .kinematics import (CollisionTimes, collision_times, fraction_f,
@@ -39,8 +40,8 @@ __all__ = [
     "StepSizeError", "atomic_dipole", "collective_rabi", "collision_times",
     "condon_radius", "coupling", "escape_radius", "escape_ratio",
     "field_per_photon", "fraction_f", "g0_constant", "in_default_window",
-    "integrate_master", "landau_zener", "loss_closed_form", "loss_grid",
-    "loss_no_cavity", "loss_point", "loss_series", "master_rhs",
+    "integrate_grid", "integrate_master", "landau_zener", "loss_closed_form",
+    "loss_grid", "loss_no_cavity", "loss_point", "loss_series", "master_rhs",
     "max_stable_dt", "mode_geometry", "molecular_dipole", "omega_r",
     "p_omega_analytic", "p_omega_approx", "pair_count",
     "phase_exceeds_single_cycle", "potential_slope", "rabi_regime",

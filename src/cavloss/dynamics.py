@@ -28,12 +28,26 @@ analytic in b^2, so the value crosses the boundary continuously and no
 
 The two survival kernels take plain numbers or numpy arrays.  An array
 is computed by numpy, each damping branch on its own elements; plain
-numbers are computed by :mod:`math`, so a scalar call, and with it every
-``dynamics`` CSV row, reproduces libm to the last bit.
+numbers are computed by :mod:`math`, so a scalar call reproduces libm
+to the last bit.  The ``dynamics`` CSV takes the array path over all
+its samples at once.
 
 Numerical integration is classical fixed-step RK4: the system is linear
 with known stiffest rate max(b, G), so adaptivity buys nothing and
-fixed steps keep runs bit-for-bit reproducible.
+fixed steps keep runs bit-for-bit reproducible.  Written for the real
+9-vector y of the populations and the real and imaginary parts of the
+coherences, the equations are dy/dt = A*y with a constant 9x9 generator
+A, so one RK4 step of size h is exactly y <- M*y with
+
+    M = R(h*A),   R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+
+RK4's stability polynomial.  Sample n is M^n*y0.  The samples come from
+blocked powers (Higham, Functions of Matrices, SIAM 2008, ch. 4): with
+a block length B near sqrt(n), the stack M^j for j < B and the block
+starts (M^B)^b*y0 are built by about 2*sqrt(n) small products, and one
+einsum combines them into every sample M^(b*B + j)*y0.  The method, its
+step and its fourth order are those of the step-by-step loop; only the
+rounding differs, and no Python loop runs per step.
 """
 
 from __future__ import annotations
@@ -96,18 +110,46 @@ def rabi_regime(omega_tilde: float, gamma: float) -> RabiRegime:
     return RabiRegime(beta=beta, regime="overdamped")
 
 
+def generator(omega_tilde: float, gamma: float) -> np.ndarray:
+    """Real 9x9 generator A: the reduced state obeys dy/dt = A @ y.
+
+    y is the :func:`state_vector`: p_e, p_g, p_v, then the real and
+    imaginary parts of c_eg, c_ev and c_gv.
+    """
+    w, g, half_g = omega_tilde, gamma, 0.5 * gamma
+    a = np.zeros((9, 9))
+    a[0, 0], a[0, 4] = -g, -2.0 * w           # p_e
+    a[1, 4] = 2.0 * w                         # p_g
+    a[2, 0] = g                               # p_v
+    a[3, 3] = -half_g                         # Re c_eg
+    a[4, 4], a[4, 0], a[4, 1] = -half_g, w, -w   # Im c_eg
+    a[5, 5], a[5, 8] = -half_g, w             # Re c_ev
+    a[6, 6], a[6, 7] = -half_g, -w            # Im c_ev
+    a[7, 6] = w                               # Re c_gv
+    a[8, 5] = -w                              # Im c_gv
+    return a
+
+
+def state_vector(state: ReducedState) -> np.ndarray:
+    """The state as the real 9-vector y of :func:`generator`."""
+    return np.array([state.p_e, state.p_g, state.p_v,
+                     state.c_eg.real, state.c_eg.imag,
+                     state.c_ev.real, state.c_ev.imag,
+                     state.c_gv.real, state.c_gv.imag], dtype=float)
+
+
+def _reduced_state(row: list) -> ReducedState:
+    p_e, p_g, p_v, eg_re, eg_im, ev_re, ev_im, gv_re, gv_im = row
+    return ReducedState(p_e=p_e, p_g=p_g, p_v=p_v,
+                        c_eg=complex(eg_re, eg_im), c_ev=complex(ev_re, ev_im),
+                        c_gv=complex(gv_re, gv_im))
+
+
 def master_rhs(state: ReducedState, omega_tilde: float,
                gamma: float) -> ReducedState:
     """Time derivative of the reduced state (same container type)."""
-    drive = 1j * omega_tilde * (state.c_eg - state.c_eg.conjugate())
-    return ReducedState(
-        p_e=-gamma * state.p_e + drive.real,
-        p_g=-drive.real,
-        p_v=gamma * state.p_e,
-        c_eg=-0.5 * gamma * state.c_eg + 1j * omega_tilde * (state.p_e - state.p_g),
-        c_ev=-0.5 * gamma * state.c_ev - 1j * omega_tilde * state.c_gv,
-        c_gv=-1j * omega_tilde * state.c_ev,
-    )
+    return _reduced_state(
+        (generator(omega_tilde, gamma) @ state_vector(state)).tolist())
 
 
 def max_stable_dt(omega_tilde: float, gamma: float) -> float:
@@ -142,16 +184,40 @@ def default_run(omega_tilde: float, gamma: float,
     return t_end, dt
 
 
-def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
-                     t_end: float, dt: float, *, record_every: int = 1,
-                     allow_coarse_dt: bool = False
-                     ) -> list[tuple[float, ReducedState]]:
-    """Fixed-step RK4 integration; returns sampled (t, state) pairs.
+def _rk4_matrix(a: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = A @ y as a matrix: R(hA).
 
-    The step is shrunk slightly so an integer number of steps lands
-    exactly on ``t_end``.  Steps coarser than :func:`max_stable_dt` are
-    rejected unless ``allow_coarse_dt`` is set; a run of more than
-    :data:`MAX_STEPS` steps is always rejected.
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, evaluated by Horner's rule.
+    """
+    eye = np.eye(len(a))
+    z = h * a
+    m = eye + z / 4.0
+    for k in (3.0, 2.0, 1.0):
+        m = eye + (z / k) @ m
+    return m
+
+
+def _powers(m: np.ndarray, count: int) -> np.ndarray:
+    """The stack M^0, M^1, ..., M^(count-1)."""
+    stack = np.empty((count,) + m.shape)
+    stack[0] = np.eye(len(m))
+    for j in range(1, count):
+        stack[j] = m @ stack[j - 1]
+    return stack
+
+
+def integrate_grid(initial: ReducedState, omega_tilde: float, gamma: float,
+                   t_end: float, dt: float, *, allow_coarse_dt: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 over [0, t_end]: the sample times and states.
+
+    Returns ``(times, states)`` with ``times = arange(n + 1) * h`` and
+    ``states[k]`` the :func:`state_vector` after k steps, one row per
+    sample.  The step h is ``dt`` shrunk slightly so an integer number n
+    of steps lands exactly on ``t_end``.  Steps coarser than
+    :func:`max_stable_dt` are rejected unless ``allow_coarse_dt`` is
+    set; a run of more than :data:`MAX_STEPS` steps is always rejected,
+    before anything is allocated.
     """
     if not dt > 0.0:   # NaN fails too
         raise DomainError(f"dt must be positive, got {dt!r}")
@@ -164,43 +230,34 @@ def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
             f"({STEPS_PER_CYCLE} steps per fastest cycle); pass "
             f"allow_coarse_dt=True to override")
     steps = t_end / dt
-    if steps - 1.0e-9 > MAX_STEPS:   # before any sample is stored
+    if steps - 1.0e-9 > MAX_STEPS:   # before anything is allocated
         raise DomainError(
             f"t_end/dt = {steps:.6g} steps exceeds the cap of {MAX_STEPS}")
 
-    y = (complex(initial.p_e), complex(initial.p_g), complex(initial.p_v),
-         complex(initial.c_eg), complex(initial.c_ev), complex(initial.c_gv))
-    samples = [(0.0, initial)]
-    if t_end == 0.0:
-        return samples
+    n_steps = max(1, math.ceil(steps - 1.0e-9)) if t_end > 0.0 else 0
+    h = t_end / n_steps if n_steps else 0.0
+    step = _rk4_matrix(generator(omega_tilde, gamma), h)
+    # sample k = b*block + j is M^j @ (M^block)^b @ y0
+    block = math.isqrt(n_steps) + 1   # block**2 >= n_steps + 1 samples
+    count = -(-(n_steps + 1) // block)
+    inner = _powers(step, block)
+    stride = inner[-1] @ step
+    bases = np.empty((count, 9))
+    bases[0] = state_vector(initial)
+    for b in range(1, count):
+        bases[b] = stride @ bases[b - 1]
+    states = np.einsum("jik,bk->bji", inner, bases).reshape(-1, 9)
+    return np.arange(n_steps + 1) * h, states[:n_steps + 1]
 
-    n_steps = max(1, math.ceil(steps - 1.0e-9))
-    h = t_end / n_steps
-    half_g = 0.5 * gamma
-    i_w = 1j * omega_tilde
 
-    def rhs(s):
-        pe, pg, pv, ceg, cev, cgv = s
-        drive = i_w * (ceg - ceg.conjugate())
-        return (-gamma * pe + drive,
-                -drive,
-                gamma * pe,
-                -half_g * ceg + i_w * (pe - pg),
-                -half_g * cev - i_w * cgv,
-                -i_w * cev)
-
-    for step in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
-        k3 = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k2)))
-        k4 = rhs(tuple(a + h * b for a, b in zip(y, k3)))
-        y = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-        if step % record_every == 0 or step == n_steps:
-            samples.append((step * h, ReducedState(
-                p_e=y[0].real, p_g=y[1].real, p_v=y[2].real,
-                c_eg=y[3], c_ev=y[4], c_gv=y[5])))
-    return samples
+def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
+                     t_end: float, dt: float, *, allow_coarse_dt: bool = False
+                     ) -> list[tuple[float, ReducedState]]:
+    """:func:`integrate_grid` as a list of (t, state) samples."""
+    times, states = integrate_grid(initial, omega_tilde, gamma, t_end, dt,
+                                   allow_coarse_dt=allow_coarse_dt)
+    return [(t, _reduced_state(row))
+            for t, row in zip(times.tolist(), states.tolist())]
 
 
 def _require_nonnegative(t, gamma=0.0, omega_tilde=0.0) -> None:

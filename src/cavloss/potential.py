@@ -7,7 +7,7 @@ C3/R_C^3 = hbar*|delta|.  The coupling stays effective until the
 splitting has walked off resonance by the collective Rabi frequency,
 which defines the escape radius R_e = R_C * (1 + Omega~/|delta|)^(-1/3).
 
-The radii and the slope are elementwise over detuning grids (see
+The potential, the radii and the slope are elementwise over grids (see
 :mod:`cavloss.grid`).
 """
 
@@ -38,14 +38,15 @@ class ResonanceGeometry:
             raise DomainError("requires 0 < r_escape <= r_condon")
 
 
-def u_dd(r: float, params: PhysicalParams) -> float:
+def u_dd(r, params: PhysicalParams):
     """Dipole-dipole potential -C3/r^3 (erg, negative)."""
-    if r <= 0.0:
-        raise DomainError(f"internuclear distance must be positive, got {r!r}")
-    return -params.c3 / r**3
+    grid = as_grid(r)
+    refuse(grid <= 0.0, grid,
+           "internuclear distance must be positive, got {!r}")
+    return like(-params.c3 / grid**3, r)
 
 
-def omega_r(r: float, params: PhysicalParams) -> float:
+def omega_r(r, params: PhysicalParams):
     """Pair splitting omega_a + U(r)/hbar (rad/s); tends to omega_a as r grows."""
     return params.omega_a + u_dd(r, params) / HBAR
 

@@ -3,8 +3,10 @@
 Everything here is deliberately written from the defining expressions,
 not from the production code paths: the quadrature oracle is composite
 Simpson on the raw transformed integrand, the time-scale oracle chains
-the closed formulas with its own constant literals, and the damped
-oscillation reference evaluates the textbook form naively.
+the closed formulas with its own constant literals, the damped
+oscillation reference evaluates the textbook form naively, and the
+master-equation reference takes RK4 steps one at a time in complex
+arithmetic.
 """
 
 from __future__ import annotations
@@ -112,3 +114,45 @@ def loss_series_reference(p_tc: float, p_2tc: float, gamma: float,
                   * math.exp(-t_prime * gamma)
                   * (1.0 - math.exp(-2.0 * t_e * gamma)))
     return total
+
+
+def rk4_master_oracle(initial: tuple, omega_tilde: float, gamma: float,
+                      t_end: float, n_steps: int) -> tuple:
+    """Classical RK4 on the six complex master equations, step by step.
+
+    ``initial`` is (p_e, p_g, p_v, c_eg, c_ev, c_gv).  Each of the
+    ``n_steps`` equal steps of t_end/n_steps is taken in complex
+    arithmetic straight from the equations; returns the sample times and
+    an (n_steps + 1) x 9 array of p_e, p_g, p_v and the real and
+    imaginary parts of c_eg, c_ev and c_gv.
+    """
+    h = t_end / n_steps if n_steps else 0.0
+    half_g = 0.5 * gamma
+    i_w = 1j * omega_tilde
+
+    def rhs(s):
+        pe, pg, pv, ceg, cev, cgv = s
+        drive = i_w * (ceg - ceg.conjugate())
+        return (-gamma * pe + drive,
+                -drive,
+                gamma * pe,
+                -half_g * ceg + i_w * (pe - pg),
+                -half_g * cev - i_w * cgv,
+                -i_w * cev)
+
+    def row(s):
+        pe, pg, pv, ceg, cev, cgv = s
+        return [pe.real, pg.real, pv.real, ceg.real, ceg.imag,
+                cev.real, cev.imag, cgv.real, cgv.imag]
+
+    y = tuple(complex(v) for v in initial)
+    rows = [row(y)]
+    for _ in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k1)))
+        k3 = rhs(tuple(a + 0.5 * h * b for a, b in zip(y, k2)))
+        k4 = rhs(tuple(a + h * b for a, b in zip(y, k3)))
+        y = tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        rows.append(row(y))
+    return [k * h for k in range(n_steps + 1)], np.array(rows)

@@ -394,6 +394,15 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL kinematics.g0_normalization" in out
 
+    def test_vanishing_phase_caught(self, capsys, monkeypatch):
+        # no resonant fraction, so no Rabi phase is accumulated
+        monkeypatch.setattr(kinematics, "fraction_f",
+                            lambda delta, omega: np.zeros(np.shape(omega)))
+        code, out, _ = run(capsys, ["validate"])
+        assert code == 1
+        assert "FAIL kinematics.phase_single_cycle: phase omega_tilde*t_c = 0.0" \
+            in out
+
 
 def test_cli_import_leaves_out_scipy():
     src = str(Path(cavloss.__file__).resolve().parent.parent)

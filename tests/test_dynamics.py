@@ -8,8 +8,8 @@ import pytest
 from cavloss import (EXCITED_STATE, DomainError, ReducedState, StepSizeError,
                      integrate_master, master_rhs, max_stable_dt,
                      p_omega_analytic, p_omega_approx, rabi_regime)
-from cavloss.dynamics import MAX_STEPS
-from oracles import TWO_PI_MHZ, p_underdamped_reference
+from cavloss.dynamics import MAX_STEPS, integrate_grid, state_vector
+from oracles import TWO_PI_MHZ, p_underdamped_reference, rk4_master_oracle
 
 OMEGA_200 = 200.0 * TWO_PI_MHZ
 GAMMA_MOL = 2.0 * math.pi * 12.0e6
@@ -139,6 +139,87 @@ class TestIntegrator:
         with pytest.raises(DomainError, match="cap"):
             integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
                              (MAX_STEPS + 1) * 1.0e-12, 1.0e-12)
+
+
+#: a start state with every coherence non-zero
+MIXED_STATE = ReducedState(p_e=0.5, p_g=0.3, p_v=0.2, c_eg=0.2 - 0.1j,
+                           c_ev=-0.15 + 0.05j, c_gv=0.1 + 0.25j)
+
+
+def _agrees_with_oracle(initial, omega, gamma, t_end, dt):
+    """The matrix core against the step-by-step oracle, within 1e-12."""
+    times, states = integrate_grid(initial, omega, gamma, t_end, dt)
+    n_steps = max(1, math.ceil(t_end / dt - 1.0e-9)) if t_end > 0.0 else 0
+    oracle_times, oracle_states = rk4_master_oracle(
+        (initial.p_e, initial.p_g, initial.p_v,
+         initial.c_eg, initial.c_ev, initial.c_gv),
+        omega, gamma, t_end, n_steps)
+    assert states.shape == (n_steps + 1, 9)
+    assert times.tolist() == oracle_times
+    worst = np.max(np.abs(states - oracle_states))
+    assert worst <= 1.0e-12, (omega, gamma, t_end, dt, worst)
+    return states
+
+
+class TestMatrixCore:
+    def test_random_runs_match_step_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(24):
+            gamma = math.exp(rng.uniform(math.log(1.0e6), math.log(1.0e9)))
+            omega = gamma * math.exp(rng.uniform(math.log(0.02),
+                                                 math.log(8.0)))
+            dt = max_stable_dt(omega, gamma) / rng.uniform(1.0, 10.0)
+            t_end = dt * rng.uniform(0.5, 1200.0)
+            p = rng.dirichlet((1.0, 1.0, 1.0))
+            c = 0.2 * rng.normal(size=6)
+            initial = ReducedState(p_e=p[0], p_g=p[1], p_v=p[2],
+                                   c_eg=complex(c[0], c[1]),
+                                   c_ev=complex(c[2], c[3]),
+                                   c_gv=complex(c[4], c[5]))
+            _agrees_with_oracle(initial, omega, gamma, t_end, dt)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 15, 16, 17, 24, 25, 99])
+    def test_block_boundaries(self, n_steps):
+        # n + 1 samples: 16, 25 and 100 are perfect squares, the rest not
+        dt = max_stable_dt(OMEGA_200, GAMMA_MOL) / 2.0
+        _agrees_with_oracle(MIXED_STATE, OMEGA_200, GAMMA_MOL,
+                            n_steps * dt, dt)
+
+    @pytest.mark.parametrize("omega,gamma", [
+        (OMEGA_200, 0.0),                  # decay-free
+        (0.0, GAMMA_MOL),                  # decoupled
+        (0.05 * GAMMA_MOL, GAMMA_MOL),     # overdamped
+        (0.25 * GAMMA_MOL, GAMMA_MOL),     # critical
+    ])
+    def test_limits_and_regimes(self, omega, gamma):
+        for initial in (EXCITED_STATE, MIXED_STATE):
+            dt = max_stable_dt(omega, gamma) / 4.0
+            _agrees_with_oracle(initial, omega, gamma, 777.3 * dt, dt)
+
+    def test_zero_span_returns_the_start_state(self):
+        times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
+                                       0.0, 1.0e-12)
+        assert times.tolist() == [0.0]
+        assert states.tolist() == [state_vector(MIXED_STATE).tolist()]
+        _agrees_with_oracle(MIXED_STATE, OMEGA_200, GAMMA_MOL, 0.0, 1.0e-12)
+
+    def test_one_step(self):
+        dt = max_stable_dt(OMEGA_200, GAMMA_MOL)
+        states = _agrees_with_oracle(MIXED_STATE, OMEGA_200, GAMMA_MOL,
+                                     dt, dt)
+        assert len(states) == 2
+
+    def test_list_view_equals_core_bitwise(self):
+        dt = max_stable_dt(OMEGA_200, GAMMA_MOL) / 3.0
+        times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
+                                       500.5 * dt, dt)
+        series = integrate_master(MIXED_STATE, OMEGA_200, GAMMA_MOL,
+                                  500.5 * dt, dt)
+        assert [t for t, _ in series] == times.tolist()
+        for (_, state), row in zip(series, states.tolist()):
+            assert type(state.p_e) is float and type(state.c_gv) is complex
+            assert state_vector(state).tolist() == row
+        assert series[0][1] == MIXED_STATE
 
 
 class TestClosedForm:
