@@ -121,10 +121,15 @@ def pair_count(delta, config: CavityConfig, params: PhysicalParams):
     """Number of pairs resonant within a linewidth of the Condon radius.
 
     N(delta) = N_A * n_A * (2*pi*C3 / (3*hbar*Gamma)) * (Gamma/delta)^2,
-    an order-of-magnitude count that scales as delta^-2.
+    an order-of-magnitude count that scales as delta^-2.  It diverges
+    without decay, so a decay-free species is refused.
     """
     grid = red_detuning(delta)
     gamma = params.gamma_mol
+    if gamma <= 0.0:
+        raise ConfigError(
+            "species.gamma_a_mhz must be positive with coupling.mode "
+            "'microscopic': the resonant pair count scales as 1/Gamma_mol")
     return like(config.n_atoms_total * config.density
                 * (2.0 * math.pi * params.c3 / (3.0 * HBAR * gamma))
                 * (gamma / grid) ** 2, delta)

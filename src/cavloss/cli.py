@@ -41,15 +41,13 @@ from . import potential as potential_mod
 from . import traploss as traploss_mod
 from .constants import (HBAR, HumanUnitsConfig, PhysicalParams,
                         resolve_params, to_human_units)
+from .csvtext import write_csv
 from .errors import CavlossError, ConfigError, DomainError
 
 TWO_PI_MHZ = 2.0 * math.pi * 1.0e6   # rad/s per MHz
 
 #: largest scan grid accepted, in points
 MAX_SCAN_POINTS = 1_000_000
-
-#: scan rows turned into Python numbers at a time while writing the CSV
-CSV_CHUNK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -222,25 +220,6 @@ def cavity_config(cfg: RunConfig) -> cavity_mod.CavityConfig:
     )
 
 
-def _row_format(count: int, precision: int) -> str:
-    """printf format of a CSV row of ``count`` numbers in scientific form."""
-    return ",".join([f"%.{precision - 1}e"] * count)
-
-
-def _csv(header: list[str], rows, row_format: str) -> str:
-    """The header line, then ``row_format % row`` for each row tuple."""
-    lines = [",".join(header)]
-    lines.extend(row_format % row for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _column_rows(columns: list[np.ndarray]):
-    """Row tuples of builtin numbers from equal-length columns."""
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        stop = start + CSV_CHUNK_ROWS
-        yield from zip(*(column[start:stop].tolist() for column in columns))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -296,8 +275,8 @@ def cmd_times(cfg: RunConfig, delta_mhz: float) -> str:
            times.geometry.r_escape * 1.0e8, times.t_total,
            times.frac_resonant, times.t_resonant, times.t_escape_region,
            phase / math.pi)
-    return _csv(TIMES_HEADER, [row],
-                _row_format(len(row), cfg.output.precision))
+    return write_csv(TIMES_HEADER, [np.atleast_1d(value) for value in row],
+                     cfg.output.precision)
 
 
 DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
@@ -325,8 +304,7 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     analytic = dynamics_mod.p_omega_analytic(times, omega_tilde, gamma)
     columns = [times, p_e, analytic, p_g, p_v, np.abs(p_e - analytic),
                p_e + p_g + p_v]
-    return _csv(DYNAMICS_HEADER, _column_rows(columns),
-                _row_format(len(DYNAMICS_HEADER), cfg.output.precision))
+    return write_csv(DYNAMICS_HEADER, columns, cfg.output.precision)
 
 
 SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
@@ -353,12 +331,10 @@ def cmd_scan(cfg: RunConfig) -> str:
         header.append("p_excite")
         columns.append(cavity_mod.landau_zener(
             grid.delta, grid.omega_tilde, cfg.coupling.v_inf_cm_s, params))
-    row_format = _row_format(len(columns), cfg.output.precision)
     if scan.allow_out_of_window:
         header.append("in_window")
         columns.append(traploss_mod.in_default_window(grid.delta))
-        row_format += ",%d"
-    return _csv(header, _column_rows(columns), row_format)
+    return write_csv(header, columns, cfg.output.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +349,22 @@ def _check_round_trip(params: PhysicalParams, species: HumanUnitsConfig) -> None
             continue   # the trap depth given in the other unit, or zero
         if abs(got - want) > 1.0e-12 * abs(want):
             raise AssertionError(f"{key.name} round-trip {want!r} -> {got!r}")
+
+
+def _require(ok, claim: str, **samples) -> None:
+    """Raise AssertionError naming the first sample where ``ok`` is False.
+
+    Each keyword is an array of sample values (or one value for all)
+    reported at that index.
+    """
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    index = int(np.flatnonzero(~ok)[0])
+    values = ", ".join(
+        f"{name} = {np.broadcast_to(value, ok.shape).flat[index].item()!r}"
+        for name, value in samples.items())
+    raise AssertionError(f"{claim} fails at sample {index}: {values}")
 
 
 def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
@@ -397,7 +389,9 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
         r_c = potential_mod.condon_radius(delta_samples, params)
         value = potential_mod.u_dd(r_c, params)
         target = HBAR * delta_samples
-        assert np.all(np.abs(value - target) <= 1.0e-12 * np.abs(target))
+        _require(np.abs(value - target) <= 1.0e-12 * np.abs(target),
+                 "U_dd(R_C) = hbar*delta", delta_mhz=delta_samples / TWO_PI_MHZ,
+                 u_dd=value, hbar_delta=target)
 
     def escape_offset():
         # compare the potential parts: the omega_a offsets cancel exactly
@@ -407,11 +401,16 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
         r_c = potential_mod.condon_radius(delta_samples, params)
         shift = (potential_mod.u_dd(r_e, params)
                  - potential_mod.u_dd(r_c, params)) / HBAR
-        assert np.all(np.abs(shift + omega_tilde) <= 1.0e-12 * omega_tilde)
+        _require(np.abs(shift + omega_tilde) <= 1.0e-12 * omega_tilde,
+                 "U_dd(R_E) - U_dd(R_C) = -hbar*omega_tilde",
+                 delta_mhz=delta_samples / TWO_PI_MHZ, shift=shift,
+                 omega_tilde=omega_tilde)
 
     def condon_monotonic():
         radii = potential_mod.condon_radius(by_size, params)
-        assert np.all(radii[:-1] > radii[1:])
+        _require(radii[:-1] > radii[1:], "R_C falls as |delta| grows",
+                 delta_mhz=by_size[:-1] / TWO_PI_MHZ, r_c=radii[:-1],
+                 next_r_c=radii[1:])
 
     def g0_normalization():
         full = kinematics_mod.fraction_f(-1.0, 1.0e30)
@@ -420,12 +419,16 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     def f_monotonic_in_coupling():
         omegas = np.linspace(0.0, 4.0 * abs(delta_mid), 20)
         values = kinematics_mod.fraction_f(delta_mid, omegas)
-        assert np.all((0.0 <= values) & (values <= 1.0))
-        assert np.all(values[:-1] < values[1:])
+        _require((0.0 <= values) & (values <= 1.0), "0 <= f <= 1",
+                 omega_tilde=omegas, f=values)
+        _require(values[:-1] < values[1:], "f rises with omega_tilde",
+                 omega_tilde=omegas[:-1], f=values[:-1], next_f=values[1:])
 
     def t0_monotonic():
         times = kinematics_mod.total_time(by_size, params)
-        assert np.all(times[:-1] > times[1:])
+        _require(times[:-1] > times[1:], "t0 falls as |delta| grows",
+                 delta_mhz=by_size[:-1] / TWO_PI_MHZ, t0=times[:-1],
+                 next_t0=times[1:])
 
     def phase_single_cycle():
         # exceeding one cycle is expected near the window edge, so only
@@ -441,13 +444,18 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     def coupling_identity():
         omega_single, n_pairs, omega_tilde = cavity_mod.coupling(
             delta_samples, cav, params)
+        delta_mhz = delta_samples / TWO_PI_MHZ
         if cfg.coupling.mode == "microscopic":
-            assert np.all(np.abs(omega_tilde**2 - n_pairs * omega_single**2)
-                          <= 1.0e-12 * omega_tilde**2)
+            _require(np.abs(omega_tilde**2 - n_pairs * omega_single**2)
+                     <= 1.0e-12 * omega_tilde**2, "omega_tilde^2 = N*Omega^2",
+                     delta_mhz=delta_mhz, omega_tilde=omega_tilde,
+                     n_pairs=n_pairs, omega_single=omega_single)
         else:
             products = omega_tilde * np.abs(delta_samples)
             ref = products[0]
-            assert np.all(np.abs(products - ref) <= 1.0e-12 * ref)
+            _require(np.abs(products - ref) <= 1.0e-12 * ref,
+                     "omega_tilde*|delta| constant", delta_mhz=delta_mhz,
+                     product=products, first_product=ref)
 
     def dynamics_fidelity():
         omega_tilde = cavity_mod.collective_rabi(delta_mid, cav, params).omega_tilde
@@ -496,10 +504,12 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
             assert 0.0 <= point.loss_free <= 1.0
 
     def landau_zener_monotonic():
-        probs = cavity_mod.landau_zener(delta_mid, np.linspace(0.0, 2.0e6, 10),
+        omegas = np.linspace(0.0, 2.0e6, 10)
+        probs = cavity_mod.landau_zener(delta_mid, omegas,
                                         cfg.coupling.v_inf_cm_s, params)
-        assert probs[0] == 0.0
-        assert np.all(probs[:-1] <= probs[1:])
+        _require(probs[:1] == 0.0, "P_LZ(omega_tilde = 0) = 0", p=probs[:1])
+        _require(probs[:-1] <= probs[1:], "P_LZ rises with omega_tilde",
+                 omega_tilde=omegas[:-1], p=probs[:-1], next_p=probs[1:])
 
     return [
         ("constants.resolve_round_trip", resolve_strict),

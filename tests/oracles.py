@@ -4,9 +4,9 @@ Everything here is deliberately written from the defining expressions,
 not from the production code paths: the quadrature oracle is composite
 Simpson on the raw transformed integrand, the time-scale oracle chains
 the closed formulas with its own constant literals, the damped
-oscillation reference evaluates the textbook form naively, and the
+oscillation reference evaluates the textbook form naively, the
 master-equation reference takes RK4 steps one at a time in complex
-arithmetic.
+arithmetic, and the CSV reference formats every row with ``%``.
 """
 
 from __future__ import annotations
@@ -156,3 +156,19 @@ def rk4_master_oracle(initial: tuple, omega_tilde: float, gamma: float,
                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
         rows.append(row(y))
     return [k * h for k in range(n_steps + 1)], np.array(rows)
+
+
+def percent_csv_oracle(header: list, columns: list, precision: int) -> str:
+    """CSV text with every row formatted by ``%``, one row at a time.
+
+    Float columns are written as ``%.{precision-1}e`` and integer or
+    boolean columns as ``%d``; the header line comes first and every line
+    ends with a newline.
+    """
+    columns = [np.asarray(column) for column in columns]
+    row_format = ",".join("%d" if column.dtype.kind in "biu"
+                          else f"%.{precision - 1}e" for column in columns)
+    lines = [",".join(header)]
+    lines.extend(row_format % row
+                 for row in zip(*(column.tolist() for column in columns)))
+    return "\n".join(lines) + "\n"

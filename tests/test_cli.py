@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import cavloss
-from cavloss import cli, in_default_window, kinematics
+from cavloss import cavity, cli, in_default_window, kinematics, potential
 from cavloss.cli import TWO_PI_MHZ, RunConfig, main
+from oracles import percent_csv_oracle
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -129,6 +130,15 @@ class TestDynamicsCommand:
                                       "--t-max-ns", "1e6"])
         assert code == 2 and out == ""
         assert "cap" in err
+
+    def test_decay_free_microscopic_exits_2(self, capsys, tmp_path):
+        # the microscopic pair count scales as 1/Gamma_mol
+        config = write_config(tmp_path, {"species": {"gamma_a_mhz": 0.0},
+                                         "coupling": {"mode": "microscopic"}})
+        code, out, err = run(capsys, ["--config", config, "dynamics",
+                                      "--delta-mhz", "-350"])
+        assert code == 2 and out == ""
+        assert "species.gamma_a_mhz" in err and "coupling.mode" in err
 
 
 class TestScanCommand:
@@ -394,6 +404,52 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL kinematics.g0_normalization" in out
 
+    def test_decay_free_microscopic_names_the_fields(self, capsys, tmp_path):
+        config = write_config(tmp_path, {"species": {"gamma_a_mhz": 0.0},
+                                         "coupling": {"mode": "microscopic"}})
+        code, out, _ = run(capsys, ["--config", config, "validate"])
+        assert code == 1
+        assert "division" not in out
+        failures = [line for line in out.splitlines()
+                    if line.startswith("FAIL")
+                    and not line.startswith("FAIL constants.")]
+        assert len(failures) == 5
+        for line in failures:
+            assert "species.gamma_a_mhz" in line and "coupling.mode" in line
+
+    @pytest.mark.parametrize("module, name, fake, check", [
+        (kinematics, "fraction_f",
+         lambda delta, omega: np.zeros(np.shape(omega)),
+         "kinematics.f_monotonic_in_coupling"),
+        (potential, "condon_radius",
+         lambda delta, params: np.ones(np.shape(delta)),
+         "potential.condon_condition"),
+        (potential, "condon_radius",
+         lambda delta, params: np.ones(np.shape(delta)),
+         "potential.condon_monotonic"),
+        (potential, "escape_radius",
+         lambda delta, omega, params: (np.ones(np.shape(delta)), None),
+         "potential.escape_offset"),
+        (kinematics, "total_time",
+         lambda delta, params: np.ones(np.shape(delta)),
+         "kinematics.t0_monotonic"),
+        (cavity, "coupling",
+         lambda delta, cav, params: (np.ones(np.shape(delta)),) * 3,
+         "cavity.coupling_identity"),
+        (cavity, "landau_zener",
+         lambda delta, omega, v_inf, params: np.ones(np.shape(omega)),
+         "cavity.landau_zener_monotonic"),
+    ])
+    def test_failing_check_names_first_sample(self, capsys, monkeypatch,
+                                              module, name, fake, check):
+        monkeypatch.setattr(module, name, fake)
+        code, out, _ = run(capsys, ["validate"])
+        assert code == 1
+        line = next(line for line in out.splitlines()
+                    if line.startswith(f"FAIL {check}:"))
+        reason = line.split(":", 1)[1]
+        assert re.search(r"fails at sample \d+: \w+ = \S", reason), reason
+
     def test_vanishing_phase_caught(self, capsys, monkeypatch):
         # no resonant fraction, so no Rabi phase is accumulated
         monkeypatch.setattr(kinematics, "fraction_f",
@@ -402,6 +458,30 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL kinematics.phase_single_cycle: phase omega_tilde*t_c = 0.0" \
             in out
+
+
+#: (config document, argv) of every command that writes CSV
+CSV_COMMANDS = [
+    ({}, ["times", "--delta-mhz", "-350"]),
+    ({}, ["scan"]),
+    ({"scan": {"include_p_excite": True}},
+     ["scan", "--allow-out-of-window", "--from-mhz", "-1500",
+      "--to-mhz", "-100", "--points", "300"]),
+    ({}, ["dynamics", "--delta-mhz", "-350"]),
+    ({"species": {"gamma_a_mhz": 0.0}}, ["dynamics", "--delta-mhz", "-350"]),
+]
+
+
+@pytest.mark.parametrize("precision", [6, 12, 17])
+@pytest.mark.parametrize("document, argv", CSV_COMMANDS)
+def test_csv_matches_percent_oracle(capsys, monkeypatch, tmp_path, document,
+                                    argv, precision):
+    config = write_config(tmp_path, {**document,
+                                     "output": {"precision": precision}})
+    fast = run(capsys, ["--config", config] + argv)
+    monkeypatch.setattr(cli, "write_csv", percent_csv_oracle)
+    assert run(capsys, ["--config", config] + argv) == fast
+    assert fast[0] == 0 and fast[1].count("\n") > 1
 
 
 def test_cli_import_leaves_out_scipy():

@@ -1,0 +1,170 @@
+"""The numpy CSV writer against the row-by-row ``%`` oracle, byte for byte."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cavloss import csvtext
+from cavloss.csvtext import CSV_CHUNK_ROWS, write_csv
+from oracles import percent_csv_oracle
+from test_properties import PROPERTY
+
+
+def same_as_oracle(columns, precision):
+    header = [f"c{j}" for j in range(len(columns))]
+    assert write_csv(header, columns, precision) \
+        == percent_csv_oracle(header, columns, precision)
+
+
+@st.composite
+def tables(draw):
+    """(precision, columns) with cells drawn to sit on every edge.
+
+    Float cells are arbitrary doubles (NaN, inf, +-0 and subnormals
+    included), numbers from decimal strings over the whole exponent range,
+    exact and decimal ties at the drawn precision, values that round up
+    into the next decade and values that need two power-of-ten scalings;
+    an integer or boolean column is added half the time.
+    """
+    precision = draw(st.integers(6, 17))
+    sign = st.sampled_from(["", "-"])
+    exponent = st.integers(-330, 310)
+    digits = st.integers(10**(precision - 1), 10**precision - 1).map(str)
+    value = st.one_of(
+        st.floats(width=64),
+        st.builds(lambda s, m, e: float(f"{s}{m!r}e{e}"),
+                  sign, st.floats(1.0, 10.0), exponent),
+        # exact ties: n + 1/2 and 10n + 5 with n of `precision` digits
+        st.builds(lambda s, n: float(f"{s}{n}.5"), sign, digits),
+        st.builds(lambda s, n: float(f"{s}{n}5"), sign, digits),
+        # the decimal tie d.ddd...5 at every exponent
+        st.builds(lambda s, n, e: float(f"{s}{n[0]}.{n[1:]}5e{e}"),
+                  sign, digits, exponent),
+        # 9.99...9x rounds up to 1.0 times the next power of ten
+        st.builds(lambda s, t, e: float(f"{s}9.{'9' * (precision - 1)}{t}e{e}"),
+                  sign, st.integers(0, 99), exponent),
+        # |p - 1 - e| beyond 22: two scalings
+        st.builds(lambda s, m, e: float(f"{s}{m!r}e{e}"), sign,
+                  st.floats(1.0, 10.0),
+                  st.one_of(st.integers(-45, -8), st.integers(30, 62))))
+    n_rows = draw(st.integers(1, 12))
+    columns = [np.array(draw(st.lists(value, min_size=n_rows,
+                                      max_size=n_rows)))
+               for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        integers = st.one_of(st.booleans(), st.integers(-3, 12),
+                             st.integers(-2**62, 2**62))
+        columns.insert(draw(st.integers(0, len(columns))),
+                       np.array(draw(st.lists(integers, min_size=n_rows,
+                                              max_size=n_rows))))
+    return precision, columns
+
+
+@PROPERTY
+@given(tables())
+@example((6, [np.array([123456.5, -123456.5, 1234565.0, 0.5, 2.5])]))
+@example((12, [np.array([0.9999999999999, -9.9999999999995, 99.99999999999])]))
+@example((12, [np.array([1.0e-15, -1.0e-15, 3.3e-40, 7.0e50])]))
+@example((12, [np.array([math.nan, math.inf, -math.inf, 1.0])]))
+@example((6, [np.array([0.0, -0.0, 5.0e-324, 2.2250738585072014e-308,
+                        1.0e100, -1.0e-100, 9.9999995e99])]))
+@example((15, [np.array([0.1, 1.0 / 3.0, -2.0 / 3.0, 1.0e14 + 0.5])]))
+@example((16, [np.array([0.1, -1.0 / 3.0, 0.0])]))
+@example((16, [np.array([9.123456789012345, -9.876543210987653e-5])]))
+@example((17, [np.array([0.1, -1.0 / 3.0, 0.0])]))
+def test_byte_identical_to_percent(table):
+    precision, columns = table
+    same_as_oracle(columns, precision)
+
+
+@pytest.mark.parametrize("precision", [6, 12, 15])
+def test_two_scaling_near_ties(precision):
+    # the double nearest a decimal tie d.dd...d5e<e> lies within an ulp or
+    # so of it, and when |p - 1 - e| > 22 the two scalings can carry the
+    # mantissa across it
+    rng = np.random.default_rng(precision)
+    exponents = np.r_[precision - 45:precision - 23,
+                      precision + 23:precision + 45]
+    values = [float(f"{sign}{n[0]}.{n[1:]}5e{e}") for sign, n, e in zip(
+        rng.choice(["", "-"], 4000),
+        rng.integers(10**(precision - 1), 10**precision, 4000).astype(str),
+        rng.choice(exponents, 4000))]
+    same_as_oracle([np.array(values)], precision)
+
+
+def scan_like(rows):
+    """Three columns shaped like a scan's: negative, positive, mixed sign."""
+    delta = np.linspace(-1000.0, -350.0, rows)
+    return [delta, np.exp(delta / 300.0), np.sin(delta) * 1.0e-9]
+
+
+@pytest.mark.parametrize("precision", [6, 12, 17])
+@pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                  CSV_CHUNK_ROWS + 1])
+def test_chunk_edges(rows, precision):
+    same_as_oracle(scan_like(rows), precision)
+
+
+@pytest.mark.parametrize("precision", [6, 12])
+@pytest.mark.parametrize("rejected", [
+    [0], [CSV_CHUNK_ROWS - 1], [CSV_CHUNK_ROWS], [2 * CSV_CHUNK_ROWS],
+    [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS],
+])
+def test_rejected_row_at_chunk_edge(rejected, precision):
+    # an exact tie at 6 digits, NaN at any precision
+    columns = scan_like(2 * CSV_CHUNK_ROWS + 1)
+    columns[1][rejected] = 123456.5
+    columns[2][rejected[::2]] = math.nan
+    same_as_oracle(columns, precision)
+
+
+def test_all_fallback_chunk():
+    columns = scan_like(3 * CSV_CHUNK_ROWS)
+    columns[2][CSV_CHUNK_ROWS:2 * CSV_CHUNK_ROWS] = math.inf
+    columns.append(np.arange(3 * CSV_CHUNK_ROWS) % 11)   # 10 falls back too
+    same_as_oracle(columns, 12)
+
+
+def test_no_rows_is_the_header_line():
+    assert write_csv(["a", "b"], [np.array([]), np.array([])], 12) == "a,b\n"
+
+
+@pytest.fixture
+def slow(monkeypatch):
+    """The lines written by ``%`` rather than the numpy fast path."""
+    lines = []
+    percent_lines = csvtext._percent_lines
+
+    def counting(row_format, columns, rows):
+        written = percent_lines(row_format, columns, rows)
+        lines.extend(written)
+        return written
+
+    monkeypatch.setattr(csvtext, "_percent_lines", counting)
+    return lines
+
+
+def test_powers_of_ten_take_the_fast_path(slow):
+    # log10 rounds the double just below 10**n up to n: the exponent is
+    # corrected, not sent to `%`
+    powers = 10.0 ** np.arange(-25, 26)
+    columns = [np.nextafter(powers, 0.0), powers, np.nextafter(powers, 1.0e26)]
+    for precision in (6, 12, 14):
+        same_as_oracle(columns, precision)
+    assert slow == []
+
+
+def test_near_ties_are_rare(slow):
+    # the fast path must carry the rows: only near-tie rows go through `%`
+    rng = np.random.default_rng(7)
+    columns = [rng.uniform(-1.0, 1.0, 20_000) * 10.0 ** rng.integers(
+        -30, 30, 20_000) for _ in range(6)]
+    header = [f"c{j}" for j in range(6)]
+    for precision in (6, 12):
+        slow.clear()
+        text = write_csv(header, columns, precision)
+        assert text == percent_csv_oracle(header, columns, precision)
+        assert len(slow) < 200
