@@ -43,6 +43,7 @@ from .constants import (HBAR, HumanUnitsConfig, PhysicalParams,
                         resolve_params, to_human_units)
 from .csvtext import write_csv
 from .errors import CavlossError, ConfigError, DomainError
+from .grid import float_range
 
 TWO_PI_MHZ = 2.0 * math.pi * 1.0e6   # rad/s per MHz
 
@@ -105,9 +106,17 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
 
-#: section name -> {key: declared type}, read once from the dataclasses
-_TYPES = {section.name: get_type_hints(section.default_factory)
-          for section in fields(RunConfig)}
+#: section name -> its dataclass, read once from RunConfig
+_SECTIONS = {section.name: section.default_factory
+             for section in fields(RunConfig)}
+
+#: section name -> {key: declared type}
+_TYPES = {name: get_type_hints(section) for name, section in _SECTIONS.items()}
+
+#: (section, key, type, choices) of every config field, in schema order
+_FIELDS = [(name, key.name, _TYPES[name][key.name],
+            key.metadata.get("choices"))
+           for name, section in _SECTIONS.items() for key in fields(section)]
 
 
 def _choices(section: type, key: str):
@@ -170,16 +179,13 @@ def build_run_config(document: Optional[dict] = None,
         given.setdefault(("species", "trap_depth_mk"), None)
     given.update(overrides or {})
 
-    sections = {}
-    for section in fields(RunConfig):
-        name, values = section.name, {}
-        for key in fields(section.default_factory):
-            if (name, key.name) in given:
-                values[key.name] = _checked(
-                    f"{name}.{key.name}", given[name, key.name],
-                    _TYPES[name][key.name], key.metadata.get("choices"))
-        sections[name] = section.default_factory(**values)
-    cfg = RunConfig(**sections)
+    values = {name: {} for name in _SECTIONS}
+    for name, key, kind, choices in _FIELDS:
+        if (name, key) in given:
+            values[name][key] = _checked(f"{name}.{key}", given[name, key],
+                                         kind, choices)
+    cfg = RunConfig(**{name: section(**values[name])
+                       for name, section in _SECTIONS.items()})
 
     scan = cfg.scan
     if not scan.from_mhz < scan.to_mhz < 0.0:
@@ -268,9 +274,11 @@ def cmd_times(cfg: RunConfig, delta_mhz: float) -> str:
     params = resolve_params(cfg.species)
     cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
-    coupling = cavity_mod.collective_rabi(delta, cav, params)
-    times = kinematics_mod.collision_times(delta, coupling.omega_tilde, params)
-    phase = coupling.omega_tilde * times.t_resonant
+    with float_range("the collision times"):
+        coupling = cavity_mod.collective_rabi(delta, cav, params)
+        times = kinematics_mod.collision_times(delta, coupling.omega_tilde,
+                                               params)
+        phase = coupling.omega_tilde * times.t_resonant
     row = (delta_mhz, times.geometry.r_condon * 1.0e8,
            times.geometry.r_escape * 1.0e8, times.t_total,
            times.frac_resonant, times.t_resonant, times.t_escape_region,
@@ -295,7 +303,9 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     params = resolve_params(cfg.species, allow_zero_gamma=True)
     cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
-    omega_tilde = cavity_mod.collective_rabi(delta, cav, params).omega_tilde
+    with float_range("the collective coupling"):
+        coupling = cavity_mod.collective_rabi(delta, cav, params)
+    omega_tilde = coupling.omega_tilde
     gamma = params.gamma_mol
     t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
     times, states = dynamics_mod.integrate_grid(

@@ -9,6 +9,8 @@ the result comes back as a builtin float.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import DomainError
@@ -40,3 +42,18 @@ def red_detuning(delta) -> np.ndarray:
     grid = as_grid(delta)
     refuse(grid >= 0.0, grid, "red detuning required, got delta={!r}")
     return grid
+
+
+@contextmanager
+def float_range(what: str):
+    """Raise DomainError where numpy would write inf or NaN inside the block.
+
+    An overflow, a division by zero or an invalid operation stops the
+    block with a message saying that ``what`` left the floating-point range.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(
+            f"{what} left the floating-point range: {exc}") from None

@@ -22,9 +22,12 @@ the branch point at s = 1, so the integral is g0 minus the head
 integral_0^r, which u = t^2 turns into 2*t^4 / sqrt(1 - t^6) dt on
 0 <= t <= sqrt(r).  Each form takes one fixed 14-node Gauss-Legendre rule
 (Golub & Welsch, Math. Comp. 23, 1969), exact to rounding (~3e-16
-absolute) for every r in [0, 1].  The rule runs node by node over a
-whole grid of r at once, and every time scale here is elementwise over
-detuning grids (see :mod:`cavloss.grid`).
+absolute) for every r in [0, 1].  The rule evaluates its integrand on
+blocks of nodes times a whole grid of r, as many nodes per numpy call as
+fit a fixed element budget (all 14 for a short grid, one for a long
+one), and adds the weighted values in node order, so every element gets
+the same bits whatever the grid size.  Every time scale here is
+elementwise over detuning grids (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -43,9 +46,13 @@ from .potential import ResonanceGeometry, escape_ratio, resonance_geometry
 #: closed-form normalization B(5/6, 1/2)/3 of the in-fall integral
 _G0 = math.gamma(5.0 / 6.0) * math.gamma(0.5) / (3.0 * math.gamma(4.0 / 3.0))
 
-#: 14-node Gauss-Legendre (node, weight) pairs on [0, 1]; 13 nodes leave 2e-15
+#: 14-node Gauss-Legendre nodes and weights on [0, 1]; 13 nodes leave 2e-15
 _NODES, _WEIGHTS = leggauss(14)
-_RULE = list(zip((0.5 * (_NODES + 1.0)).tolist(), (0.5 * _WEIGHTS).tolist()))
+_NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
+
+#: integrand values per numpy call: a grid of up to 292 points takes all
+#: 14 nodes in one block, one of more than 2 048 points one node per block
+_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -78,9 +85,17 @@ def _head_integrand(t: np.ndarray) -> np.ndarray:
 
 
 def _gauss_legendre(integrand, upper: np.ndarray) -> np.ndarray:
+    # The weighted values are added one node at a time in node order, as
+    # with one node per block: a matmul or an axis sum would reorder the
+    # additions and move the last bit, and a grid row would then differ
+    # from the same detuning computed alone.
+    step = max(1, _BLOCK_ELEMENTS // len(upper))
     total = 0.0
-    for x, w in _RULE:
-        total = total + w * integrand(upper * x)
+    for start in range(0, len(_NODES), step):
+        nodes = slice(start, start + step)
+        for value in (_WEIGHTS[nodes, None]
+                      * integrand(_NODES[nodes, None] * upper)):
+            total = total + value
     return upper * total
 
 

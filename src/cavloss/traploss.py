@@ -40,8 +40,9 @@ from .cavity import CavityConfig, coupling
 from .constants import PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError, DomainError
-from .grid import like, red_detuning
-from .kinematics import CollisionTimes, fraction_f, total_time
+from .grid import float_range, like, red_detuning
+from .kinematics import (CollisionTimes, _infall_integral, g0_constant,
+                         total_time)
 from .potential import ResonanceGeometry, condon_radius, escape_ratio
 
 #: detuning window (MHz) inside which the semiclassical model is trusted
@@ -198,23 +199,19 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
     """
     delta = red_detuning(deltas)
     gamma = params.gamma_mol
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            _, n_pairs, omega_tilde = coupling(delta, cavity, params)
-            r_condon = condon_radius(delta, params)
-            r_ratio = escape_ratio(delta, omega_tilde)
-            r_escape = r_condon * r_ratio
-            t_total = total_time(delta, params)
-            frac = fraction_f(delta, omega_tilde)
-            t_c = t_total * frac
-            times = CollisionTimes(t_total=t_total, frac_resonant=frac,
-                                   t_resonant=t_c,
-                                   t_escape_region=t_total - t_c)
-            loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
-            loss_free = loss_no_cavity(times, gamma)
-    except FloatingPointError as exc:
-        raise DomainError(f"the loss chain left the floating-point range: "
-                          f"{exc}") from None
+    with float_range("the loss chain"):
+        _, n_pairs, omega_tilde = coupling(delta, cavity, params)
+        r_condon = condon_radius(delta, params)
+        r_ratio = escape_ratio(delta, omega_tilde)
+        r_escape = r_condon * r_ratio
+        t_total = total_time(delta, params)
+        # fraction_f, without computing the escape ratio a second time
+        frac = _infall_integral(r_ratio) / g0_constant()
+        t_c = t_total * frac
+        times = CollisionTimes(t_total=t_total, frac_resonant=frac,
+                               t_resonant=t_c, t_escape_region=t_total - t_c)
+        loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
+        loss_free = loss_no_cavity(times, gamma)
     if not ((0.0 < r_escape) & (r_escape <= r_condon)).all():
         raise DomainError("requires 0 < r_escape <= r_condon")
     return LossGrid(delta=delta, omega_tilde=omega_tilde, n_pairs=n_pairs,

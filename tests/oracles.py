@@ -3,7 +3,8 @@
 Everything here is deliberately written from the defining expressions,
 not from the production code paths: the quadrature oracle is composite
 Simpson on the raw transformed integrand, the time-scale oracle chains
-the closed formulas with its own constant literals, the damped
+the closed formulas with its own constant literals, the Gauss-Legendre
+reference adds the 14 weighted nodes one call at a time, the damped
 oscillation reference evaluates the textbook form naively, the
 master-equation reference takes RK4 steps one at a time in complex
 arithmetic, and the CSV reference formats every row with ``%``.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 # constant literals owned by the tests
 HBAR = 1.0545718176461565e-27   # erg*s
@@ -44,6 +46,21 @@ def infall_integral_oracle(r_ratio: float, panels: int = 1_000_000) -> float:
     h = s_max / panels
     return h / 3.0 * (y[0] + y[-1]
                       + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+
+
+def gauss_legendre_oracle(integrand, upper: np.ndarray) -> np.ndarray:
+    """The 14-node Gauss-Legendre rule on [0, upper], one node per call.
+
+    ``integrand`` is evaluated on ``upper`` times one node at a time, and
+    the weighted values are added in node order; each element sees the
+    operations of the blocked rule in :mod:`cavloss.kinematics`, so the
+    two agree bit for bit.
+    """
+    nodes, weights = leggauss(14)
+    total = 0.0
+    for x, w in zip((0.5 * (nodes + 1.0)).tolist(), (0.5 * weights).tolist()):
+        total = total + w * integrand(upper * x)
+    return upper * total
 
 
 def g0_oracle(panels: int = 1_000_000) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, CSV contracts, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -95,6 +96,47 @@ class TestTimesCommand:
         code, out, err = run(capsys, ["times", "--delta-mhz", "350"])
         assert code == 2 and out == ""
         assert "delta" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["times", "dynamics"])
+    def test_overflow_exits_2_naming_the_range(self, capsys, command):
+        # omega_tilde ~ 1/|delta| overflows before any radius is formed
+        code, out, err = run(capsys, [command, "--delta-mhz=-1e-300"])
+        assert code == 2 and out == ""
+        assert "left the floating-point range" in err
+        assert "r_escape" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["times", "--delta-mhz=-1e300"],
+    ["dynamics", "--delta-mhz=-1e300"],
+    ["scan", "--from-mhz=-1e300", "--allow-out-of-window"],
+])
+def test_detuning_past_the_transition_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "detuning" in err and "omega_a + delta must be positive" in err
+    assert "cavity length" not in err
+
+
+def test_float_flags_take_negative_exponents_after_equals():
+    # argparse reads "--flag -1e6" as two flags; "--flag=-1e6" is the form
+    # the README gives
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    seen = 0
+    for command, sub in commands.choices.items():
+        flags = {action.option_strings[0]: action.dest
+                 for action in sub._actions if action.type is cli._finite_float}
+        if not flags:
+            continue
+        args = parser.parse_args(
+            [command] + [f"{flag}=-1e6" for flag in flags])
+        assert {dest: getattr(args, dest) for dest in flags.values()} \
+            == dict.fromkeys(flags.values(), -1.0e6)
+        seen += len(flags)
+    assert seen >= 6
 
 
 class TestDynamicsCommand:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from cavloss import (DomainError, HumanUnitsConfig, collision_times,
-                     fraction_f, g0_constant, phase_exceeds_single_cycle,
-                     resolve_params, total_time)
+                     fraction_f, g0_constant, kinematics,
+                     phase_exceeds_single_cycle, resolve_params, total_time)
 from cavloss.kinematics import _infall_integral
 from oracles import (TWO_PI_MHZ, DenseFractionOracle, fraction_oracle,
-                     g0_oracle, infall_integral_oracle, total_time_oracle)
+                     g0_oracle, gauss_legendre_oracle, infall_integral_oracle,
+                     total_time_oracle)
 
 RB85 = resolve_params(HumanUnitsConfig())
 
@@ -42,6 +43,41 @@ class TestG0:
         # from the closed-form g0, so agreement checks g0 against the rule
         below = _infall_integral(math.nextafter(0.5, 0.0))
         assert abs(_infall_integral(0.5) - below) <= 1.0e-15
+
+
+def node_by_node(r_ratio):
+    """_infall_integral with the rule taken one node per call."""
+    tail = r_ratio >= 0.5
+    value = np.empty_like(r_ratio)
+    value[tail] = gauss_legendre_oracle(kinematics._regular_integrand,
+                                        np.sqrt(1.0 - r_ratio[tail]))
+    value[~tail] = g0_constant() - gauss_legendre_oracle(
+        kinematics._head_integrand, np.sqrt(r_ratio[~tail]))
+    return value
+
+
+#: grid sizes at the rule's block edges: 14 nodes per block up to
+#: BUDGET // 14 points and 13 just past it; BUDGET // n falls to 0 past
+#: BUDGET, where the rule still takes one node per block
+BUDGET = kinematics._BLOCK_ELEMENTS
+BLOCK_EDGES = [1, 2, 3, BUDGET // 14, BUDGET // 14 + 1,
+               BUDGET - 1, BUDGET, BUDGET + 1, 20_000]
+
+
+class TestBlockedRule:
+    @pytest.mark.parametrize("size", BLOCK_EDGES)
+    @pytest.mark.parametrize("low, high", [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)],
+                             ids=["head", "tail", "mixed"])
+    def test_equals_node_by_node_bitwise(self, size, low, high):
+        r_ratio = np.random.default_rng(size).uniform(low, high, size)
+        assert _infall_integral(r_ratio).tobytes() \
+            == node_by_node(r_ratio).tobytes()
+
+    def test_grid_elements_equal_single_points_bitwise(self):
+        r_ratio = np.random.default_rng(7).uniform(0.0, 1.0, 300)
+        r_ratio[:4] = [0.0, 0.5, math.nextafter(0.5, 0.0), 1.0]
+        alone = [_infall_integral(r) for r in r_ratio.tolist()]
+        assert _infall_integral(r_ratio).tobytes() == np.array(alone).tobytes()
 
 
 class TestFraction:
