@@ -634,6 +634,14 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _window_note(delta_mhz: float) -> None:
+    """A stderr note when a detuning lies outside the validity window."""
+    if not traploss_mod.in_default_window(delta_mhz * TWO_PI_MHZ):
+        print(f"note: detuning {delta_mhz:.6g} MHz is outside the validity "
+              f"window {traploss_mod.DEFAULT_WINDOW_MHZ} MHz of the "
+              f"semiclassical model", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _main_parser().parse_args(argv)
     try:
@@ -642,10 +650,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(cfg, cmd_constants(cfg))
         elif args.command == "times":
             _emit(cfg, cmd_times(cfg, args.delta_mhz))
+            _window_note(args.delta_mhz)
         elif args.command == "dynamics":
             t_max = args.t_max_ns * 1.0e-9 if args.t_max_ns is not None else None
             dt = args.dt_ps * 1.0e-12 if args.dt_ps is not None else None
             _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, t_max, dt))
+            _window_note(args.delta_mhz)
         elif args.command == "scan":
             _emit(cfg, cmd_scan(cfg))
         elif args.command == "validate":

@@ -2,10 +2,21 @@
 
 :func:`write_csv` writes every float cell as ``"%.{p-1}e" % value`` and
 every integer or boolean cell as ``"%d" % value``, byte for byte, without
-running ``%`` on each cell.  The rows are taken in chunks of
-:data:`CSV_CHUNK_ROWS`; each chunk is formatted at once into a row-major
-``(rows, cols, width)`` uint8 block of fixed-width cells, and the bytes
-a cell does not use are dropped by one boolean mask.
+running ``%`` on each cell.  The text goes into one preallocated uint8
+buffer, header line first, and is decoded once.
+
+The rows are taken in chunks of :data:`CSV_CHUNK_ROWS`, and each chunk
+is written straight into one fixed row layout.  A row is its cells, each
+led by its separator (the newline that ends the line before it, then
+commas).  A float cell is [sign,] first digit, '.', the other p-1 digits
+and "e+XX"; it has a sign slot only when its column holds a negative
+(sign bit set) cell in that chunk.  An integer cell is one digit.  Every
+piece of a cell (the separator, sign, first digit and '.' as one word,
+the digits as left-aligned 4-digit words, the exponent word written last
+over their pad bytes) is one strided view per run of adjacent columns of
+equal width.  A positive cell in a column with a sign slot leaves a NUL
+there, and the NULs are deleted from the text in one pass, only when
+some were written.
 
 A float cell takes the fast path only when its digits are certain.  With
 e = floor(log10|x|), corrected by one either way, the mantissa
@@ -22,13 +33,15 @@ the carry into the next decade.  |e| <= 44 + p < 100, so the exponent
 has two digits.  +-0 is written directly.
 
 A row with any other cell (a tie, NaN, inf, a subnormal, a three-digit
-exponent, an integer outside 0..9) is written by ``%`` and spliced into
-the chunk's text at its byte offset.  At 16 or more digits m can pass
-2^52, where n + 1/2 is no longer a double, so every row goes through
-``%``.
+exponent, an integer outside 0..9) is written by ``%`` into its slot,
+padded with NULs; bytes past the end of the slot are spliced in after
+it.  At 16 or more digits m can pass 2^52, where n + 1/2 is no longer a
+double, so every row goes through ``%``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -87,47 +100,85 @@ def write_csv(header: list[str], columns: list, precision: int) -> str:
     significant digits, integer and boolean columns as ``%d``.
     """
     columns = [np.asarray(column) for column in columns]
-    is_int = np.array([column.dtype.kind in "biu" for column in columns])
-    row_format = ",".join("%d" if flag else f"%.{precision - 1}e"
-                          for flag in is_int)
+    kinds = tuple(column.dtype.kind in "biu" for column in columns)
+    row_format = ",".join("%d" if is_int else f"%.{precision - 1}e"
+                          for is_int in kinds)
     n_rows = len(columns[0])
     chunks = [slice(start, start + CSV_CHUNK_ROWS)
               for start in range(0, n_rows, CSV_CHUNK_ROWS)]
     # every row is written with the newline that ends the line before it
-    pieces = [",".join(header)]
     if precision > _FAST_MAX_PRECISION:
+        pieces = [",".join(header)]
         for rows in chunks:
             pieces += _percent_lines(row_format, columns, rows)
         pieces.append("\n")
         return "".join(pieces)
 
-    # a cell is 4-byte words: [separator before it, sign, first digit, '.'],
-    # the other p-1 digits as 4-digit groups led by `pad` unused bytes,
-    # and "e+XX"
-    groups = -(-(precision - 1) // 4)
-    pad = 4 * groups - (precision - 1)
-    block = np.zeros((min(n_rows, CSV_CHUNK_ROWS), len(columns),
-                      4 * groups + 8), dtype=np.uint8)
-    block[:, :, 0] = ord(",")
-    block[:, 0, 0] = ord("\n")
-    block[:, :, 1] = ord("-")
-    block[:, :, 3] = ord(".")
-    # the bytes every row keeps; the sign is kept where a cell is negative
-    keep = np.zeros(block.shape[1:], dtype=bool)
-    keep[:, [0, 2]] = True
-    keep[~is_int, 3] = True
-    keep[~is_int, 4 + pad:] = True
+    head = ",".join(header).encode()
+    widest = _layout(kinds, tuple(not is_int for is_int in kinds),
+                     precision)[0]
+    buf = np.empty(len(head) + n_rows * widest + 1, dtype=np.uint8)
+    memoryview(buf)[:len(head)] = head
+    end, any_nul, splices = len(head), False, []
     for rows in chunks:
-        pieces += _chunk_text(block, keep, is_int, row_format, precision,
-                              columns, rows)
-    pieces.append("\n")
-    return "".join(pieces)
+        end, nul = _write_chunk(buf, end, kinds, row_format, precision,
+                                columns, rows, splices)
+        any_nul |= nul
+    buf[end] = ord("\n")
+    data = memoryview(buf)[:end + 1]
+    if not (any_nul or splices):
+        return str(data, "utf-8")
+    parts, done = [], 0
+    for at, tail in splices:
+        parts += [data[done:at], tail]
+        done = at
+    parts.append(data[done:])
+    data = b"".join(parts)
+    del parts, buf   # at most two copies of the text at once
+    if any_nul:
+        data = data.translate(None, b"\0")
+    return str(data, "utf-8")
 
 
 def _percent_lines(row_format: str, columns: list, rows) -> list[str]:
     """A newline, then ``row_format % row``, for each selected row."""
     return ["\n" + row_format % row for row in
             zip(*(column[rows].tolist() for column in columns))]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(kinds: tuple, signed: tuple, precision: int):
+    """The byte layout of a row of cells of these kinds and sign slots.
+
+    Returns the row length; the multiplier, constant and sign word of
+    each column's lead word, which is first digit * multiplier + constant
+    (+ the sign word where the cell is negative); and one run per group
+    of adjacent columns of equal width: (its columns, byte offset, cell
+    width, offset of the digit groups, or None for integer cells).
+
+    The lead word of a float cell is a little-endian uint32 of the
+    separator, the sign slot if any, the first digit and '.', the last
+    byte of an unsigned one left for the digits to overwrite; that of an
+    integer cell is a little-endian uint16 of the separator and its digit.
+    """
+    widths, multiplier, const, sign = [], [], [], []
+    for j, (is_int, slot) in enumerate(zip(kinds, signed)):
+        shift = 16 if slot else 8   # the first digit's bit in the lead word
+        widths.append(2 if is_int else precision + 6 + slot)
+        multiplier.append(1 << shift)
+        const.append(ord(",\n"[j == 0]) + (ord("0") << shift)
+                     + (0 if is_int else ord(".") << shift + 8))
+        sign.append(ord("-") << 8 if slot else 0)
+    runs, offset, start = [], 0, 0
+    for j in range(1, len(kinds) + 1):
+        if j < len(kinds) and widths[j] == widths[start]:
+            continue
+        digits_at = None if kinds[start] else offset + 3 + signed[start]
+        runs.append((slice(start, j), offset, widths[start], digits_at))
+        offset += widths[start] * (j - start)
+        start = j
+    return (offset, *(np.array(words, dtype=float)
+                      for words in (multiplier, const, sign)), tuple(runs))
 
 
 def _mantissa(ax: np.ndarray, e: np.ndarray, precision: int):
@@ -142,15 +193,17 @@ def _mantissa(ax: np.ndarray, e: np.ndarray, precision: int):
     return m, g
 
 
-def _chunk_text(block, keep, is_int, row_format, precision, columns,
-                rows: slice) -> list[str]:
-    """One chunk of rows as text pieces: the numpy block, with ``%`` rows
-    spliced in."""
+def _write_chunk(buf, start: int, kinds, row_format, precision, columns,
+                 rows: slice, splices: list):
+    """Write one chunk of rows into ``buf`` at byte ``start``.
+
+    Returns the byte after the chunk and whether a NUL was written;
+    (offset, bytes) pairs still to be spliced in are appended to
+    ``splices``.
+    """
     x = np.stack([column[rows] for column in columns], axis=1).astype(
         float, copy=False)
     n_rows = len(x)
-    cells = block[:n_rows]
-    words = cells.view(np.uint32)
     lo, hi = 10.0 ** (precision - 1), 10.0 ** precision
 
     ax = np.abs(x)
@@ -169,36 +222,62 @@ def _chunk_text(block, keep, is_int, row_format, precision, columns,
     e += carry
     digits[carry] = lo
     accept |= zero
-    if is_int.any():   # an integer cell is its one digit
+    if any(kinds):   # an integer cell is its one digit
+        is_int = np.array(kinds)
         ints = x[:, is_int]
         accept[:, is_int] = (ints >= 0.0) & (ints <= 9.0)
         digits[:, is_int] = np.where(accept[:, is_int], ints * lo, 0.0)
 
+    negative = np.signbit(x)
+    counts = negative.sum(axis=0).tolist()
+    signed = tuple(count > 0 and not is_int
+                   for count, is_int in zip(counts, kinds))
+    # a positive cell in a column with a sign slot leaves it NUL
+    nul = any(slot and count < n_rows for slot, count in zip(signed, counts))
+    row_len, multiplier, const, sign, runs = _layout(kinds, signed, precision)
     first = np.floor(digits / lo)
-    cells[:, :, 2] = first + ord("0")
-    rest = (digits - first * lo).astype(np.int64)
-    for j in range(words.shape[2] - 2, 0, -1):
+    lead = first * multiplier + const
+    if any(signed):
+        lead += negative * sign
+    # the other p-1 digits, left-aligned in whole 4-digit groups
+    groups = -(-(precision - 1) // 4)
+    rest = (digits - first * lo).astype(np.int64) * 10 ** (
+        4 * groups - precision + 1)
+    words = np.empty((groups, *x.shape), dtype=np.uint32)
+    for k in range(groups - 1, 0, -1):
+        if k == 1:   # the first two groups fit int32, which divides faster
+            rest = rest.astype(np.int32)
         quotient = rest // 10_000
-        words[:, :, j] = _DIGITS4.take(rest - quotient * 10_000)
+        _DIGITS4.take(rest - quotient * 10_000, out=words[k])
         rest = quotient
-    words[:, :, -1] = _EXPONENT4.take(np.clip(e, -99, 99).astype(np.intp) + 99)
+    _DIGITS4.take(rest, out=words[0])
+    exponent = _EXPONENT4.take((e + 99.0).astype(np.intp), mode="clip")
 
-    negative = np.signbit(x) & ~is_int
-    row_ok = accept.all(axis=1)
-    fallback = np.flatnonzero(~row_ok)
-    kept = np.repeat(keep[None], n_rows, axis=0)
-    kept[:, :, 1] = negative
-    kept[fallback] = False
-    fast = cells[kept].tobytes().decode("ascii")
-    if not len(fallback):
-        return [fast]
+    for cols, offset, width, digits_at in runs:
+        shape, strides = (n_rows, cols.stop - cols.start), (row_len, width)
+        at = start + offset
+        if digits_at is None:   # an integer cell is its lead word
+            np.ndarray(shape, "<u2", buf, at, strides)[...] = lead[:, cols]
+            continue
+        np.ndarray(shape, "<u4", buf, at, strides)[...] = lead[:, cols]
+        for k, group in enumerate(words):
+            np.ndarray(shape, np.uint32, buf, start + digits_at + 4 * k,
+                       strides)[...] = group[:, cols]
+        np.ndarray(shape, np.uint32, buf, at + width - 4, strides)[...] \
+            = exponent[:, cols]
 
-    row_bytes = np.where(row_ok, keep.sum() + negative.sum(axis=1), 0)
-    offsets = np.cumsum(row_bytes)[fallback].tolist()
-    slow = _percent_lines(row_format, columns, fallback + rows.start)
-    pieces, done = [], 0
-    for offset, line in zip(offsets, slow):
-        pieces += [fast[done:offset], line]
-        done = offset
-    pieces.append(fast[done:])
-    return pieces
+    if accept.all():
+        return start + n_rows * row_len, nul
+    text = memoryview(buf)
+    fallback = np.flatnonzero(~accept.all(axis=1))
+    lines = _percent_lines(row_format, columns, fallback + rows.start)
+    for i, line in zip(fallback.tolist(), lines):
+        at, line = start + i * row_len, line.encode()
+        fits, tail = line[:row_len], line[row_len:]
+        text[at:at + len(fits)] = fits
+        if len(fits) < row_len:   # pad the slot with NULs
+            text[at + len(fits):at + row_len] = bytes(row_len - len(fits))
+            nul = True
+        if tail:
+            splices.append((at + row_len, tail))
+    return start + n_rows * row_len, nul

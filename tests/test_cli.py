@@ -119,6 +119,27 @@ def test_detuning_past_the_transition_exits_2(capsys, argv):
     assert "cavity length" not in err
 
 
+@pytest.mark.parametrize("command, header", [
+    ("times", cli.TIMES_HEADER), ("dynamics", cli.DYNAMICS_HEADER)])
+@pytest.mark.parametrize("delta_mhz, noted", [
+    ("-5000", True), ("-1e-30", True),
+    ("-350", False), ("-600", False), ("-1000", False),
+])
+def test_detuning_outside_the_window_is_noted(capsys, command, header,
+                                               delta_mhz, noted):
+    argv = [command, f"--delta-mhz={delta_mhz}"]
+    if command == "dynamics" and delta_mhz == "-1e-30":
+        # the default run would pass the step cap
+        argv.append("--t-max-ns=1e-31")
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out.startswith(",".join(header) + "\n")
+    if noted:
+        assert err.startswith("note: ") and err.count("\n") == 1
+        assert "outside the validity window" in err
+    else:
+        assert err == ""
+
+
 def test_float_flags_take_negative_exponents_after_equals():
     # argparse reads "--flag -1e6" as two flags; "--flag=-1e6" is the form
     # the README gives

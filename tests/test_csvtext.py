@@ -1,13 +1,14 @@
 """The numpy CSV writer against the row-by-row ``%`` oracle, byte for byte."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cavloss import csvtext
+from cavloss import cli, csvtext
 from cavloss.csvtext import CSV_CHUNK_ROWS, write_csv
 from oracles import percent_csv_oracle
 from test_properties import PROPERTY
@@ -15,8 +16,9 @@ from test_properties import PROPERTY
 
 def same_as_oracle(columns, precision):
     header = [f"c{j}" for j in range(len(columns))]
-    assert write_csv(header, columns, precision) \
-        == percent_csv_oracle(header, columns, precision)
+    text = write_csv(header, columns, precision)
+    assert text == percent_csv_oracle(header, columns, precision)
+    assert "\0" not in text
 
 
 @st.composite
@@ -168,3 +170,89 @@ def test_near_ties_are_rare(slow):
         text = write_csv(header, columns, precision)
         assert text == percent_csv_oracle(header, columns, precision)
         assert len(slow) < 200
+
+
+def test_sign_slots_follow_each_chunk(slow):
+    # a column takes a sign slot only in the chunks where it is negative;
+    # where it also holds positive cells those leave the slot empty
+    rows = np.arange(3 * CSV_CHUNK_ROWS)
+    chunk = rows // CSV_CHUNK_ROWS
+    negative_first = np.where(chunk == 0, -1.0, 1.0) * np.exp(rows / 997.0)
+    mixed_in_one = np.where(chunk == 1, np.cos(rows), 1.5 + np.cos(rows))
+    for precision in (6, 12):
+        same_as_oracle([negative_first, -negative_first, mixed_in_one],
+                       precision)
+    assert len(slow) < 10
+
+
+def test_negative_zero_in_a_positive_column(slow):
+    column = np.exp(np.arange(CSV_CHUNK_ROWS + 5) / 100.0)
+    column[[3, CSV_CHUNK_ROWS + 2]] = -0.0
+    column[[4, CSV_CHUNK_ROWS + 3]] = 0.0
+    for precision in (6, 12):
+        same_as_oracle([column, -column[::-1]], precision)
+    assert slow == []
+
+
+def test_integer_columns_between_float_columns(slow):
+    rows = np.arange(CSV_CHUNK_ROWS + 3)
+    delta, loss, mixed = scan_like(len(rows))
+    columns = [delta, rows % 10, loss, rows % 3 == 0, (rows * 7) % 10, mixed]
+    for precision in (6, 12):
+        same_as_oracle(columns, precision)
+    assert slow == []
+
+
+@pytest.mark.parametrize("row", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                 CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("column, value", [
+    (1, 1.0e-100),    # one byte longer than its unsigned slot
+    (0, -1.0e-100),   # one byte longer than its signed slot
+    (1, math.nan), (0, math.inf), (2, -math.inf),   # shorter than the slot
+])
+def test_percent_row_longer_or_shorter_than_its_slot(slow, row, column,
+                                                      value):
+    columns = scan_like(2 * CSV_CHUNK_ROWS + 2)
+    columns[column][row] = value
+    same_as_oracle(columns, 12)
+    assert len(slow) == 1 and slow[0].count(",") == 2
+
+
+def near_tie_lines(columns, precision):
+    """The ``%`` lines of the rows with a cell whose exact mantissa lies
+    within m * 2**-50 of a half-integer."""
+    row_format = ",".join([f"%.{precision - 1}e"] * len(columns))
+    near = set()
+    for column in columns:
+        with np.errstate(divide="ignore"):
+            e = np.floor(np.log10(np.abs(column)))
+        m = np.abs(column) * 10.0 ** (precision - 1 - e)
+        for i in np.flatnonzero(np.abs(m - np.floor(m) - 0.5) < 1.0e-3):
+            x = Fraction(float(column[i]))
+            exact = abs(x) * Fraction(10) ** (precision - 1 - int(e[i]))
+            for shift in (-1, 0, 1):   # log10 may be one off
+                m_exact = exact * Fraction(10) ** shift
+                if abs(m_exact - math.floor(m_exact) - Fraction(1, 2)) \
+                        <= m_exact / 2**50:
+                    near.add(int(i))
+    return {"\n" + row_format % row for row in
+            zip(*(column[sorted(near)].tolist() for column in columns))}
+
+
+def test_scan_rows_take_the_fast_path_except_near_ties(slow, monkeypatch,
+                                                       capsys):
+    tables = []
+
+    def capture(header, columns, precision):
+        tables.append(columns)
+        return write_csv(header, columns, precision)
+
+    monkeypatch.setattr(cli, "write_csv", capture)
+    assert cli.main(["scan", "--points", "20000"]) == 0
+    capsys.readouterr()
+    columns = tables[0]
+    for precision in (6, 12):
+        slow.clear()
+        same_as_oracle(columns, precision)
+        assert set(slow) <= near_tie_lines(columns, precision)
+    assert len(slow) < 50
