@@ -215,25 +215,27 @@ def test_percent_row_longer_or_shorter_than_its_slot(slow, row, column,
     columns = scan_like(2 * CSV_CHUNK_ROWS + 2)
     columns[column][row] = value
     same_as_oracle(columns, 12)
-    assert len(slow) == 1 and slow[0].count(",") == 2
+    assert slow == ["\n" + "%.11e,%.11e,%.11e" % tuple(
+        float(cells[row]) for cells in columns)]
 
 
 def near_tie_lines(columns, precision):
-    """The ``%`` lines of the rows with a cell whose exact mantissa lies
-    within m * 2**-50 of a half-integer."""
+    """The ``%`` lines of the rows with a cell whose exact mantissa, in
+    [10**(p-1), 10**p), lies within m * 2**-50 of a half-integer."""
     row_format = ",".join([f"%.{precision - 1}e"] * len(columns))
+    lo, hi = 10 ** (precision - 1), 10 ** precision
     near = set()
     for column in columns:
+        ax = np.abs(column)
         with np.errstate(divide="ignore"):
-            e = np.floor(np.log10(np.abs(column)))
-        m = np.abs(column) * 10.0 ** (precision - 1 - e)
-        for i in np.flatnonzero(np.abs(m - np.floor(m) - 0.5) < 1.0e-3):
-            x = Fraction(float(column[i]))
-            exact = abs(x) * Fraction(10) ** (precision - 1 - int(e[i]))
-            for shift in (-1, 0, 1):   # log10 may be one off
-                m_exact = exact * Fraction(10) ** shift
-                if abs(m_exact - math.floor(m_exact) - Fraction(1, 2)) \
-                        <= m_exact / 2**50:
+            e = np.floor(np.log10(ax))
+        for shift in (-1, 0, 1):   # log10 may be one off
+            m = ax * 10.0 ** (precision - 1 - e + shift)
+            for i in np.flatnonzero(np.abs(m - np.floor(m) - 0.5) < 1.0e-3):
+                exact = Fraction(float(ax[i])) \
+                    * Fraction(10) ** int(precision - 1 - e[i] + shift)
+                if lo <= exact < hi and abs(exact - math.floor(exact)
+                                            - Fraction(1, 2)) <= exact / 2**50:
                     near.add(int(i))
     return {"\n" + row_format % row for row in
             zip(*(column[sorted(near)].tolist() for column in columns))}
