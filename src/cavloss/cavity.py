@@ -78,9 +78,6 @@ class CouplingPoint:
 def mode_geometry(omega_c, config: CavityConfig):
     """Gaussian mode waist w0 = sqrt(c*l/omega_c) (cm) and volume pi*w0^2*l (cm^3)."""
     omega = as_grid(omega_c)
-    if config.length <= 0.0:
-        raise DomainError(
-            f"cavity length must be positive, got {config.length!r}")
     # omega_c tracks the detuning, so a detuning past the transition lands here
     refuse(omega <= 0.0, omega,
            "detuning past the atomic transition: the mode frequency "

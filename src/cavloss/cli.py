@@ -113,15 +113,10 @@ _SECTIONS = {section.name: section.default_factory
 #: section name -> {key: declared type}
 _TYPES = {name: get_type_hints(section) for name, section in _SECTIONS.items()}
 
-#: (section, key, type, choices) of every config field, in schema order
-_FIELDS = [(name, key.name, _TYPES[name][key.name],
-            key.metadata.get("choices"))
-           for name, section in _SECTIONS.items() for key in fields(section)]
-
-
-def _choices(section: type, key: str):
-    """The allowed values a section declares for one of its str fields."""
-    return next(f for f in fields(section) if f.name == key).metadata["choices"]
+#: (section, key) -> (type, choices) of every config field, in schema order
+_FIELDS = {(name, key.name): (_TYPES[name][key.name],
+                              key.metadata.get("choices"))
+           for name, section in _SECTIONS.items() for key in fields(section)}
 
 
 def _checked(name: str, value, kind, choices):
@@ -180,7 +175,7 @@ def build_run_config(document: Optional[dict] = None,
     given.update(overrides or {})
 
     values = {name: {} for name in _SECTIONS}
-    for name, key, kind, choices in _FIELDS:
+    for (name, key), (kind, choices) in _FIELDS.items():
         if (name, key) in given:
             values[name][key] = _checked(f"{name}.{key}", given[name, key],
                                          kind, choices)
@@ -387,7 +382,6 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     delta_mid = 0.5 * (cfg.scan.from_mhz + cfg.scan.to_mhz) * TWO_PI_MHZ
 
     def resolve_strict():
-        resolve_params(cfg.species)
         _check_round_trip(resolve_params(cfg.species), cfg.species)
 
     def resolve_deterministic():
@@ -585,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag that overrides a config value names its section.key as dest
     def coupling_and_output(p):
         p.add_argument("--coupling", dest="coupling.mode",
-                       choices=_choices(CouplingSection, "mode"))
+                       choices=_FIELDS["coupling", "mode"][1])
         p.add_argument("--output", dest="output.path")
 
     p_const = sub.add_parser("constants", help="resolved parameter report")
@@ -606,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--to-mhz", dest="scan.to_mhz", type=_finite_float)
     p_scan.add_argument("--points", dest="scan.points", type=int)
     p_scan.add_argument("--p-model", dest="scan.p_model",
-                        choices=_choices(ScanSection, "p_model"))
+                        choices=_FIELDS["scan", "p_model"][1])
     p_scan.add_argument("--allow-out-of-window", dest="scan.allow_out_of_window",
                         action="store_true", default=None)
     coupling_and_output(p_scan)

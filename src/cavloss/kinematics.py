@@ -26,8 +26,9 @@ absolute) for every r in [0, 1].  The rule evaluates its integrand on
 blocks of nodes times a whole grid of r, as many nodes per numpy call as
 fit a fixed element budget (all 14 for a short grid, one for a long
 one), and adds the weighted values in node order, so every element gets
-the same bits whatever the grid size.  Every time scale here is
-elementwise over detuning grids (see :mod:`cavloss.grid`).
+the same bits whatever the grid size.  Every time scale here, and the
+time bundle of :func:`collision_times`, is elementwise over detunings
+(see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ _BLOCK_ELEMENTS = 4096
 
 @dataclass(frozen=True)
 class CollisionTimes:
-    """Time scales of one collision at a fixed detuning.
+    """Time scales of a collision, as floats or as one array each.
 
     ``t_total = t_resonant + t_escape_region`` holds exactly whenever
     ``t_prime`` is zero (the shipped presets); ``geometry`` may be None
@@ -133,12 +134,13 @@ def total_time(delta, params: PhysicalParams):
                 * (params.c3 / (HBAR * np.abs(grid))) ** (5.0 / 6.0), delta)
 
 
-def collision_times(delta: float, omega_tilde: float,
+def collision_times(delta, omega_tilde,
                     params: PhysicalParams) -> CollisionTimes:
-    """Assemble the full time bundle at one detuning (t_prime = 0)."""
+    """Assemble the full time bundle (t_prime = 0), elementwise over detunings."""
     geometry = resonance_geometry(delta, omega_tilde, params)
     t0 = total_time(delta, params)
-    frac = fraction_f(delta, omega_tilde)
+    # fraction_f, without computing the escape ratio a second time
+    frac = _infall_integral(geometry.r_ratio) / g0_constant()
     t_c = t0 * frac
     return CollisionTimes(
         t_total=t0,

@@ -7,8 +7,8 @@ C3/R_C^3 = hbar*|delta|.  The coupling stays effective until the
 splitting has walked off resonance by the collective Rabi frequency,
 which defines the escape radius R_e = R_C * (1 + Omega~/|delta|)^(-1/3).
 
-The potential, the radii and the slope are elementwise over grids (see
-:mod:`cavloss.grid`).
+The potential, the radii, the slope and the resonance geometry are
+elementwise over detunings and radii (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -24,18 +24,12 @@ from .grid import as_grid, like, red_detuning, refuse
 
 @dataclass(frozen=True)
 class ResonanceGeometry:
-    """Radii bracketing the resonant region at one detuning."""
+    """Radii bracketing the resonant region, floats or one array each."""
 
     detuning: float    # rad/s, negative
     r_condon: float    # cm
     r_escape: float    # cm
     r_ratio: float     # r_escape / r_condon, in (0, 1]
-
-    def __post_init__(self):
-        if self.detuning >= 0.0:
-            raise DomainError("detuning must be negative")
-        if not 0.0 < self.r_escape <= self.r_condon:
-            raise DomainError("requires 0 < r_escape <= r_condon")
 
 
 def u_dd(r, params: PhysicalParams):
@@ -84,10 +78,13 @@ def potential_slope(r, params: PhysicalParams):
     return like(3.0 * params.c3 / grid**4, r)
 
 
-def resonance_geometry(delta: float, omega_tilde: float,
+def resonance_geometry(delta, omega_tilde,
                        params: PhysicalParams) -> ResonanceGeometry:
-    """Bundle Condon and escape radii for one detuning."""
-    r_c = condon_radius(delta, params)
-    r_e, ratio = escape_radius(delta, omega_tilde, params)
-    return ResonanceGeometry(detuning=delta, r_condon=r_c,
-                             r_escape=r_e, r_ratio=ratio)
+    """Bundle Condon and escape radii, elementwise over detunings."""
+    r_condon = condon_radius(delta, params)
+    ratio = escape_ratio(delta, omega_tilde)
+    r_escape = r_condon * ratio
+    if not np.all((0.0 < r_escape) & (r_escape <= r_condon)):
+        raise DomainError("requires 0 < r_escape <= r_condon")
+    return ResonanceGeometry(detuning=delta, r_condon=r_condon,
+                             r_escape=r_escape, r_ratio=ratio)

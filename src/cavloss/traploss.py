@@ -23,9 +23,10 @@ independently colliding pairs.  Scanning the detuning sweeps the phase
 omega_tilde*t_c through several half-cycles, which is what imprints
 minima and maxima on L_c while L_o stays smooth.
 
-:func:`loss_grid` computes the whole chain, coupling -> radii -> times ->
-kernel -> losses, over an array of detunings at once; :func:`loss_point`
-and :func:`scan_detuning` are views of it (see :mod:`cavloss.grid`).
+:func:`loss_grid` computes the whole chain, coupling -> radii and times
+(:func:`~cavloss.kinematics.collision_times`) -> kernel -> losses, over
+an array of detunings at once; :func:`loss_point` and
+:func:`scan_detuning` are views of it (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from .constants import PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError, DomainError
 from .grid import float_range, like, red_detuning
-from .kinematics import (CollisionTimes, _infall_integral, g0_constant,
-                         total_time)
-from .potential import ResonanceGeometry, condon_radius, escape_ratio
+from .kinematics import CollisionTimes, collision_times
+from .potential import ResonanceGeometry
 
 #: detuning window (MHz) inside which the semiclassical model is trusted
 DEFAULT_WINDOW_MHZ = (-1000.0, -350.0)
@@ -201,25 +201,18 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
     gamma = params.gamma_mol
     with float_range("the loss chain"):
         _, n_pairs, omega_tilde = coupling(delta, cavity, params)
-        r_condon = condon_radius(delta, params)
-        r_ratio = escape_ratio(delta, omega_tilde)
-        r_escape = r_condon * r_ratio
-        t_total = total_time(delta, params)
-        # fraction_f, without computing the escape ratio a second time
-        frac = _infall_integral(r_ratio) / g0_constant()
-        t_c = t_total * frac
-        times = CollisionTimes(t_total=t_total, frac_resonant=frac,
-                               t_resonant=t_c, t_escape_region=t_total - t_c)
+        times = collision_times(delta, omega_tilde, params)
         loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
         loss_free = loss_no_cavity(times, gamma)
-    if not ((0.0 < r_escape) & (r_escape <= r_condon)).all():
-        raise DomainError("requires 0 < r_escape <= r_condon")
+    geometry = times.geometry
     return LossGrid(delta=delta, omega_tilde=omega_tilde, n_pairs=n_pairs,
-                    r_condon=r_condon, r_escape=r_escape, r_ratio=r_ratio,
-                    t_total=t_total, frac_resonant=frac, t_resonant=t_c,
+                    r_condon=geometry.r_condon, r_escape=geometry.r_escape,
+                    r_ratio=geometry.r_ratio, t_total=times.t_total,
+                    frac_resonant=times.frac_resonant,
+                    t_resonant=times.t_resonant,
                     t_escape_region=times.t_escape_region,
-                    phase=omega_tilde * t_c, loss_cavity=loss_cavity,
-                    loss_free=loss_free)
+                    phase=omega_tilde * times.t_resonant,
+                    loss_cavity=loss_cavity, loss_free=loss_free)
 
 
 def loss_point(delta: float, cavity: CavityConfig, params: PhysicalParams,

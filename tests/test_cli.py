@@ -548,9 +548,14 @@ def test_csv_matches_percent_oracle(capsys, monkeypatch, tmp_path, document,
 
 
 def test_cli_import_leaves_out_scipy():
+    # numpy is the only runtime dependency: scipy, or any other third-party
+    # package, must not be loaded by the import
     src = str(Path(cavloss.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, cavloss.cli; print('scipy' in sys.modules)"
+    probe = ("import sys; before = set(sys.modules); import cavloss.cli; "
+             "print(*sorted({name.partition('.')[0] for name in sys.modules}"
+             " - {name.partition('.')[0] for name in before}"
+             " - sys.stdlib_module_names))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["cavloss", "numpy"]

@@ -7,6 +7,7 @@ so the overdamped branches of the analytic kernel are exercised too.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavloss import (CavityConfig, HumanUnitsConfig, collective_rabi,
-                     collision_times, condon_radius, escape_radius,
+                     collision_times, condon_radius, coupling, escape_radius,
                      fraction_f, landau_zener, loss_closed_form, loss_grid,
                      loss_no_cavity, loss_point, loss_series,
                      p_omega_analytic, p_omega_approx, resolve_params,
-                     total_time)
+                     resonance_geometry, total_time)
 from cavloss.dynamics import _branch
 from oracles import TWO_PI_MHZ
 
@@ -99,8 +100,36 @@ def test_rows_equal_loss_point_bitwise(case):
     for i, delta in enumerate(deltas.tolist()):
         point = loss_point(delta, cavity, params, p_model)
         assert point.delta == delta
+        # the times and radii of one collision_times call, as `cavloss times`
+        # writes them
+        alone = replace(point, times=collision_times(delta, point.omega_tilde,
+                                                     params))
         for name, of_point in COLUMNS.items():
-            assert getattr(grid, name)[i].hex() == of_point(point).hex(), name
+            column = getattr(grid, name)[i].hex()
+            assert column == of_point(point).hex(), name
+            assert column == of_point(alone).hex(), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(scan_cases())
+def test_times_array_matches_scalar(case):
+    species, cavity, _, deltas = case
+    params = resolve_params(species)
+    omegas = coupling(deltas, cavity, params)[2]
+    times = collision_times(deltas, omegas, params)
+    geometry = resonance_geometry(deltas, omegas, params)
+    for i, (delta, omega) in enumerate(zip(deltas.tolist(), omegas.tolist())):
+        one = collision_times(delta, omega, params)
+        for name in ("t_total", "frac_resonant", "t_resonant",
+                     "t_escape_region"):
+            assert getattr(times, name)[i].hex() == getattr(one, name).hex()
+        one_geometry = resonance_geometry(delta, omega, params)
+        for name in ("r_condon", "r_escape", "r_ratio"):
+            want = getattr(one_geometry, name).hex()
+            assert getattr(geometry, name)[i].hex() == want, name
+            assert getattr(times.geometry, name)[i].hex() == want, name
+            assert getattr(one.geometry, name).hex() == want, name
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
