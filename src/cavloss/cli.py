@@ -30,7 +30,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Optional, get_type_hints
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -113,26 +113,34 @@ _SECTIONS = {section.name: section.default_factory
 #: section name -> {key: declared type}
 _TYPES = {name: get_type_hints(section) for name, section in _SECTIONS.items()}
 
-#: (section, key) -> (type, choices) of every config field, in schema order
-_FIELDS = {(name, key.name): (_TYPES[name][key.name],
+
+def _classified(hint) -> tuple:
+    """(type, whether null is allowed) of a declared field type."""
+    allowed = [kind for kind in get_args(hint) if kind is not type(None)]
+    return (allowed[0], True) if allowed else (hint, False)
+
+
+#: (section, key) -> (type, nullable, choices) of every config field, in
+#: schema order; the type is bool, int, float or str
+_FIELDS = {(name, key.name): (*_classified(_TYPES[name][key.name]),
                               key.metadata.get("choices"))
            for name, section in _SECTIONS.items() for key in fields(section)}
 
 
-def _checked(name: str, value, kind, choices):
+def _checked(name: str, value, kind: type, nullable: bool, choices):
     """One config value, checked against the type its field declares.
 
     A float takes any finite number, an int an integral one, a bool only a
-    JSON boolean, a str one of the field's declared choices and an
-    Optional[str] any string; an Optional field also takes null.
+    JSON boolean, a str one of the field's declared choices, or any string
+    when it declares none; a nullable field also takes null.
     """
-    if value is None and kind in (Optional[float], Optional[str]):
+    if value is None and nullable:
         return None
     if kind is bool:
         if isinstance(value, bool):
             return value
         raise ConfigError(f"{name} must be a JSON boolean, got {value!r}")
-    if kind in (str, Optional[str]):
+    if kind is str:
         if isinstance(value, str) and (choices is None or value in choices):
             return value
         wanted = f"one of {sorted(choices)}" if choices else "a string or null"
@@ -175,10 +183,10 @@ def build_run_config(document: Optional[dict] = None,
     given.update(overrides or {})
 
     values = {name: {} for name in _SECTIONS}
-    for (name, key), (kind, choices) in _FIELDS.items():
+    for (name, key), check in _FIELDS.items():
         if (name, key) in given:
             values[name][key] = _checked(f"{name}.{key}", given[name, key],
-                                         kind, choices)
+                                         *check)
     cfg = RunConfig(**{name: section(**values[name])
                        for name, section in _SECTIONS.items()})
 
@@ -568,6 +576,32 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+#: the flags that take a float
+FLOAT_FLAGS = ("--delta-mhz", "--t-max-ns", "--dt-ps", "--from-mhz",
+               "--to-mhz")
+
+
+def _joined_negatives(argv: list[str]) -> list[str]:
+    """argv with each float flag joined by '=' to a negative number after it.
+
+    argparse reads a token such as -1e6, which starts with '-' but is not a
+    plain negative number, as a flag of its own; "--delta-mhz=-1e6" is
+    read as meant.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in FLOAT_FLAGS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavloss",
@@ -579,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag that overrides a config value names its section.key as dest
     def coupling_and_output(p):
         p.add_argument("--coupling", dest="coupling.mode",
-                       choices=_FIELDS["coupling", "mode"][1])
+                       choices=_FIELDS["coupling", "mode"][2])
         p.add_argument("--output", dest="output.path")
 
     p_const = sub.add_parser("constants", help="resolved parameter report")
@@ -600,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--to-mhz", dest="scan.to_mhz", type=_finite_float)
     p_scan.add_argument("--points", dest="scan.points", type=int)
     p_scan.add_argument("--p-model", dest="scan.p_model",
-                        choices=_FIELDS["scan", "p_model"][1])
+                        choices=_FIELDS["scan", "p_model"][2])
     p_scan.add_argument("--allow-out-of-window", dest="scan.allow_out_of_window",
                         action="store_true", default=None)
     coupling_and_output(p_scan)
@@ -637,7 +671,8 @@ def _window_note(delta_mhz: float) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _main_parser().parse_args(argv)
+    args = _main_parser().parse_args(
+        _joined_negatives(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args.config, _flag_overrides(args))
         if args.command == "constants":

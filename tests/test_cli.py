@@ -160,6 +160,59 @@ def test_float_flags_take_negative_exponents_after_equals():
     assert seen >= 6
 
 
+def test_float_flags_are_the_joined_flags():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for sub in commands.choices.values()
+             for action in sub._actions if action.type is cli._finite_float
+             for flag in action.option_strings}
+    assert flags == set(cli.FLOAT_FLAGS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["times", "--delta-mhz", "-1e6"],
+    ["times", "--delta-mhz", "-3.5e2", "--coupling", "microscopic"],
+    ["dynamics", "--delta-mhz", "-3.5e2", "--t-max-ns", "0.05"],
+    ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "-1e-3"],
+    ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "0.05",
+     "--dt-ps", "-2.5e0"],
+    ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "0.05",
+     "--dt-ps", "2.5e0"],
+    ["scan", "--from-mhz", "-1e3", "--to-mhz", "-3.5e2", "--points", "3"],
+    ["scan", "--points", "3", "--to-mhz", "-4e2", "--from-mhz", "-2e3",
+     "--allow-out-of-window"],
+    ["scan", "--from-mhz", "-9e2", "--to-mhz", "-1e3", "--points", "3"],
+    ["times", "--delta-mhz", "-inf"],
+])
+def test_float_flags_take_a_spaced_negative_number(capsys, argv):
+    # "--flag -1e6" reads as "--flag=-1e6", which argparse takes as meant
+    joined = list(argv)
+    for at in range(len(joined) - 1, 0, -1):
+        if joined[at - 1] in cli.FLOAT_FLAGS and joined[at].startswith("-"):
+            joined[at - 1:at + 1] = [f"{joined[at - 1]}={joined[at]}"]
+    assert joined != argv
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # refused by argparse
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    spaced = outcome(argv)
+    assert spaced == outcome(joined)
+    assert "expected one argument" not in spaced[2]
+    assert spaced[0] == 0 or spaced[1] == ""
+
+
+def test_float_flag_before_a_flag_still_wants_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["times", "--delta-mhz", "--coupling", "microscopic"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 class TestDynamicsCommand:
     def test_default_run_error_columns(self, capsys):
         code, out, err = run(capsys, ["dynamics", "--delta-mhz", "-350"])
@@ -407,6 +460,37 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert name in captured.err
+
+
+@pytest.mark.parametrize("key", sorted(cli._FIELDS))
+def test_every_field_names_itself_when_refused(key):
+    # null passes only the nullable fields; a value of the wrong kind gets
+    # the message of its field's type
+    section, name = key
+    kind, nullable, choices = cli._FIELDS[key]
+    if kind is str:
+        wrong, wanted = 7, (f"one of {sorted(choices)}" if choices
+                            else "a string or null")
+    elif kind is bool:
+        wrong, wanted = "yes", "a JSON boolean"
+    else:
+        wrong, wanted = "x", "an integer" if kind is int else "a finite number"
+    refused = [wrong] if nullable else [wrong, None]
+    for value in refused:
+        with pytest.raises(cli.ConfigError) as info:
+            cli.build_run_config({section: {name: value}})
+        assert str(info.value) == f"{section}.{name} must be {wanted}, " \
+            f"got {value!r}"
+    if nullable:
+        config = cli.build_run_config({section: {name: None}})
+        assert getattr(getattr(config, section), name) is None
+
+
+def test_nullable_fields_are_the_optional_ones():
+    assert {key for key, (_, nullable, _) in cli._FIELDS.items()
+            if nullable} == {("species", "trap_depth_mk"),
+                             ("species", "trap_depth_mhz"),
+                             ("output", "path")}
 
 
 #: calls whose results must not depend on the calls made before them

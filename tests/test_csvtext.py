@@ -1,5 +1,6 @@
 """The numpy CSV writer against the row-by-row ``%`` oracle, byte for byte."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -258,3 +259,75 @@ def test_scan_rows_take_the_fast_path_except_near_ties(slow, monkeypatch,
         same_as_oracle(columns, precision)
         assert set(slow) <= near_tie_lines(columns, precision)
     assert len(slow) < 50
+
+
+@pytest.mark.parametrize("exponents", [(-10, 11), (10, 11)])
+def test_every_cell_scaled_up_once(slow, exponents):
+    # p-1-e in 1..22 for every cell: only the multiply by 10**(p-1-e)
+    rng = np.random.default_rng(11)
+    columns = [rng.uniform(1.0, 10.0, 3 * CSV_CHUNK_ROWS) * 10.0 ** rng.integers(
+        *exponents, 3 * CSV_CHUNK_ROWS) for _ in range(4)]
+    columns[1] *= -1.0
+    same_as_oracle(columns, 12)
+    assert set(slow) <= near_tie_lines(columns, 12)
+
+
+@pytest.mark.parametrize("exponents", [(12, 34), (12, 13)])
+def test_every_cell_scaled_down_once(slow, exponents):
+    # values >= 1e12 at 12 digits: p-1-e in -22..-1, only the divide
+    rng = np.random.default_rng(12)
+    columns = [rng.uniform(1.0, 10.0, 3 * CSV_CHUNK_ROWS) * 10.0 ** rng.integers(
+        *exponents, 3 * CSV_CHUNK_ROWS) for _ in range(4)]
+    columns[2] *= np.where(np.arange(3 * CSV_CHUNK_ROWS) % 3, 1.0, -1.0)
+    same_as_oracle(columns, 12)
+    assert set(slow) <= near_tie_lines(columns, 12)
+
+
+@pytest.mark.parametrize("tiny, huge", [(1.0e-15, 1.0e3), (3.0e-30, 7.0e35)])
+def test_one_column_scaled_twice_beside_single_scaled_ones(slow, tiny, huge):
+    rng = np.random.default_rng(13)
+    rows = 2 * CSV_CHUNK_ROWS + 7
+    single = rng.uniform(0.1, 10.0, rows)
+    twice = rng.uniform(1.0, 10.0, rows) * tiny
+    columns = [single, twice, -single * huge, np.exp(-single)]
+    same_as_oracle(columns, 12)
+    assert set(slow) <= near_tie_lines(columns, 12)
+
+
+@pytest.mark.parametrize("precision", [6, 12])
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("once_first", [True, False])
+def test_scaling_crosses_22_at_the_chunk_edge(slow, precision, side,
+                                              once_first):
+    # |p-1-e| is 22 on one side of rows 2047/2048 and 23 on the other, so
+    # one chunk takes one scaling and the next two
+    rows = np.arange(2 * CSV_CHUNK_ROWS)
+    mantissa = 1.0 + (rows % 997) / 997.0
+    once = mantissa * 10.0 ** (precision - 1 - side * 22)
+    twice = mantissa * 10.0 ** (precision - 1 - side * 23)
+    first = (rows < CSV_CHUNK_ROWS) == once_first
+    column = np.where(first, once, twice)
+    columns = [column, -3.0 * column]
+    same_as_oracle(columns, precision)
+    assert set(slow) <= near_tie_lines(columns, precision)
+
+
+def run_command(argv, tmp_path, precision, capsys):
+    """The stdout of ``cli.main(argv)`` at ``precision`` digits."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output": {"precision": precision}}))
+    assert cli.main(["--config", str(config)] + argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, percent_rows", [
+    (["scan", "--points", "20000"], {6: 0, 12: 17, 14: 1711}),
+    (["dynamics", "--delta-mhz=-600"], {6: 0, 12: 9, 14: 1557}),
+])
+def test_percent_rows_of_the_commands_are_pinned(slow, tmp_path, capsys, argv,
+                                                  percent_rows):
+    for precision, count in percent_rows.items():
+        slow.clear()
+        text = run_command(argv, tmp_path, precision, capsys)
+        assert len(slow) == count
+        assert "\0" not in text
