@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 26 runs below
+    python3 scripts/same_bytes.py REV          # the 27 runs below
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -37,6 +37,7 @@ CONFIGS = {
     "p17.json": {"output": {"precision": 17}},
     "p_excite.json": {"scan": {"include_p_excite": True}},
     "micro.json": {"coupling": {"mode": "microscopic"}},
+    "analytic.json": {"scan": {"p_model": "analytic"}},
     "decay_free.json": {"species": {"gamma_a_mhz": 0.0}},
     "decay_free_micro.json": {"species": {"gamma_a_mhz": 0.0},
                               "coupling": {"mode": "microscopic"}},
@@ -75,6 +76,7 @@ RUNS = [
     ("constants-micro", ["constants", "--coupling", "microscopic"]),
     ("validate", ["validate"]),
     ("validate-micro", ["--config", "micro.json", "validate"]),
+    ("validate-analytic", ["--config", "analytic.json", "validate"]),
     ("validate-decay-free", ["--config", "decay_free.json", "validate"]),
     ("scan-decay-free", ["--config", "decay_free.json", "scan"]),
     ("dynamics-decay-free", ["--config", "decay_free.json", "dynamics",

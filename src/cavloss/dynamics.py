@@ -26,11 +26,10 @@ evaluates the (G/(4*b))*sin term through sinc-style kernels that are
 analytic in b^2, so the value crosses the boundary continuously and no
 0/0 arises anywhere.
 
-The two survival kernels take plain numbers or numpy arrays.  An array
-is computed by numpy, each damping branch on its own elements; plain
-numbers are computed by :mod:`math`, so a scalar call reproduces libm
-to the last bit.  The ``dynamics`` CSV takes the array path over all
-its samples at once.
+The two survival kernels are elementwise over grids (see
+:mod:`cavloss.grid`); the analytic one computes each damping branch on
+its own elements.  The ``dynamics`` CSV takes them over all its samples
+at once.
 
 Numerical integration is classical fixed-step RK4: the system is linear
 with known stiffest rate max(b, G), so adaptivity buys nothing and
@@ -59,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, StepSizeError
-from .grid import refuse
+from .grid import as_grid, like, refuse
 
 #: relative half-width of the band reported as critically damped
 CRITICAL_BAND = 1.0e-6
@@ -260,67 +259,49 @@ def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
             for t, row in zip(times.tolist(), states.tolist())]
 
 
-def _require_nonnegative(t, gamma=0.0, omega_tilde=0.0) -> None:
-    """Raise DomainError naming the first negative time, rate or coupling."""
-    for value, what in ((t, "time"), (gamma, "decay rate"),
-                        (omega_tilde, "collective Rabi frequency")):
-        if isinstance(value, np.ndarray):
-            refuse(value < 0.0, value, what + " must be >= 0, got {!r}")
-        elif value < 0.0:
-            raise DomainError(f"{what} must be >= 0, got {value!r}")
-
-
-def _sinc(x, xp):
+def _sinc(x):
     # sin(x)/x, analytic through x = 0
-    if xp is math and abs(x) >= 1.0e-4:
-        return math.sin(x) / x
     x2 = x * x
     series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
-    if xp is math:
-        return series
     small = np.abs(x) < 1.0e-4
     return np.where(small, series, np.sin(x) / np.where(small, 1.0, x))
 
 
-def _sinhc(x, xp):
+def _sinhc(x):
     # sinh(x)/x, analytic through x = 0
-    if xp is math and abs(x) >= 1.0e-4:
-        return math.sinh(x) / x
     x2 = x * x
     series = 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
-    if xp is math:
-        return series
     small = np.abs(x) < 1.0e-4
     return np.where(small, series, np.sinh(x) / np.where(small, 1.0, x))
 
 
-def _decoupled(t, omega_tilde, gamma, xp):
-    return xp.exp(-gamma * t)
+def _decoupled(t, omega_tilde, gamma):
+    return np.exp(-gamma * t)
 
 
-def _oscillating(t, omega_tilde, gamma, xp):
+def _oscillating(t, omega_tilde, gamma):
     quarter = 0.25 * gamma
-    x = xp.sqrt(omega_tilde**2 - quarter**2) * t
-    bracket = xp.cos(x) - quarter * t * _sinc(x, xp)
-    return xp.exp(-0.5 * gamma * t) * bracket**2
+    x = np.sqrt(omega_tilde**2 - quarter**2) * t
+    bracket = np.cos(x) - quarter * t * _sinc(x)
+    return np.exp(-0.5 * gamma * t) * bracket**2
 
 
-def _hyperbolic_near(t, omega_tilde, gamma, xp):
+def _hyperbolic_near(t, omega_tilde, gamma):
     quarter = 0.25 * gamma
-    x = xp.sqrt(-(omega_tilde**2 - quarter**2)) * t
-    bracket = xp.cosh(x) - quarter * t * _sinhc(x, xp)
-    return xp.exp(-0.5 * gamma * t) * bracket**2
+    x = np.sqrt(-(omega_tilde**2 - quarter**2)) * t
+    bracket = np.cosh(x) - quarter * t * _sinhc(x)
+    return np.exp(-0.5 * gamma * t) * bracket**2
 
 
-def _hyperbolic_far(t, omega_tilde, gamma, xp):
+def _hyperbolic_far(t, omega_tilde, gamma):
     # fold the exp(-gamma*t/4) prefactor into the exponentials so
     # cosh - sinh never cancels catastrophically
     quarter = 0.25 * gamma
-    b = xp.sqrt(-(omega_tilde**2 - quarter**2))
+    b = np.sqrt(-(omega_tilde**2 - quarter**2))
     x = b * t
     a = quarter / b
-    w = 0.5 * ((1.0 - a) * xp.exp(x - quarter * t)
-               + (1.0 + a) * xp.exp(-x - quarter * t))
+    w = 0.5 * ((1.0 - a) * np.exp(x - quarter * t)
+               + (1.0 + a) * np.exp(-x - quarter * t))
     return w * w
 
 
@@ -328,15 +309,9 @@ def _hyperbolic_far(t, omega_tilde, gamma, xp):
 _BRANCHES = (_decoupled, _oscillating, _hyperbolic_near, _hyperbolic_far)
 
 
-def _branch(t, omega_tilde, gamma, xp):
+def _branch(t, omega_tilde, gamma):
     """Index into _BRANCHES: no coupling, W >= G/4, else b*t <= 1 or beyond."""
     beta_sq = omega_tilde**2 - (0.25 * gamma)**2
-    if xp is math:
-        if omega_tilde == 0.0:
-            return 0
-        if beta_sq >= 0.0:
-            return 1
-        return 2 if math.sqrt(-beta_sq) * t <= 1.0 else 3
     hyperbolic = beta_sq < 0.0
     far = hyperbolic & (np.sqrt(np.abs(beta_sq)) * t > 1.0)
     return (omega_tilde != 0.0) * (1 + hyperbolic + far)
@@ -348,21 +323,19 @@ def p_omega_analytic(t, omega_tilde, gamma: float):
     Covers all damping regimes continuously; the decoupled limit
     omega_tilde = 0 returns exp(-gamma*t) exactly.
     """
-    if not (isinstance(t, np.ndarray) or isinstance(omega_tilde, np.ndarray)):
-        if t < 0.0 or gamma < 0.0 or omega_tilde < 0.0:
-            _require_nonnegative(t, gamma, omega_tilde)
-        return _BRANCHES[_branch(t, omega_tilde, gamma, math)](
-            t, omega_tilde, gamma, math)
-    _require_nonnegative(t, gamma, omega_tilde)
-    t, omega_tilde = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                         np.asarray(omega_tilde, dtype=float))
-    branch = _branch(t, omega_tilde, gamma, np)
-    value = np.empty(t.shape)
+    time, omega, decay = as_grid(t), as_grid(omega_tilde), as_grid(gamma)
+    refuse(time < 0.0, time, "time must be >= 0, got {!r}")
+    refuse(decay < 0.0, decay, "decay rate must be >= 0, got {!r}")
+    refuse(omega < 0.0, omega,
+           "collective Rabi frequency must be >= 0, got {!r}")
+    time, omega = np.broadcast_arrays(time, omega)
+    branch = _branch(time, omega, gamma)
+    value = np.empty(time.shape)
     for index, form in enumerate(_BRANCHES):
         rows = branch == index
         if rows.any():
-            value[rows] = form(t[rows], omega_tilde[rows], gamma, np)
-    return value
+            value[rows] = form(time[rows], omega[rows], gamma)
+    return like(value, t, omega_tilde)
 
 
 def p_omega_approx(t, omega_tilde, gamma: float):
@@ -372,8 +345,7 @@ def p_omega_approx(t, omega_tilde, gamma: float):
     omega_tilde itself; intended for omega_tilde >> gamma/4, where it
     deviates from the full form by order gamma/(4*omega_tilde).
     """
-    grid = isinstance(t, np.ndarray) or isinstance(omega_tilde, np.ndarray)
-    if grid or t < 0.0:
-        _require_nonnegative(t)
-    xp = np if grid else math
-    return xp.exp(-0.5 * gamma * t) * xp.cos(omega_tilde * t) ** 2
+    time = as_grid(t)
+    refuse(time < 0.0, time, "time must be >= 0, got {!r}")
+    return like(np.exp(-0.5 * gamma * time) * np.cos(omega_tilde * time) ** 2,
+                t, omega_tilde)

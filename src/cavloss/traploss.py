@@ -41,7 +41,7 @@ from .cavity import CavityConfig, coupling
 from .constants import PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError, DomainError
-from .grid import float_range, like, red_detuning
+from .grid import as_grid, float_range, like
 from .kinematics import CollisionTimes, collision_times
 from .potential import ResonanceGeometry
 
@@ -197,7 +197,7 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
     A floating-point overflow or invalid operation anywhere in the chain
     raises DomainError instead of writing inf or NaN.
     """
-    delta = red_detuning(deltas)
+    delta = as_grid(deltas)   # coupling refuses a detuning that is not red
     gamma = params.gamma_mol
     with float_range("the loss chain"):
         _, n_pairs, omega_tilde = coupling(delta, cavity, params)

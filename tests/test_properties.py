@@ -14,12 +14,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cavloss import (CavityConfig, HumanUnitsConfig, collective_rabi,
-                     collision_times, condon_radius, coupling, escape_radius,
-                     fraction_f, landau_zener, loss_closed_form, loss_grid,
-                     loss_no_cavity, loss_point, loss_series,
-                     p_omega_analytic, p_omega_approx, resolve_params,
-                     resonance_geometry, total_time)
+from cavloss import (CavityConfig, DomainError, HumanUnitsConfig,
+                     collective_rabi, collision_times, condon_radius,
+                     coupling, escape_radius, fraction_f, landau_zener,
+                     loss_closed_form, loss_grid, loss_no_cavity, loss_point,
+                     loss_series, p_omega_analytic, p_omega_approx,
+                     resolve_params, resonance_geometry, total_time)
 from cavloss.dynamics import _branch
 from oracles import TWO_PI_MHZ
 
@@ -152,7 +152,16 @@ def test_loss_identities(case):
 def test_overdamped_example_takes_the_hyperbolic_branch():
     params, _, _, _, grid = run_case(OVERDAMPED)
     for t in (grid.t_resonant, 2.0 * grid.t_resonant):
-        assert np.all(_branch(t, grid.omega_tilde, params.gamma_mol, np) == 2)
+        assert np.all(_branch(t, grid.omega_tilde, params.gamma_mol) == 2)
+
+
+def assert_scalar_calls_match(kernel, t, omega, gamma):
+    # a scalar call is one element of the grid, so it agrees bit for bit
+    values = kernel(t, omega, gamma)
+    for i in range(len(t)):
+        scalar = kernel(float(t[i]), float(omega[i]), gamma)
+        assert type(scalar) is float
+        assert scalar == values[i]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -164,16 +173,43 @@ def test_overdamped_example_takes_the_hyperbolic_branch():
        scaled_t=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8))
 def test_analytic_kernel_array_matches_scalar(gamma, ratios, scaled_t):
     # every damping branch: decoupled, oscillating, hyperbolic below and
-    # beyond b*t = 1; the array runs numpy, the scalar calls run math
+    # beyond b*t = 1
     rate = gamma if gamma > 0.0 else 1.0e8
     size = min(len(ratios), len(scaled_t))
     t = np.array(scaled_t[:size]) / rate
     omega = np.array(ratios[:size]) * rate
-    values = p_omega_analytic(t, omega, gamma)
-    for i in range(size):
-        scalar = p_omega_analytic(float(t[i]), float(omega[i]), gamma)
-        assert isinstance(scalar, float)
-        assert abs(values[i] - scalar) <= 1.0e-13
+    assert_scalar_calls_match(p_omega_analytic, t, omega, gamma)
+
+
+def test_approx_kernel_array_matches_scalar():
+    # one form for every input, so one random grid covers it
+    rng = np.random.default_rng(29)
+    gamma = 1.0e8
+    t = rng.uniform(0.0, 40.0, size=200) / gamma
+    omega = rng.choice([0.0, 0.1, 0.25, 1.0, 30.0], size=200) * gamma
+    assert_scalar_calls_match(p_omega_approx, t, omega, gamma)
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("kernel, t, omega, gamma, message", [
+    (p_omega_analytic, -1.0, 2.0, 1.0, "time must be >= 0, got -1.0"),
+    (p_omega_analytic, 1.0, 2.0, -0.5, "decay rate must be >= 0, got -0.5"),
+    (p_omega_analytic, 1.0, -2.0, 1.0,
+     "collective Rabi frequency must be >= 0, got -2.0"),
+    (p_omega_analytic, -1.0, -2.0, -0.5, "time must be >= 0, got -1.0"),
+    (p_omega_analytic, 1.0, -2.0, -0.5, "decay rate must be >= 0, got -0.5"),
+    (p_omega_approx, -1.0, 2.0, 1.0, "time must be >= 0, got -1.0"),
+    (p_omega_approx, -1.0, -2.0, -0.5, "time must be >= 0, got -1.0"),
+])
+def test_kernel_refusals_name_the_first_bad_input(kernel, t, omega, gamma,
+                                                  message, grid):
+    # time, then decay rate, then coupling; an array names its first
+    # offender, so the -4.0 after it is never reported
+    if grid:
+        t, omega = np.array([0.5, t, 3.0]), np.array([1.0, omega, -4.0])
+    with pytest.raises(DomainError) as caught:
+        kernel(t, omega, gamma)
+    assert str(caught.value) == message
 
 
 def test_scalar_views_return_builtin_floats():

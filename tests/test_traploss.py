@@ -8,8 +8,9 @@ import pytest
 from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      DivergenceError, DomainError, HumanUnitsConfig,
                      collision_times, in_default_window, loss_closed_form,
-                     loss_no_cavity, loss_point, loss_series, p_omega_approx,
-                     resolve_params, scan_detuning, single_passage_loss)
+                     loss_grid, loss_no_cavity, loss_point, loss_series,
+                     p_omega_approx, resolve_params, scan_detuning,
+                     single_passage_loss)
 from oracles import TWO_PI_MHZ, DenseFractionOracle, loss_series_reference
 
 RB85 = resolve_params(HumanUnitsConfig())
@@ -294,6 +295,15 @@ class TestScan:
         assert len(points) == 2
         assert not in_default_window(outside[0])
         assert in_default_window(outside[1])
+
+    @pytest.mark.parametrize("mode", ["anchored", "microscopic"])
+    def test_detuning_sign_refused_by_the_chain(self, mode):
+        message = "red detuning required, got delta=1.0"
+        with pytest.raises(DomainError) as grid:
+            loss_grid([-1.0e9, 1.0, -2.0], make_cavity(mode), RB85)
+        with pytest.raises(DomainError) as point:
+            loss_point(1.0, make_cavity(mode), RB85)
+        assert str(grid.value) == str(point.value) == message
 
     def test_errors_name_the_first_offender(self):
         mhz = [-400.0, -1200.0, 5.0, -2000.0]
