@@ -24,7 +24,7 @@ from .kinematics import (CollisionTimes, collision_times, fraction_f,
 from .potential import (ResonanceGeometry, condon_radius, escape_radius,
                         escape_ratio, omega_r, potential_slope,
                         resonance_geometry, u_dd)
-from .traploss import (DEFAULT_WINDOW_MHZ, LossGrid, LossPoint, P_MODELS,
+from .traploss import (DEFAULT_WINDOW_MHZ, LossPoint, P_MODELS,
                        in_default_window, loss_closed_form, loss_grid,
                        loss_no_cavity, loss_point, loss_series, scan_detuning,
                        scan_grid, single_passage_loss)
@@ -34,8 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CavityConfig", "CavlossError", "CollisionTimes", "ConfigError",
     "CouplingPoint", "DEFAULT_WINDOW_MHZ", "DivergenceError", "DomainError",
-    "EXCITED_STATE", "HBAR", "HumanUnitsConfig", "LossGrid", "LossPoint",
-    "P_MODELS",
+    "EXCITED_STATE", "HBAR", "HumanUnitsConfig", "LossPoint", "P_MODELS",
     "PhysicalParams", "RabiRegime", "ReducedState", "ResonanceGeometry",
     "StepSizeError", "atomic_dipole", "collective_rabi", "collision_times",
     "condon_radius", "coupling", "escape_radius", "escape_ratio",

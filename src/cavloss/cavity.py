@@ -50,8 +50,12 @@ class CavityConfig:
     delta_ref: Optional[float] = None         # rad/s (< 0), anchored mode
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.n_atoms_total <= 0.0 or self.density <= 0.0:
-            raise ConfigError("cavity length, n_atoms and density must be positive")
+        for name, value in (("length_cm", self.length),
+                            ("n_atoms", self.n_atoms_total),
+                            ("density_cm3", self.density)):
+            if not value > 0.0:   # NaN too
+                raise ConfigError(
+                    f"cavity.{name} must be positive, got {value!r}")
         if self.coupling_mode not in COUPLING_MODES:
             raise ConfigError(
                 f"coupling.mode must be one of {COUPLING_MODES}, "

@@ -190,6 +190,9 @@ def build_run_config(document: Optional[dict] = None,
     cfg = RunConfig(**{name: section(**values[name])
                        for name, section in _SECTIONS.items()})
 
+    if cfg.coupling.v_inf_cm_s <= 0.0:
+        raise ConfigError("coupling.v_inf_cm_s must be positive, got "
+                          f"{cfg.coupling.v_inf_cm_s!r}")
     scan = cfg.scan
     if not scan.from_mhz < scan.to_mhz < 0.0:
         raise ConfigError(
@@ -334,12 +337,13 @@ def cmd_scan(cfg: RunConfig) -> str:
         cavity_config(cfg), params, scan.p_model,
         allow_out_of_window=scan.allow_out_of_window)
 
+    times, geometry = grid.times, grid.times.geometry
     header = list(SCAN_HEADER)
     columns = [grid.delta / TWO_PI_MHZ, grid.omega_tilde / TWO_PI_MHZ,
-               grid.n_pairs, grid.r_condon * 1.0e8, grid.r_escape * 1.0e8,
-               grid.t_total, grid.frac_resonant, grid.t_resonant,
-               grid.t_escape_region, grid.phase / math.pi, grid.loss_cavity,
-               grid.loss_free]
+               grid.n_pairs, geometry.r_condon * 1.0e8,
+               geometry.r_escape * 1.0e8, times.t_total, times.frac_resonant,
+               times.t_resonant, times.t_escape_region, grid.phase / math.pi,
+               grid.loss_cavity, grid.loss_free]
     if scan.include_p_excite:
         header.append("p_excite")
         columns.append(cavity_mod.landau_zener(
@@ -495,25 +499,29 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
                     f"boundary jump {abs(side - at_boundary)!r} at t={t_probe!r}"
 
     def scan_identities():
-        deltas = [mhz * TWO_PI_MHZ for mhz in
-                  np.linspace(cfg.scan.from_mhz, cfg.scan.to_mhz,
-                              min(cfg.scan.points, 50))]
+        deltas = np.linspace(cfg.scan.from_mhz, cfg.scan.to_mhz,
+                             min(cfg.scan.points, 50)) * TWO_PI_MHZ
         gamma = params.gamma_mol
-        for point in traploss_mod.scan_detuning(
-                deltas, cav, params, cfg.scan.p_model,
-                allow_out_of_window=True):
-            series_value, _ = traploss_mod.loss_series(
-                point.times, point.omega_tilde, gamma, cfg.scan.p_model)
-            assert abs(series_value - point.loss_cavity) <= 1.0e-12
-            kernel = traploss_mod.loss_closed_form(
-                point.times, point.omega_tilde, gamma,
-                lambda t, _w, g: math.exp(-g * t))
-            assert abs(kernel - point.loss_free) <= 1.0e-12
-            p_model = traploss_mod.P_MODELS[cfg.scan.p_model]
-            envelope = p_model(point.times.t_resonant, point.omega_tilde, gamma)
-            assert point.loss_cavity <= envelope + 1.0e-15
-            assert 0.0 <= point.loss_cavity <= 1.0
-            assert 0.0 <= point.loss_free <= 1.0
+        grid = traploss_mod.scan_grid(deltas, cav, params, cfg.scan.p_model,
+                                      allow_out_of_window=True)
+        times, l_c, l_o = grid.times, grid.loss_cavity, grid.loss_free
+        delta_mhz = grid.delta / TWO_PI_MHZ
+        kernel = traploss_mod.loss_closed_form(
+            times, grid.omega_tilde, gamma, lambda t, _w, g: np.exp(-g * t))
+        _require(np.abs(kernel - l_o) <= 1.0e-12, "exp(-Gamma*t) kernel = L_o",
+                 delta_mhz=delta_mhz, kernel=kernel, loss_free=l_o)
+        envelope = traploss_mod.P_MODELS[cfg.scan.p_model](
+            times.t_resonant, grid.omega_tilde, gamma)
+        _require(l_c <= envelope + 1.0e-15, "L_c <= p(t_c)",
+                 delta_mhz=delta_mhz, loss_cavity=l_c, p_tc=envelope)
+        _require((0.0 <= l_c) & (l_c <= 1.0) & (0.0 <= l_o) & (l_o <= 1.0),
+                 "0 <= L <= 1", delta_mhz=delta_mhz, loss_cavity=l_c,
+                 loss_free=l_o)
+        series = np.array([traploss_mod.loss_series(
+            point.times, point.omega_tilde, gamma, cfg.scan.p_model)[0]
+            for point in grid.points()])
+        _require(np.abs(series - l_c) <= 1.0e-12, "series = closed form",
+                 delta_mhz=delta_mhz, series=series, loss_cavity=l_c)
 
     def landau_zener_monotonic():
         omegas = np.linspace(0.0, 2.0e6, 10)

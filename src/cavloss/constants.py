@@ -29,7 +29,6 @@ HBAR = PLANCK_H / (2.0 * math.pi)  # 1.0545718176461565e-27 erg*s
 AMU_G = 1.66053906660e-24          # g
 KB_ERG = 1.380649e-16              # erg/K
 
-ANG_CM = 1.0e-8                    # cm per Angstrom
 ANG3_CM3 = 1.0e-24                 # cm^3 per Angstrom^3
 
 #: Rb-85 atomic mass in amu; a documented default, overridable in config.

@@ -25,8 +25,9 @@ minima and maxima on L_c while L_o stays smooth.
 
 :func:`loss_grid` computes the whole chain, coupling -> radii and times
 (:func:`~cavloss.kinematics.collision_times`) -> kernel -> losses, over
-an array of detunings at once; :func:`loss_point` and
-:func:`scan_detuning` are views of it (see :mod:`cavloss.grid`).
+an array of detunings at once, as one :class:`LossPoint` of arrays;
+:func:`loss_point` and :func:`scan_detuning` are its rows as records of
+floats, split by :meth:`LossPoint.points` (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -63,49 +64,32 @@ SERIES_REL_CUTOFF = 1.0e-15
 
 @dataclass(frozen=True)
 class LossPoint:
-    """One record of the detuning scan."""
+    """The scan at one detuning as floats, or at a grid as one array each."""
 
     delta: float             # rad/s
     omega_tilde: float       # rad/s
     n_pairs: float
-    times: CollisionTimes
+    times: CollisionTimes    # the bundle collision_times returned
     phase: float             # omega_tilde * t_c, rad
     loss_cavity: float
     loss_free: float
 
-
-@dataclass(frozen=True)
-class LossGrid:
-    """The detuning scan as columns: one array per quantity of LossPoint."""
-
-    delta: np.ndarray            # rad/s
-    omega_tilde: np.ndarray      # rad/s
-    n_pairs: np.ndarray
-    r_condon: np.ndarray         # cm
-    r_escape: np.ndarray         # cm
-    r_ratio: np.ndarray
-    t_total: np.ndarray          # s
-    frac_resonant: np.ndarray
-    t_resonant: np.ndarray       # s
-    t_escape_region: np.ndarray  # s
-    phase: np.ndarray            # omega_tilde * t_c, rad
-    loss_cavity: np.ndarray
-    loss_free: np.ndarray
-
     def points(self) -> list[LossPoint]:
         """One LossPoint of builtin floats per detuning."""
-        columns = (self.delta, self.omega_tilde, self.n_pairs, self.r_condon,
-                   self.r_escape, self.r_ratio, self.t_total,
-                   self.frac_resonant, self.t_resonant, self.t_escape_region,
-                   self.phase, self.loss_cavity, self.loss_free)
+        times, geometry = self.times, self.times.geometry
+        columns = np.broadcast_arrays(*map(as_grid, (
+            self.delta, self.omega_tilde, self.n_pairs, times.t_total,
+            times.frac_resonant, times.t_resonant, times.t_escape_region,
+            times.t_prime, geometry.r_condon, geometry.r_escape,
+            geometry.r_ratio, self.phase, self.loss_cavity, self.loss_free)))
         return [
             LossPoint(delta=d, omega_tilde=w, n_pairs=n, times=CollisionTimes(
                 t_total=t0, frac_resonant=f, t_resonant=t_c,
-                t_escape_region=t_e, t_prime=0.0,
+                t_escape_region=t_e, t_prime=t_p,
                 geometry=ResonanceGeometry(detuning=d, r_condon=r_c,
                                            r_escape=r_e, r_ratio=ratio)),
                       phase=phase, loss_cavity=l_c, loss_free=l_o)
-            for d, w, n, r_c, r_e, ratio, t0, f, t_c, t_e, phase, l_c, l_o
+            for d, w, n, t0, f, t_c, t_e, t_p, r_c, r_e, ratio, phase, l_c, l_o
             in zip(*(column.tolist() for column in columns))]
 
 
@@ -191,7 +175,7 @@ def loss_no_cavity(times: CollisionTimes, gamma: float):
 
 
 def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
-              p_model: Union[str, PModel] = "approx") -> LossGrid:
+              p_model: Union[str, PModel] = "approx") -> LossPoint:
     """Everything the scan reports, at every detuning at once, in given order.
 
     A floating-point overflow or invalid operation anywhere in the chain
@@ -204,15 +188,9 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
         times = collision_times(delta, omega_tilde, params)
         loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
         loss_free = loss_no_cavity(times, gamma)
-    geometry = times.geometry
-    return LossGrid(delta=delta, omega_tilde=omega_tilde, n_pairs=n_pairs,
-                    r_condon=geometry.r_condon, r_escape=geometry.r_escape,
-                    r_ratio=geometry.r_ratio, t_total=times.t_total,
-                    frac_resonant=times.frac_resonant,
-                    t_resonant=times.t_resonant,
-                    t_escape_region=times.t_escape_region,
-                    phase=omega_tilde * times.t_resonant,
-                    loss_cavity=loss_cavity, loss_free=loss_free)
+    return LossPoint(delta=delta, omega_tilde=omega_tilde, n_pairs=n_pairs,
+                     times=times, phase=omega_tilde * times.t_resonant,
+                     loss_cavity=loss_cavity, loss_free=loss_free)
 
 
 def loss_point(delta: float, cavity: CavityConfig, params: PhysicalParams,
@@ -231,7 +209,7 @@ def in_default_window(delta):
 def scan_grid(deltas: Sequence[float], cavity: CavityConfig,
               params: PhysicalParams,
               p_model: Union[str, PModel] = "approx", *,
-              allow_out_of_window: bool = False) -> LossGrid:
+              allow_out_of_window: bool = False) -> LossPoint:
     """The loss over a detuning grid as columns, ordered by ascending delta.
 
     Detunings outside the default window are rejected unless

@@ -199,6 +199,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             make_config(density=-1.0)
 
+    def test_rejects_nan_length_naming_the_field(self):
+        with pytest.raises(ConfigError, match=r"^cavity\.length_cm must be "
+                                              r"positive, got nan$"):
+            make_config(length=math.nan)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError, match="coupling.mode"):
             make_config(mode="mystery")

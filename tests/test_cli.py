@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import cavloss
-from cavloss import cavity, cli, in_default_window, kinematics, potential
+from cavloss import (cavity, cli, in_default_window, kinematics, potential,
+                     traploss)
 from cavloss.cli import TWO_PI_MHZ, RunConfig, main
 from oracles import percent_csv_oracle
 
@@ -449,6 +450,17 @@ class TestConfigHandling:
          "scan.allow_out_of_window"),
         ({"scan": {"points": 1_000_001}}, ["scan"], "scan.points"),
         ({}, ["scan", "--points", "1000001"], "scan.points"),
+        ({"cavity": {"length_cm": 0.0}}, ["constants"],
+         "error: cavity.length_cm must be positive, got 0.0\n"),
+        ({"cavity": {"n_atoms": -2.0e9}}, ["times", "--delta-mhz", "-350"],
+         "error: cavity.n_atoms must be positive, got -2000000000.0\n"),
+        ({"cavity": {"density_cm3": 0}}, ["dynamics", "--delta-mhz", "-350"],
+         "error: cavity.density_cm3 must be positive, got 0.0\n"),
+        ({"coupling": {"v_inf_cm_s": -3}}, ["scan"],
+         "error: coupling.v_inf_cm_s must be positive, got -3.0\n"),
+        ({"coupling": {"v_inf_cm_s": 0.0},
+          "scan": {"include_p_excite": True}}, ["scan"],
+         "error: coupling.v_inf_cm_s must be positive, got 0.0\n"),
     ])
     def test_non_finite_or_non_integral_exits_2(self, capsys, tmp_path,
                                                 document, argv, name):
@@ -586,6 +598,9 @@ class TestValidateCommand:
         (cavity, "landau_zener",
          lambda delta, omega, v_inf, params: np.ones(np.shape(omega)),
          "cavity.landau_zener_monotonic"),
+        (traploss, "loss_no_cavity",
+         lambda times, gamma: np.zeros(np.shape(times.t_resonant)),
+         "traploss.scan_identities"),
     ])
     def test_failing_check_names_first_sample(self, capsys, monkeypatch,
                                               module, name, fake, check):

@@ -23,7 +23,7 @@ from cavloss import (CavityConfig, DomainError, HumanUnitsConfig,
 from cavloss.dynamics import _branch
 from oracles import TWO_PI_MHZ
 
-#: LossPoint quantities and the LossGrid column holding each
+#: each LossPoint quantity, of a record of floats or of arrays
 COLUMNS = {
     "omega_tilde": lambda p: p.omega_tilde,
     "n_pairs": lambda p: p.n_pairs,
@@ -105,7 +105,7 @@ def test_rows_equal_loss_point_bitwise(case):
         alone = replace(point, times=collision_times(delta, point.omega_tilde,
                                                      params))
         for name, of_point in COLUMNS.items():
-            column = getattr(grid, name)[i].hex()
+            column = of_point(grid)[i].hex()
             assert column == of_point(point).hex(), name
             assert column == of_point(alone).hex(), name
 
@@ -151,7 +151,7 @@ def test_loss_identities(case):
 
 def test_overdamped_example_takes_the_hyperbolic_branch():
     params, _, _, _, grid = run_case(OVERDAMPED)
-    for t in (grid.t_resonant, 2.0 * grid.t_resonant):
+    for t in (grid.times.t_resonant, 2.0 * grid.times.t_resonant):
         assert np.all(_branch(t, grid.omega_tilde, params.gamma_mol) == 2)
 
 

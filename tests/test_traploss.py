@@ -1,6 +1,7 @@
 """Single- and multiple-passage loss, closed forms, and the detuning scan."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      collision_times, in_default_window, loss_closed_form,
                      loss_grid, loss_no_cavity, loss_point, loss_series,
                      p_omega_approx, resolve_params, scan_detuning,
-                     single_passage_loss)
+                     scan_grid, single_passage_loss, traploss)
 from oracles import TWO_PI_MHZ, DenseFractionOracle, loss_series_reference
 
 RB85 = resolve_params(HumanUnitsConfig())
@@ -330,3 +331,37 @@ class TestScan:
         point = loss_point(DELTA_350, make_cavity(), RB85, "approx")
         assert point.phase == point.omega_tilde * point.times.t_resonant
         assert point.n_pairs > 0.0
+
+    def test_grid_times_are_the_collision_times_bundle(self, monkeypatch):
+        returned = []
+
+        def recorded(*args):
+            returned.append(collision_times(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(traploss, "collision_times", recorded)
+        deltas = np.linspace(-900.0, -400.0, 7) * TWO_PI_MHZ
+        grid = scan_grid(deltas, make_cavity(), RB85)
+        assert len(returned) == 1 and grid.times is returned[0]
+        assert grid.times.t_resonant.shape == (7,)
+
+    def test_points_of_floats_and_of_arrays(self):
+        deltas = np.linspace(-900.0, -400.0, 7) * TWO_PI_MHZ
+        grid = loss_grid(deltas, make_cavity(), RB85)
+        rows = grid.points()
+        assert len(rows) == 7
+        for delta, row in zip(deltas.tolist(), rows):
+            point = loss_point(delta, make_cavity(), RB85)
+            assert row == point and point.points() == [point]
+            assert type(row.loss_cavity) is float
+            assert type(row.times.geometry.r_condon) is float
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1]
+    block = block.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[-1] == "True"
