@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 27 runs below
+    python3 scripts/same_bytes.py REV          # the 31 runs below
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -41,6 +41,7 @@ CONFIGS = {
     "decay_free.json": {"species": {"gamma_a_mhz": 0.0}},
     "decay_free_micro.json": {"species": {"gamma_a_mhz": 0.0},
                               "coupling": {"mode": "microscopic"}},
+    "zero_length.json": {"cavity": {"length_cm": 0}},
     "wide_p17.json": {"output": {"precision": 17},
                       "coupling": {"mode": "microscopic"},
                       "scan": {"points": 2000, "from_mhz": -1500.0,
@@ -51,7 +52,8 @@ CONFIGS = {
 }
 
 #: (name, argv) of every run: every command, both kernels and couplings,
-#: out-of-window and refused scans, precision 17 and the decay-free limit
+#: out-of-window and refused scans, a refused validate config, refused
+#: dynamics steps, precision 17 and the decay-free limit
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -83,6 +85,12 @@ RUNS = [
                              "--delta-mhz", "-350"]),
     ("dynamics-decay-free-micro", ["--config", "decay_free_micro.json",
                                    "dynamics", "--delta-mhz", "-350"]),
+    ("validate-zero-length", ["--config", "zero_length.json", "validate"]),
+    ("dynamics-coarse-dt", ["dynamics", "--delta-mhz", "-350",
+                            "--dt-ps", "1000"]),
+    ("dynamics-zero-dt", ["dynamics", "--delta-mhz", "-350", "--dt-ps", "0"]),
+    ("dynamics-negative-t", ["dynamics", "--delta-mhz", "-350",
+                             "--t-max-ns", "-1"]),
 ]
 
 #: the runs --all adds: a 5 000-point scan and a dynamics run at every

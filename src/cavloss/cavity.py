@@ -16,7 +16,9 @@ Two coupling modes are supported:
 
 The mode frequency is not configured: it tracks the scan point as
 omega_c = omega_a + delta.  Every quantity that depends on the detuning
-or the mode frequency is elementwise over grids (see :mod:`cavloss.grid`).
+or the mode frequency is elementwise over grids (see :mod:`cavloss.grid`);
+:func:`coupling` returns Omega, N and Omega~ as one :class:`CouplingPoint`
+of floats or arrays.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class CavityConfig:
 
 @dataclass(frozen=True)
 class CouplingPoint:
-    """Coupling quantities at one detuning."""
+    """Coupling quantities, as floats or as one array each."""
 
     delta: float          # rad/s
     omega_single: float   # averaged single quasimolecule Rabi frequency, rad/s
@@ -141,8 +143,9 @@ def pair_count(delta, config: CavityConfig, params: PhysicalParams):
                 * (gamma / grid) ** 2, delta)
 
 
-def coupling(delta, config: CavityConfig, params: PhysicalParams):
-    """``(omega_single, n_pairs, omega_tilde)`` at each detuning.
+def coupling(delta, config: CavityConfig,
+             params: PhysicalParams) -> CouplingPoint:
+    """The collective coupling, elementwise over detunings.
 
     The mode frequency tracks the scan point: omega_c = omega_a + delta.
     In anchored mode the pair count N is back-filled from omega_tilde.
@@ -159,14 +162,9 @@ def coupling(delta, config: CavityConfig, params: PhysicalParams):
         n_pairs = np.divide(omega_tilde, omega_single,
                             where=omega_single > 0.0,
                             out=np.full_like(omega_tilde, math.inf)) ** 2
-    return (like(omega_single, delta), like(n_pairs, delta),
-            like(omega_tilde, delta))
-
-
-def collective_rabi(delta: float, config: CavityConfig,
-                    params: PhysicalParams) -> CouplingPoint:
-    """Collective Rabi frequency at one detuning, with N back-filled."""
-    return CouplingPoint(delta, *coupling(delta, config, params))
+    return CouplingPoint(delta=delta, omega_single=like(omega_single, delta),
+                         n_pairs=like(n_pairs, delta),
+                         omega_tilde=like(omega_tilde, delta))
 
 
 def landau_zener(delta, omega_tilde, v_inf: float, params: PhysicalParams):

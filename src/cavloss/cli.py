@@ -263,7 +263,7 @@ def cmd_constants(cfg: RunConfig) -> str:
         f"coupling_mode={cfg.coupling.mode}",
     ]
     if cfg.coupling.mode == "microscopic":
-        point = cavity_mod.collective_rabi(cav.delta_ref, cav, params)
+        point = cavity_mod.coupling(cav.delta_ref, cav, params)
         lines.append(f"n_pairs_at_delta_ref={point.n_pairs!r}")
         lines.append(f"omega_tilde_at_delta_ref_mhz={point.omega_tilde / TWO_PI_MHZ!r}")
     return "\n".join(lines) + "\n"
@@ -281,10 +281,9 @@ def cmd_times(cfg: RunConfig, delta_mhz: float) -> str:
     cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
     with float_range("the collision times"):
-        coupling = cavity_mod.collective_rabi(delta, cav, params)
-        times = kinematics_mod.collision_times(delta, coupling.omega_tilde,
-                                               params)
-        phase = coupling.omega_tilde * times.t_resonant
+        omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
+        times = kinematics_mod.collision_times(delta, omega_tilde, params)
+        phase = omega_tilde * times.t_resonant
     row = (delta_mhz, times.geometry.r_condon * 1.0e8,
            times.geometry.r_escape * 1.0e8, times.t_total,
            times.frac_resonant, times.t_resonant, times.t_escape_region,
@@ -310,8 +309,7 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
     with float_range("the collective coupling"):
-        coupling = cavity_mod.collective_rabi(delta, cav, params)
-    omega_tilde = coupling.omega_tilde
+        omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
     gamma = params.gamma_mol
     t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
     times, states = dynamics_mod.integrate_grid(
@@ -412,11 +410,12 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     def escape_offset():
         # compare the potential parts: the omega_a offsets cancel exactly
         # in algebra but would swamp the 1e-12 target in floating point
-        omega_tilde = cavity_mod.coupling(delta_samples, cav, params)[2]
-        r_e, _ = potential_mod.escape_radius(delta_samples, omega_tilde, params)
-        r_c = potential_mod.condon_radius(delta_samples, params)
-        shift = (potential_mod.u_dd(r_e, params)
-                 - potential_mod.u_dd(r_c, params)) / HBAR
+        omega_tilde = cavity_mod.coupling(
+            delta_samples, cav, params).omega_tilde
+        geometry = potential_mod.resonance_geometry(delta_samples,
+                                                    omega_tilde, params)
+        shift = (potential_mod.u_dd(geometry.r_escape, params)
+                 - potential_mod.u_dd(geometry.r_condon, params)) / HBAR
         _require(np.abs(shift + omega_tilde) <= 1.0e-12 * omega_tilde,
                  "U_dd(R_E) - U_dd(R_C) = -hbar*omega_tilde",
                  delta_mhz=delta_samples / TWO_PI_MHZ, shift=shift,
@@ -449,7 +448,8 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     def phase_single_cycle():
         # exceeding one cycle is expected near the window edge, so only
         # the phase itself is checked
-        omega_tilde = cavity_mod.coupling(delta_samples, cav, params)[2]
+        omega_tilde = cavity_mod.coupling(
+            delta_samples, cav, params).omega_tilde
         t_c = (kinematics_mod.total_time(delta_samples, params)
                * kinematics_mod.fraction_f(delta_samples, omega_tilde))
         phase = omega_tilde * t_c
@@ -458,14 +458,15 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
             f"phase omega_tilde*t_c = {phase[~valid][0].item()!r}"
 
     def coupling_identity():
-        omega_single, n_pairs, omega_tilde = cavity_mod.coupling(
-            delta_samples, cav, params)
+        point = cavity_mod.coupling(delta_samples, cav, params)
+        omega_tilde = point.omega_tilde
         delta_mhz = delta_samples / TWO_PI_MHZ
         if cfg.coupling.mode == "microscopic":
-            _require(np.abs(omega_tilde**2 - n_pairs * omega_single**2)
+            collective = point.n_pairs * point.omega_single**2
+            _require(np.abs(omega_tilde**2 - collective)
                      <= 1.0e-12 * omega_tilde**2, "omega_tilde^2 = N*Omega^2",
                      delta_mhz=delta_mhz, omega_tilde=omega_tilde,
-                     n_pairs=n_pairs, omega_single=omega_single)
+                     n_pairs=point.n_pairs, omega_single=point.omega_single)
         else:
             products = omega_tilde * np.abs(delta_samples)
             ref = products[0]
@@ -474,7 +475,7 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
                      product=products, first_product=ref)
 
     def dynamics_fidelity():
-        omega_tilde = cavity_mod.collective_rabi(delta_mid, cav, params).omega_tilde
+        omega_tilde = cavity_mod.coupling(delta_mid, cav, params).omega_tilde
         gamma = params.gamma_mol
         t_end, dt = dynamics_mod.default_run(omega_tilde, gamma)
         times, states = dynamics_mod.integrate_grid(
@@ -553,10 +554,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     """Run every invariant check; returns (report, exit status)."""
     lines = []
     failures = 0
-    try:
-        checks = _validation_checks(cfg)
-    except CavlossError as exc:
-        return f"FAIL setup: {exc}\n", 1
+    checks = _validation_checks(cfg)
     for name, check in checks:
         try:
             check()
@@ -689,6 +687,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(cfg, cmd_times(cfg, args.delta_mhz))
             _window_note(args.delta_mhz)
         elif args.command == "dynamics":
+            if args.t_max_ns is not None and args.t_max_ns < 0.0:
+                raise DomainError(
+                    f"--t-max-ns must be >= 0, got {args.t_max_ns!r}")
+            if args.dt_ps is not None and args.dt_ps <= 0.0:
+                raise DomainError(
+                    f"--dt-ps must be positive, got {args.dt_ps!r}")
             t_max = args.t_max_ns * 1.0e-9 if args.t_max_ns is not None else None
             dt = args.dt_ps * 1.0e-12 if args.dt_ps is not None else None
             _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, t_max, dt))

@@ -63,7 +63,7 @@ from .grid import as_grid, like, refuse
 #: relative half-width of the band reported as critically damped
 CRITICAL_BAND = 1.0e-6
 
-#: minimum number of steps per fastest cycle enforced by default
+#: minimum number of steps per fastest cycle, always enforced
 STEPS_PER_CYCLE = 200
 
 #: most steps one integration may take; every step is kept as a sample
@@ -152,7 +152,7 @@ def master_rhs(state: ReducedState, omega_tilde: float,
 
 
 def max_stable_dt(omega_tilde: float, gamma: float) -> float:
-    """Default step-size ceiling: 1/STEPS_PER_CYCLE of the fastest cycle."""
+    """Step-size ceiling: 1/STEPS_PER_CYCLE of the fastest cycle."""
     regime = rabi_regime(omega_tilde, gamma)
     rate = max(regime.beta if regime.regime == "underdamped" else 0.0, gamma)
     if rate == 0.0:
@@ -206,28 +206,25 @@ def _powers(m: np.ndarray, count: int) -> np.ndarray:
 
 
 def integrate_grid(initial: ReducedState, omega_tilde: float, gamma: float,
-                   t_end: float, dt: float, *, allow_coarse_dt: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over [0, t_end]: the sample times and states.
 
     Returns ``(times, states)`` with ``times = arange(n + 1) * h`` and
     ``states[k]`` the :func:`state_vector` after k steps, one row per
     sample.  The step h is ``dt`` shrunk slightly so an integer number n
     of steps lands exactly on ``t_end``.  Steps coarser than
-    :func:`max_stable_dt` are rejected unless ``allow_coarse_dt`` is
-    set; a run of more than :data:`MAX_STEPS` steps is always rejected,
-    before anything is allocated.
+    :func:`max_stable_dt` are rejected, and so is a run of more than
+    :data:`MAX_STEPS` steps, before anything is allocated.
     """
     if not dt > 0.0:   # NaN fails too
         raise DomainError(f"dt must be positive, got {dt!r}")
     if not t_end >= 0.0:
         raise DomainError(f"t_end must be >= 0, got {t_end!r}")
     dt_max = max_stable_dt(omega_tilde, gamma)
-    if dt > dt_max and not allow_coarse_dt:
+    if dt > dt_max:
         raise StepSizeError(
             f"dt={dt:.6e} exceeds the enforced ceiling {dt_max:.6e} s "
-            f"({STEPS_PER_CYCLE} steps per fastest cycle); pass "
-            f"allow_coarse_dt=True to override")
+            f"({STEPS_PER_CYCLE} steps per fastest cycle)")
     steps = t_end / dt
     if steps - 1.0e-9 > MAX_STEPS:   # before anything is allocated
         raise DomainError(
@@ -250,11 +247,10 @@ def integrate_grid(initial: ReducedState, omega_tilde: float, gamma: float,
 
 
 def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
-                     t_end: float, dt: float, *, allow_coarse_dt: bool = False
+                     t_end: float, dt: float
                      ) -> list[tuple[float, ReducedState]]:
     """:func:`integrate_grid` as a list of (t, state) samples."""
-    times, states = integrate_grid(initial, omega_tilde, gamma, t_end, dt,
-                                   allow_coarse_dt=allow_coarse_dt)
+    times, states = integrate_grid(initial, omega_tilde, gamma, t_end, dt)
     return [(t, _reduced_state(row))
             for t, row in zip(times.tolist(), states.tolist())]
 

@@ -152,12 +152,12 @@ def collision_times(delta, omega_tilde,
     )
 
 
-def phase_exceeds_single_cycle(phase: float, margin: float = 0.0) -> bool:
+def phase_exceeds_single_cycle(phase: float) -> bool:
     """Audit flag: does omega_tilde * t_c exceed one Rabi cycle?
 
     The semiclassical treatment assumes the resonant passage completes
-    at most a single cycle; exceeding 2*pi*(1 + margin) is reported as
-    a flag, never a failure (the shipped preset itself reaches 2.3 pi
-    at the smallest |delta|).
+    at most a single cycle; exceeding 2*pi is reported as a flag, never
+    a failure (the shipped preset itself reaches 2.3 pi at the smallest
+    |delta|).
     """
-    return phase > 2.0 * math.pi * (1.0 + margin)
+    return phase > 2.0 * math.pi

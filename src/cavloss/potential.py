@@ -61,15 +61,6 @@ def escape_ratio(delta, omega_tilde):
                 delta, omega_tilde)
 
 
-def escape_radius(delta, omega_tilde, params: PhysicalParams):
-    """Off-resonance boundary ``(r_escape, r_ratio)``; see :func:`escape_ratio`.
-
-    omega_tilde = 0 gives r_escape = r_condon.
-    """
-    ratio = escape_ratio(delta, omega_tilde)
-    return condon_radius(delta, params) * ratio, ratio
-
-
 def potential_slope(r, params: PhysicalParams):
     """|U'(r)| = 3*C3/r^4 (erg/cm); equals 3*hbar*|delta|/R_C at r = R_C."""
     grid = as_grid(r)

@@ -23,11 +23,14 @@ independently colliding pairs.  Scanning the detuning sweeps the phase
 omega_tilde*t_c through several half-cycles, which is what imprints
 minima and maxima on L_c while L_o stays smooth.
 
-:func:`loss_grid` computes the whole chain, coupling -> radii and times
+:func:`loss_grid` computes the whole chain, coupling
+(:func:`~cavloss.cavity.coupling`) -> radii and times
 (:func:`~cavloss.kinematics.collision_times`) -> kernel -> losses, over
 an array of detunings at once, as one :class:`LossPoint` of arrays;
-:func:`loss_point` and :func:`scan_detuning` are its rows as records of
-floats, split by :meth:`LossPoint.points` (see :mod:`cavloss.grid`).
+:func:`scan_grid` is that chain over a checked scan grid.
+:meth:`LossPoint.points` splits a record into records of floats, one
+per detuning, and :func:`loss_point` is the one at a single detuning
+(see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -120,13 +123,12 @@ def _series_ratio(times: CollisionTimes, omega_tilde: float, gamma: float,
 
 
 def loss_series(times: CollisionTimes, omega_tilde: float, gamma: float,
-                p_model: Union[str, PModel],
-                max_terms: int = SERIES_MAX_TERMS) -> tuple[float, int]:
+                p_model: Union[str, PModel]) -> tuple[float, int]:
     """Multiple-passage loss by direct summation; returns (value, terms).
 
     The per-passage factors form a geometric series; summation stops
     once a term falls below SERIES_REL_CUTOFF of the partial sum or
-    ``max_terms`` is reached.
+    SERIES_MAX_TERMS terms are added.
     """
     p = _resolve_p_model(p_model)
     ratio = _series_ratio(times, omega_tilde, gamma, p)
@@ -137,7 +139,7 @@ def loss_series(times: CollisionTimes, omega_tilde: float, gamma: float,
     term = single_passage_loss(times, omega_tilde, gamma, p)
     total = 0.0
     terms_used = 0
-    for _ in range(max_terms):
+    for _ in range(SERIES_MAX_TERMS):
         total += term
         terms_used += 1
         term *= ratio
@@ -184,12 +186,14 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
     delta = as_grid(deltas)   # coupling refuses a detuning that is not red
     gamma = params.gamma_mol
     with float_range("the loss chain"):
-        _, n_pairs, omega_tilde = coupling(delta, cavity, params)
+        point = coupling(delta, cavity, params)
+        omega_tilde = point.omega_tilde
         times = collision_times(delta, omega_tilde, params)
         loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
         loss_free = loss_no_cavity(times, gamma)
-    return LossPoint(delta=delta, omega_tilde=omega_tilde, n_pairs=n_pairs,
-                     times=times, phase=omega_tilde * times.t_resonant,
+    return LossPoint(delta=delta, omega_tilde=omega_tilde,
+                     n_pairs=point.n_pairs, times=times,
+                     phase=omega_tilde * times.t_resonant,
                      loss_cavity=loss_cavity, loss_free=loss_free)
 
 
@@ -232,12 +236,3 @@ def scan_grid(deltas: Sequence[float], cavity: CavityConfig,
             f"validity window {DEFAULT_WINDOW_MHZ} MHz; pass "
             f"allow_out_of_window=True to override")
     return loss_grid(np.sort(grid), cavity, params, p_model)
-
-
-def scan_detuning(deltas: Sequence[float], cavity: CavityConfig,
-                  params: PhysicalParams,
-                  p_model: Union[str, PModel] = "approx", *,
-                  allow_out_of_window: bool = False) -> list[LossPoint]:
-    """:func:`scan_grid` as one LossPoint per detuning."""
-    return scan_grid(deltas, cavity, params, p_model,
-                     allow_out_of_window=allow_out_of_window).points()

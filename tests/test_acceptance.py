@@ -13,12 +13,11 @@ import pytest
 
 from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      DivergenceError, DomainError, EXCITED_STATE,
-                     HumanUnitsConfig, collective_rabi, collision_times,
-                     condon_radius, fraction_f, g0_constant,
-                     integrate_master, landau_zener, loss_closed_form,
-                     loss_no_cavity, loss_series, max_stable_dt,
-                     p_omega_analytic, pair_count, resolve_params,
-                     scan_detuning, total_time)
+                     HumanUnitsConfig, collision_times, condon_radius,
+                     coupling, fraction_f, g0_constant, integrate_master,
+                     landau_zener, loss_closed_form, loss_no_cavity,
+                     loss_series, max_stable_dt, p_omega_analytic,
+                     pair_count, resolve_params, scan_grid, total_time)
 from cavloss.cli import build_run_config, cmd_constants, cmd_times, main
 from oracles import TWO_PI_MHZ, g0_oracle
 
@@ -56,7 +55,7 @@ def times_row():
 @pytest.fixture(scope="module")
 def default_scan():
     deltas = [m * TWO_PI_MHZ for m in np.linspace(-1000.0, -350.0, 200)]
-    return scan_detuning(deltas, make_cavity(), RB85, "approx")
+    return scan_grid(deltas, make_cavity(), RB85, "approx").points()
 
 
 def test_01_condon_radius():
@@ -115,7 +114,7 @@ def test_07_pair_count():
 
 
 def test_08_anchored_coupling():
-    omega = collective_rabi(-1000.0 * TWO_PI_MHZ, make_cavity(), RB85).omega_tilde
+    omega = coupling(-1000.0 * TWO_PI_MHZ, make_cavity(), RB85).omega_tilde
     mhz = omega / TWO_PI_MHZ
     verdict("08 anchored coupling", abs(mhz - 70.0) <= 0.01 * 70.0,
             f"Omega~(-1 GHz)/2pi={mhz:.4f} MHz vs 70 +-1%")
@@ -247,7 +246,7 @@ def test_13_degenerate_inputs(capsys):
                 lambda d: fraction_f(d, OMEGA_200),
                 lambda d: collision_times(d, OMEGA_200, RB85),
                 lambda d: pair_count(d, make_cavity(), RB85),
-                lambda d: collective_rabi(d, make_cavity(), RB85),
+                lambda d: coupling(d, make_cavity(), RB85),
                 lambda d: landau_zener(d, OMEGA_200, 12.0, RB85),
         ):
             try:
@@ -256,15 +255,15 @@ def test_13_degenerate_inputs(capsys):
             except DomainError:
                 pass
     try:
-        scan_detuning([-400.0 * TWO_PI_MHZ, abs(DELTA_350)], make_cavity(),
-                      RB85, "approx", allow_out_of_window=True)
+        scan_grid([-400.0 * TWO_PI_MHZ, abs(DELTA_350)], make_cavity(),
+                  RB85, "approx", allow_out_of_window=True)
         ok = False
     except ConfigError:
         pass
     # out-of-window detunings need the override flag
     try:
-        scan_detuning([-1500.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ],
-                      make_cavity(), RB85, "approx")
+        scan_grid([-1500.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ],
+                  make_cavity(), RB85, "approx")
         ok = False
     except ConfigError:
         pass

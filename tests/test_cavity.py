@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavloss import (CavityConfig, ConfigError, DomainError,
-                     HumanUnitsConfig, atomic_dipole, collective_rabi,
+                     HumanUnitsConfig, atomic_dipole, coupling,
                      field_per_photon, landau_zener, mode_geometry,
                      molecular_dipole, pair_count, resolve_params, single_rabi)
 from cavloss.constants import C_LIGHT, HBAR
@@ -123,37 +123,37 @@ class TestPairCount:
 
 class TestCollectiveRabi:
     def test_anchored_reference_point(self):
-        point = collective_rabi(DELTA_REF, make_config(), RB85)
+        point = coupling(DELTA_REF, make_config(), RB85)
         assert point.omega_tilde == pytest.approx(200.0 * TWO_PI_MHZ,
                                                   rel=1.0e-12)
 
     def test_anchored_inverse_detuning(self):
-        point = collective_rabi(-1000.0 * TWO_PI_MHZ, make_config(), RB85)
+        point = coupling(-1000.0 * TWO_PI_MHZ, make_config(), RB85)
         assert point.omega_tilde / TWO_PI_MHZ == pytest.approx(70.0, rel=1.0e-9)
 
     def test_anchored_scaling_invariant(self):
         products = []
         for delta_mhz in np.linspace(-1000.0, -350.0, 40):
-            point = collective_rabi(delta_mhz * TWO_PI_MHZ, make_config(), RB85)
+            point = coupling(delta_mhz * TWO_PI_MHZ, make_config(), RB85)
             products.append(point.omega_tilde * abs(point.delta))
         ref = products[0]
         assert all(abs(p - ref) <= 1.0e-12 * ref for p in products)
 
     def test_anchored_backfills_pair_count(self):
-        point = collective_rabi(DELTA_REF, make_config(), RB85)
+        point = coupling(DELTA_REF, make_config(), RB85)
         assert point.n_pairs == pytest.approx(
             (point.omega_tilde / point.omega_single) ** 2, rel=1.0e-12)
 
     def test_microscopic_identity(self):
         config = make_config(mode="microscopic")
         for delta_mhz in np.linspace(-1000.0, -350.0, 40):
-            point = collective_rabi(delta_mhz * TWO_PI_MHZ, config, RB85)
+            point = coupling(delta_mhz * TWO_PI_MHZ, config, RB85)
             assert abs(point.omega_tilde**2
                        - point.n_pairs * point.omega_single**2) \
                 <= 1.0e-12 * point.omega_tilde**2
 
     def test_microscopic_near_anchor(self):
-        point = collective_rabi(DELTA_REF, make_config(mode="microscopic"), RB85)
+        point = coupling(DELTA_REF, make_config(mode="microscopic"), RB85)
         assert point.omega_tilde / (200.0 * TWO_PI_MHZ) < 1.3
         assert point.omega_tilde / (200.0 * TWO_PI_MHZ) > 1.0 / 1.3
 
@@ -165,7 +165,7 @@ class TestCollectiveRabi:
 
     def test_rejects_positive_detuning(self):
         with pytest.raises(DomainError):
-            collective_rabi(abs(DELTA_REF), make_config(), RB85)
+            coupling(abs(DELTA_REF), make_config(), RB85)
 
 
 class TestLandauZener:

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -241,6 +242,22 @@ class TestDynamicsCommand:
                                       "--dt-ps", "1000"])
         assert code == 2 and out == ""
         assert "ceiling" in err
+
+    def test_coarse_step_offers_no_override(self, capsys):
+        # the step ceiling is always enforced; no flag lifts it
+        _, _, err = run(capsys, ["dynamics", "--delta-mhz", "-350",
+                                 "--dt-ps", "1000"])
+        assert err.endswith(" s (200 steps per fastest cycle)\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dt-ps", "0", "--dt-ps must be positive, got 0.0"),
+        ("--t-max-ns", "-1", "--t-max-ns must be >= 0, got -1.0"),
+    ])
+    def test_refused_flag_is_named_in_its_unit(self, capsys, flag, value,
+                                               message):
+        code, out, err = run(capsys, ["dynamics", "--delta-mhz", "-350",
+                                      flag, value])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_step_count_cap_exits_2(self, capsys):
         code, out, err = run(capsys, ["dynamics", "--delta-mhz", "-350",
@@ -549,6 +566,19 @@ class TestValidateCommand:
         assert "FAIL" not in out
         assert out.strip().splitlines()[-1].endswith("checks passed")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("cavity", "length_cm", 0),
+        ("species", "lambda_nm", -1),
+        ("coupling", "omega_tilde_ref_mhz", 0),
+    ])
+    def test_refused_config_exits_2(self, capsys, tmp_path, section, key,
+                                    value):
+        # as in every command: no report, and the field named on stderr
+        config = write_config(tmp_path, {section: {key: value}})
+        code, out, err = run(capsys, ["--config", config, "validate"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"{section}.{key}" in err
+
     def test_zero_gamma_reports_loss_failures(self, capsys, tmp_path):
         config = write_config(tmp_path, {"species": {"gamma_a_mhz": 0.0}})
         code, out, _ = run(capsys, ["--config", config, "validate"])
@@ -586,14 +616,17 @@ class TestValidateCommand:
         (potential, "condon_radius",
          lambda delta, params: np.ones(np.shape(delta)),
          "potential.condon_monotonic"),
-        (potential, "escape_radius",
-         lambda delta, omega, params: (np.ones(np.shape(delta)), None),
+        (potential, "resonance_geometry",
+         lambda delta, omega, params: potential.ResonanceGeometry(
+             delta, potential.condon_radius(delta, params),
+             np.ones(np.shape(delta)), None),
          "potential.escape_offset"),
         (kinematics, "total_time",
          lambda delta, params: np.ones(np.shape(delta)),
          "kinematics.t0_monotonic"),
         (cavity, "coupling",
-         lambda delta, cav, params: (np.ones(np.shape(delta)),) * 3,
+         lambda delta, cav, params: cavity.CouplingPoint(
+             delta, *(np.ones(np.shape(delta)),) * 3),
          "cavity.coupling_identity"),
         (cavity, "landau_zener",
          lambda delta, omega, v_inf, params: np.ones(np.shape(omega)),
@@ -644,6 +677,13 @@ def test_csv_matches_percent_oracle(capsys, monkeypatch, tmp_path, document,
     monkeypatch.setattr(cli, "write_csv", percent_csv_oracle)
     assert run(capsys, ["--config", config] + argv) == fast
     assert fast[0] == 0 and fast[1].count("\n") > 1
+
+
+def test_export_list_is_the_public_names():
+    # a stage deleted from its module must leave the export list too
+    public = {name for name, value in vars(cavloss).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(cavloss.__all__) == sorted(public)
 
 
 def test_cli_import_leaves_out_scipy():

@@ -200,7 +200,3 @@ class TestPhaseAudit:
     def test_large_detuning_within_cycle(self):
         times = collision_times(DELTA_1000, OMEGA_70, RB85)
         assert not phase_exceeds_single_cycle(OMEGA_70 * times.t_resonant)
-
-    def test_margin_moves_the_bound(self):
-        assert phase_exceeds_single_cycle(2.2 * math.pi, margin=0.0)
-        assert not phase_exceeds_single_cycle(2.2 * math.pi, margin=0.25)

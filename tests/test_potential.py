@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cavloss import (DomainError, HumanUnitsConfig, condon_radius,
-                     escape_radius, omega_r, potential_slope,
-                     resolve_params, resonance_geometry, u_dd)
+from cavloss import (DomainError, HumanUnitsConfig, condon_radius, omega_r,
+                     potential_slope, resolve_params, resonance_geometry,
+                     u_dd)
 from cavloss.constants import HBAR
 from oracles import TWO_PI_MHZ
 
@@ -54,7 +54,7 @@ class TestSplitting:
         for _ in range(200):
             delta = -rng.uniform(50.0, 2000.0) * TWO_PI_MHZ
             omega_tilde = rng.uniform(1.0, 500.0) * TWO_PI_MHZ
-            r_e, _ = escape_radius(delta, omega_tilde, RB85)
+            r_e = resonance_geometry(delta, omega_tilde, RB85).r_escape
             r_c = condon_radius(delta, RB85)
             shift = (u_dd(r_e, RB85) - u_dd(r_c, RB85)) / HBAR
             assert abs(shift + omega_tilde) <= 1.0e-12 * omega_tilde
@@ -95,24 +95,26 @@ class TestCondonRadius:
 
 class TestEscapeRadius:
     def test_zero_coupling_degenerates_to_condon(self):
-        r_e, ratio = escape_radius(DELTA_350, 0.0, RB85)
-        assert ratio == 1.0
-        assert r_e == condon_radius(DELTA_350, RB85)
+        geometry = resonance_geometry(DELTA_350, 0.0, RB85)
+        assert geometry.r_ratio == 1.0
+        assert geometry.r_escape == condon_radius(DELTA_350, RB85)
 
     def test_reference_ratio(self):
-        _, ratio = escape_radius(DELTA_350, 200.0 * TWO_PI_MHZ, RB85)
+        ratio = resonance_geometry(DELTA_350, 200.0 * TWO_PI_MHZ,
+                                   RB85).r_ratio
         assert ratio == pytest.approx((1.0 + 4.0 / 7.0) ** (-1.0 / 3.0),
                                       rel=1.0e-12)
         assert ratio == pytest.approx(0.8603, abs=5.0e-4)
 
     def test_large_detuning_ratio(self):
-        _, ratio = escape_radius(-1000.0 * TWO_PI_MHZ, 70.0 * TWO_PI_MHZ, RB85)
+        ratio = resonance_geometry(-1000.0 * TWO_PI_MHZ, 70.0 * TWO_PI_MHZ,
+                                   RB85).r_ratio
         assert ratio == pytest.approx(1.07 ** (-1.0 / 3.0), rel=1.0e-12)
         assert ratio == pytest.approx(0.9777, abs=5.0e-5)
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(DomainError):
-            escape_radius(DELTA_350, -1.0, RB85)
+            resonance_geometry(DELTA_350, -1.0, RB85)
 
 
 class TestSlope:

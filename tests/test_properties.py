@@ -15,8 +15,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavloss import (CavityConfig, DomainError, HumanUnitsConfig,
-                     collective_rabi, collision_times, condon_radius,
-                     coupling, escape_radius, fraction_f, landau_zener,
+                     collision_times, condon_radius, coupling, fraction_f,
+                     landau_zener,
                      loss_closed_form, loss_grid, loss_no_cavity, loss_point,
                      loss_series, p_omega_analytic, p_omega_approx,
                      resolve_params, resonance_geometry, total_time)
@@ -116,7 +116,7 @@ def test_rows_equal_loss_point_bitwise(case):
 def test_times_array_matches_scalar(case):
     species, cavity, _, deltas = case
     params = resolve_params(species)
-    omegas = coupling(deltas, cavity, params)[2]
+    omegas = coupling(deltas, cavity, params).omega_tilde
     times = collision_times(deltas, omegas, params)
     geometry = resonance_geometry(deltas, omegas, params)
     for i, (delta, omega) in enumerate(zip(deltas.tolist(), omegas.tolist())):
@@ -213,15 +213,16 @@ def test_kernel_refusals_name_the_first_bad_input(kernel, t, omega, gamma,
 
 
 def test_scalar_views_return_builtin_floats():
-    # numpy scalars would slow the RK4 loop fed by collective_rabi and
+    # numpy scalars would slow the RK4 loop fed by coupling and
     # print as np.float64(...) in the constants report
     species, cavity, _, _ = OVERDAMPED
     params = resolve_params(species)
     delta, omega = -500.0 * TWO_PI_MHZ, 140.0 * TWO_PI_MHZ
     point = loss_point(delta, cavity, params)
     times = collision_times(delta, omega, params)
-    values = [condon_radius(delta, params),
-              *escape_radius(delta, omega, params),
+    geometry = resonance_geometry(delta, omega, params)
+    values = [condon_radius(delta, params), geometry.r_escape,
+              geometry.r_ratio,
               fraction_f(delta, omega), total_time(delta, params),
               landau_zener(delta, omega, 12.0, params),
               p_omega_approx(1.0e-9, omega, 1.0e8),
@@ -232,6 +233,6 @@ def test_scalar_views_return_builtin_floats():
               point.times.geometry.r_escape, point.phase, point.loss_cavity,
               point.loss_free, times.t_total, times.frac_resonant,
               times.geometry.r_condon]
-    coupling = collective_rabi(delta, cavity, params)
-    values += [coupling.omega_single, coupling.n_pairs, coupling.omega_tilde]
+    coupled = coupling(delta, cavity, params)
+    values += [coupled.omega_single, coupled.n_pairs, coupled.omega_tilde]
     assert [type(v) for v in values] == [float] * len(values)

@@ -10,8 +10,8 @@ from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      DivergenceError, DomainError, HumanUnitsConfig,
                      collision_times, in_default_window, loss_closed_form,
                      loss_grid, loss_no_cavity, loss_point, loss_series,
-                     p_omega_approx, resolve_params, scan_detuning,
-                     scan_grid, single_passage_loss, traploss)
+                     p_omega_approx, resolve_params, scan_grid,
+                     single_passage_loss, traploss)
 from oracles import TWO_PI_MHZ, DenseFractionOracle, loss_series_reference
 
 RB85 = resolve_params(HumanUnitsConfig())
@@ -41,7 +41,7 @@ def decay_kernel(t, _omega, gamma):
 @pytest.fixture(scope="module")
 def default_scan():
     deltas = [m * TWO_PI_MHZ for m in np.linspace(-1000.0, -350.0, 200)]
-    return scan_detuning(deltas, make_cavity(), RB85, "approx")
+    return scan_grid(deltas, make_cavity(), RB85, "approx").points()
 
 
 class TestSinglePassage:
@@ -287,12 +287,12 @@ class TestScan:
 
     def test_window_gate(self):
         good = [-900.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ]
-        scan_detuning(good, make_cavity(), RB85, "approx")
+        scan_grid(good, make_cavity(), RB85, "approx")
         outside = [-1200.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ]
         with pytest.raises(ConfigError, match="window"):
-            scan_detuning(outside, make_cavity(), RB85, "approx")
-        points = scan_detuning(outside, make_cavity(), RB85, "approx",
-                               allow_out_of_window=True)
+            scan_grid(outside, make_cavity(), RB85, "approx")
+        points = scan_grid(outside, make_cavity(), RB85, "approx",
+                           allow_out_of_window=True).points()
         assert len(points) == 2
         assert not in_default_window(outside[0])
         assert in_default_window(outside[1])
@@ -309,23 +309,23 @@ class TestScan:
     def test_errors_name_the_first_offender(self):
         mhz = [-400.0, -1200.0, 5.0, -2000.0]
         with pytest.raises(ConfigError) as info:
-            scan_detuning([m * TWO_PI_MHZ for m in mhz], make_cavity(), RB85)
+            scan_grid([m * TWO_PI_MHZ for m in mhz], make_cavity(), RB85)
         assert str(info.value) == (
             "detuning -1200 MHz is outside the validity window "
             "(-1000.0, -350.0) MHz; pass allow_out_of_window=True to override")
         deltas = [-400.0 * TWO_PI_MHZ, 5.0, -1200.0 * TWO_PI_MHZ, 7.0]
         for allow in (False, True):
             with pytest.raises(ConfigError) as info:
-                scan_detuning(deltas, make_cavity(), RB85,
-                              allow_out_of_window=allow)
+                scan_grid(deltas, make_cavity(), RB85,
+                          allow_out_of_window=allow)
             assert str(info.value) == "scan detunings must be negative, got 5.0"
 
     def test_rejects_degenerate_grids(self):
         with pytest.raises(ConfigError):
-            scan_detuning([-400.0 * TWO_PI_MHZ], make_cavity(), RB85, "approx")
+            scan_grid([-400.0 * TWO_PI_MHZ], make_cavity(), RB85, "approx")
         with pytest.raises(ConfigError):
-            scan_detuning([-400.0 * TWO_PI_MHZ, 1.0], make_cavity(), RB85,
-                          "approx", allow_out_of_window=True)
+            scan_grid([-400.0 * TWO_PI_MHZ, 1.0], make_cavity(), RB85,
+                      "approx", allow_out_of_window=True)
 
     def test_loss_point_bundle(self):
         point = loss_point(DELTA_350, make_cavity(), RB85, "approx")
