@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 31 runs below
+    python3 scripts/same_bytes.py REV          # the 32 runs below
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -89,6 +89,8 @@ RUNS = [
     ("dynamics-coarse-dt", ["dynamics", "--delta-mhz", "-350",
                             "--dt-ps", "1000"]),
     ("dynamics-zero-dt", ["dynamics", "--delta-mhz", "-350", "--dt-ps", "0"]),
+    ("dynamics-underflow-dt", ["dynamics", "--delta-mhz", "-350",
+                               "--dt-ps", "1e-320"]),
     ("dynamics-negative-t", ["dynamics", "--delta-mhz", "-350",
                              "--t-max-ns", "-1"]),
 ]

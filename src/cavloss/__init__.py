@@ -12,8 +12,7 @@ from .cavity import (CavityConfig, CouplingPoint, atomic_dipole, coupling,
                      molecular_dipole, pair_count, single_rabi)
 from .constants import (HBAR, HumanUnitsConfig, PhysicalParams,
                         resolve_params, to_human_units)
-from .dynamics import (EXCITED_STATE, RabiRegime, ReducedState,
-                       integrate_grid, integrate_master, master_rhs,
+from .dynamics import (EXCITED_STATE, RabiRegime, integrate_grid,
                        max_stable_dt, p_omega_analytic, p_omega_approx,
                        rabi_regime)
 from .errors import (CavlossError, ConfigError, DivergenceError, DomainError,
@@ -33,15 +32,14 @@ __all__ = [
     "CavityConfig", "CavlossError", "CollisionTimes", "ConfigError",
     "CouplingPoint", "DEFAULT_WINDOW_MHZ", "DivergenceError", "DomainError",
     "EXCITED_STATE", "HBAR", "HumanUnitsConfig", "LossPoint", "P_MODELS",
-    "PhysicalParams", "RabiRegime", "ReducedState", "ResonanceGeometry",
-    "StepSizeError", "atomic_dipole", "collision_times", "condon_radius",
-    "coupling", "escape_ratio", "field_per_photon", "fraction_f",
-    "g0_constant", "in_default_window", "integrate_grid", "integrate_master",
-    "landau_zener", "loss_closed_form", "loss_grid", "loss_no_cavity",
-    "loss_point", "loss_series", "master_rhs", "max_stable_dt",
-    "mode_geometry", "molecular_dipole", "omega_r", "p_omega_analytic",
-    "p_omega_approx", "pair_count", "phase_exceeds_single_cycle",
-    "potential_slope", "rabi_regime", "resolve_params", "resonance_geometry",
-    "scan_grid", "single_passage_loss", "single_rabi", "to_human_units",
-    "total_time", "u_dd",
+    "PhysicalParams", "RabiRegime", "ResonanceGeometry", "StepSizeError",
+    "atomic_dipole", "collision_times", "condon_radius", "coupling",
+    "escape_ratio", "field_per_photon", "fraction_f", "g0_constant",
+    "in_default_window", "integrate_grid", "landau_zener", "loss_closed_form",
+    "loss_grid", "loss_no_cavity", "loss_point", "loss_series",
+    "max_stable_dt", "mode_geometry", "molecular_dipole", "omega_r",
+    "p_omega_analytic", "p_omega_approx", "pair_count",
+    "phase_exceeds_single_cycle", "potential_slope", "rabi_regime",
+    "resolve_params", "resonance_geometry", "scan_grid", "single_passage_loss",
+    "single_rabi", "to_human_units", "total_time", "u_dd",
 ]

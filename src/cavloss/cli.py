@@ -42,7 +42,7 @@ from . import traploss as traploss_mod
 from .constants import (HBAR, HumanUnitsConfig, PhysicalParams,
                         resolve_params, to_human_units)
 from .csvtext import write_csv
-from .errors import CavlossError, ConfigError, DomainError
+from .errors import CavlossError, ConfigError, DomainError, StepSizeError
 from .grid import float_range
 
 TWO_PI_MHZ = 2.0 * math.pi * 1.0e6   # rad/s per MHz
@@ -297,12 +297,21 @@ DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
 
 
 def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
-                 t_max_s: Optional[float] = None,
-                 dt_s: Optional[float] = None) -> str:
+                 t_max_ns: Optional[float] = None,
+                 dt_ps: Optional[float] = None) -> str:
     """CSV time series of the integrated master equation at one detuning.
 
-    gamma_a_mhz = 0 is accepted here (decay-free Rabi oscillation).
+    ``t_max_ns`` and ``dt_ps`` are the ``--t-max-ns`` and ``--dt-ps``
+    values as given (None for the default run), and each refusal of them
+    names the flag and its unit.  gamma_a_mhz = 0 is accepted here
+    (decay-free Rabi oscillation).
     """
+    if t_max_ns is not None and t_max_ns < 0.0:
+        raise DomainError(f"--t-max-ns must be >= 0, got {t_max_ns!r}")
+    t_max_s = t_max_ns * 1.0e-9 if t_max_ns is not None else None
+    dt_s = dt_ps * 1.0e-12 if dt_ps is not None else None
+    if dt_s is not None and not dt_s > 0.0:   # 1e-320 ps underflows to 0 s
+        raise DomainError(f"--dt-ps must be positive, got {dt_ps!r}")
     if delta_mhz >= 0.0:
         raise DomainError(f"--delta-mhz must be negative, got {delta_mhz!r}")
     params = resolve_params(cfg.species, allow_zero_gamma=True)
@@ -311,6 +320,12 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     with float_range("the collective coupling"):
         omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
     gamma = params.gamma_mol
+    dt_max = dynamics_mod.max_stable_dt(omega_tilde, gamma)
+    if dt_s is not None and dt_s > dt_max:
+        raise StepSizeError(
+            f"--dt-ps {dt_ps!r} exceeds the ceiling of about "
+            f"{dt_max * 1.0e12:.6g} ps ({dynamics_mod.STEPS_PER_CYCLE} "
+            f"steps per fastest cycle)")
     t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
     times, states = dynamics_mod.integrate_grid(
         dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s)
@@ -687,15 +702,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             _emit(cfg, cmd_times(cfg, args.delta_mhz))
             _window_note(args.delta_mhz)
         elif args.command == "dynamics":
-            if args.t_max_ns is not None and args.t_max_ns < 0.0:
-                raise DomainError(
-                    f"--t-max-ns must be >= 0, got {args.t_max_ns!r}")
-            if args.dt_ps is not None and args.dt_ps <= 0.0:
-                raise DomainError(
-                    f"--dt-ps must be positive, got {args.dt_ps!r}")
-            t_max = args.t_max_ns * 1.0e-9 if args.t_max_ns is not None else None
-            dt = args.dt_ps * 1.0e-12 if args.dt_ps is not None else None
-            _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, t_max, dt))
+            _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, args.t_max_ns,
+                                    args.dt_ps))
             _window_note(args.delta_mhz)
         elif args.command == "scan":
             _emit(cfg, cmd_scan(cfg))

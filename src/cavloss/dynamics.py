@@ -31,12 +31,15 @@ The two survival kernels are elementwise over grids (see
 its own elements.  The ``dynamics`` CSV takes them over all its samples
 at once.
 
+The state is the real 9-vector
+
+    y = (p_e, p_g, p_v, Re c_eg, Im c_eg, Re c_ev, Im c_ev, Re c_gv, Im c_gv),
+
+on which the equations read dy/dt = A*y with a constant 9x9 generator A.
 Numerical integration is classical fixed-step RK4: the system is linear
 with known stiffest rate max(b, G), so adaptivity buys nothing and
-fixed steps keep runs bit-for-bit reproducible.  Written for the real
-9-vector y of the populations and the real and imaginary parts of the
-coherences, the equations are dy/dt = A*y with a constant 9x9 generator
-A, so one RK4 step of size h is exactly y <- M*y with
+fixed steps keep runs bit-for-bit reproducible.  One RK4 step of size h
+is exactly y <- M*y with
 
     M = R(h*A),   R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
 
@@ -69,25 +72,9 @@ STEPS_PER_CYCLE = 200
 #: most steps one integration may take; every step is kept as a sample
 MAX_STEPS = 1_000_000
 
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Populations and coherences of the three-state subspace."""
-
-    p_e: float
-    p_g: float
-    p_v: float
-    c_eg: complex = 0.0 + 0.0j
-    c_ev: complex = 0.0 + 0.0j
-    c_gv: complex = 0.0 + 0.0j
-
-    @property
-    def trace(self) -> float:
-        return self.p_e + self.p_g + self.p_v
-
-
-#: the system prepared in the collective excited state
-EXCITED_STATE = ReducedState(p_e=1.0, p_g=0.0, p_v=0.0)
+#: the system prepared in the collective excited state, read-only
+EXCITED_STATE = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+EXCITED_STATE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -110,11 +97,7 @@ def rabi_regime(omega_tilde: float, gamma: float) -> RabiRegime:
 
 
 def generator(omega_tilde: float, gamma: float) -> np.ndarray:
-    """Real 9x9 generator A: the reduced state obeys dy/dt = A @ y.
-
-    y is the :func:`state_vector`: p_e, p_g, p_v, then the real and
-    imaginary parts of c_eg, c_ev and c_gv.
-    """
+    """Real 9x9 generator A: the state y obeys dy/dt = A @ y."""
     w, g, half_g = omega_tilde, gamma, 0.5 * gamma
     a = np.zeros((9, 9))
     a[0, 0], a[0, 4] = -g, -2.0 * w           # p_e
@@ -127,28 +110,6 @@ def generator(omega_tilde: float, gamma: float) -> np.ndarray:
     a[7, 6] = w                               # Re c_gv
     a[8, 5] = -w                              # Im c_gv
     return a
-
-
-def state_vector(state: ReducedState) -> np.ndarray:
-    """The state as the real 9-vector y of :func:`generator`."""
-    return np.array([state.p_e, state.p_g, state.p_v,
-                     state.c_eg.real, state.c_eg.imag,
-                     state.c_ev.real, state.c_ev.imag,
-                     state.c_gv.real, state.c_gv.imag], dtype=float)
-
-
-def _reduced_state(row: list) -> ReducedState:
-    p_e, p_g, p_v, eg_re, eg_im, ev_re, ev_im, gv_re, gv_im = row
-    return ReducedState(p_e=p_e, p_g=p_g, p_v=p_v,
-                        c_eg=complex(eg_re, eg_im), c_ev=complex(ev_re, ev_im),
-                        c_gv=complex(gv_re, gv_im))
-
-
-def master_rhs(state: ReducedState, omega_tilde: float,
-               gamma: float) -> ReducedState:
-    """Time derivative of the reduced state (same container type)."""
-    return _reduced_state(
-        (generator(omega_tilde, gamma) @ state_vector(state)).tolist())
 
 
 def max_stable_dt(omega_tilde: float, gamma: float) -> float:
@@ -205,17 +166,21 @@ def _powers(m: np.ndarray, count: int) -> np.ndarray:
     return stack
 
 
-def integrate_grid(initial: ReducedState, omega_tilde: float, gamma: float,
+def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
                    t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over [0, t_end]: the sample times and states.
+    """Fixed-step RK4 over [0, t_end] from the state ``initial``.
 
     Returns ``(times, states)`` with ``times = arange(n + 1) * h`` and
-    ``states[k]`` the :func:`state_vector` after k steps, one row per
-    sample.  The step h is ``dt`` shrunk slightly so an integer number n
-    of steps lands exactly on ``t_end``.  Steps coarser than
-    :func:`max_stable_dt` are rejected, and so is a run of more than
-    :data:`MAX_STEPS` steps, before anything is allocated.
+    ``states[k]`` the state after k steps, one row per sample.  The step
+    h is ``dt`` shrunk slightly so an integer number n of steps lands
+    exactly on ``t_end``.  A start state other than 9 reals is refused,
+    not cast; so are steps coarser than :func:`max_stable_dt` and a run
+    of more than :data:`MAX_STEPS` steps, before anything is allocated.
     """
+    start = np.asarray(initial)
+    if start.shape != (9,) or start.dtype.kind not in "fiu":
+        raise DomainError(f"initial state must be 9 reals, got a "
+                          f"{start.dtype} array of shape {start.shape}")
     if not dt > 0.0:   # NaN fails too
         raise DomainError(f"dt must be positive, got {dt!r}")
     if not t_end >= 0.0:
@@ -239,20 +204,11 @@ def integrate_grid(initial: ReducedState, omega_tilde: float, gamma: float,
     inner = _powers(step, block)
     stride = inner[-1] @ step
     bases = np.empty((count, 9))
-    bases[0] = state_vector(initial)
+    bases[0] = start
     for b in range(1, count):
         bases[b] = stride @ bases[b - 1]
     states = np.einsum("jik,bk->bji", inner, bases).reshape(-1, 9)
     return np.arange(n_steps + 1) * h, states[:n_steps + 1]
-
-
-def integrate_master(initial: ReducedState, omega_tilde: float, gamma: float,
-                     t_end: float, dt: float
-                     ) -> list[tuple[float, ReducedState]]:
-    """:func:`integrate_grid` as a list of (t, state) samples."""
-    times, states = integrate_grid(initial, omega_tilde, gamma, t_end, dt)
-    return [(t, _reduced_state(row))
-            for t, row in zip(times.tolist(), states.tolist())]
 
 
 def _sinc(x):

@@ -233,6 +233,6 @@ def scan_grid(deltas: Sequence[float], cavity: CavityConfig,
                 f"scan detunings must be negative, got {delta!r}")
         raise ConfigError(
             f"detuning {delta / (2.0e6 * math.pi):.6g} MHz is outside the "
-            f"validity window {DEFAULT_WINDOW_MHZ} MHz; pass "
-            f"allow_out_of_window=True to override")
+            f"validity window {DEFAULT_WINDOW_MHZ} MHz; set "
+            f"scan.allow_out_of_window (--allow-out-of-window) to override")
     return loss_grid(np.sort(grid), cavity, params, p_model)

@@ -247,11 +247,15 @@ class TestDynamicsCommand:
         # the step ceiling is always enforced; no flag lifts it
         _, _, err = run(capsys, ["dynamics", "--delta-mhz", "-350",
                                  "--dt-ps", "1000"])
-        assert err.endswith(" s (200 steps per fastest cycle)\n")
+        assert err.endswith(" ps (200 steps per fastest cycle)\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--dt-ps", "0", "--dt-ps must be positive, got 0.0"),
         ("--t-max-ns", "-1", "--t-max-ns must be >= 0, got -1.0"),
+        # 1e-320 ps is positive but underflows to 0 s
+        ("--dt-ps", "1e-320", "--dt-ps must be positive, got 1e-320"),
+        ("--dt-ps", "1000", "--dt-ps 1000.0 exceeds the ceiling of about "
+                            "25.0028 ps (200 steps per fastest cycle)"),
     ])
     def test_refused_flag_is_named_in_its_unit(self, capsys, flag, value,
                                                message):

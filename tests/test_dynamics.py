@@ -5,77 +5,74 @@ import math
 import numpy as np
 import pytest
 
-from cavloss import (EXCITED_STATE, DomainError, ReducedState, StepSizeError,
-                     integrate_master, master_rhs, max_stable_dt,
-                     p_omega_analytic, p_omega_approx, rabi_regime)
-from cavloss.dynamics import MAX_STEPS, integrate_grid, state_vector
+from cavloss import (EXCITED_STATE, DomainError, StepSizeError,
+                     integrate_grid, max_stable_dt, p_omega_analytic,
+                     p_omega_approx, rabi_regime)
+from cavloss.dynamics import MAX_STEPS, generator
 from oracles import TWO_PI_MHZ, p_underdamped_reference, rk4_master_oracle
 
 OMEGA_200 = 200.0 * TWO_PI_MHZ
 GAMMA_MOL = 2.0 * math.pi * 12.0e6
 
+#: a start state with every coherence non-zero: p_e, p_g, p_v, then the
+#: real and imaginary parts of c_eg, c_ev and c_gv
+MIXED_STATE = np.array([0.5, 0.3, 0.2, 0.2, -0.1, -0.15, 0.05, 0.1, 0.25])
 
-def closed_form_gap(series, omega, gamma):
+
+def closed_form_gap(run, omega, gamma):
     """Largest |p_e - p(t)| over a run, the kernel taken on all its times."""
-    times, p_e = np.array([(t, s.p_e) for t, s in series]).T
-    return np.max(np.abs(p_e - p_omega_analytic(times, omega, gamma)))
+    times, states = run
+    return np.max(np.abs(states[:, 0] - p_omega_analytic(times, omega, gamma)))
 
 
 class TestMasterRhs:
     def test_excited_state_derivative(self):
-        d = master_rhs(EXCITED_STATE, OMEGA_200, GAMMA_MOL)
-        assert d.p_e == -GAMMA_MOL
-        assert d.p_g == 0.0
-        assert d.p_v == GAMMA_MOL
-        assert d.c_eg == 1j * OMEGA_200
-        assert d.c_ev == 0.0
-        assert d.c_gv == 0.0
+        d = generator(OMEGA_200, GAMMA_MOL) @ EXCITED_STATE
+        assert d[0] == -GAMMA_MOL                     # p_e
+        assert d[1] == 0.0                            # p_g
+        assert d[2] == GAMMA_MOL                      # p_v
+        assert d[3] == 0.0 and d[4] == OMEGA_200      # c_eg = i*OMEGA_200
+        assert d[5] == 0.0 and d[6] == 0.0            # c_ev
+        assert d[7] == 0.0 and d[8] == 0.0            # c_gv
 
     def test_decoupled_decay(self):
-        state = ReducedState(p_e=0.3, p_g=0.5, p_v=0.2,
-                             c_eg=0.1 + 0.2j, c_ev=0.05j, c_gv=0.02)
-        d = master_rhs(state, 0.0, GAMMA_MOL)
-        assert d.p_e == -GAMMA_MOL * state.p_e
-        assert d.p_g == 0.0
-        assert d.p_v == GAMMA_MOL * state.p_e
-        assert d.c_eg == -0.5 * GAMMA_MOL * state.c_eg
-        assert d.c_ev == -0.5 * GAMMA_MOL * state.c_ev
-        assert d.c_gv == 0.0
+        state = np.array([0.3, 0.5, 0.2, 0.1, 0.2, 0.0, 0.05, 0.02, 0.0])
+        d = generator(0.0, GAMMA_MOL) @ state
+        assert d[0] == -GAMMA_MOL * state[0]
+        assert d[1] == 0.0
+        assert d[2] == GAMMA_MOL * state[0]
+        assert d[3:7].tolist() == (-0.5 * GAMMA_MOL * state[3:7]).tolist()
+        assert d[7] == 0.0 and d[8] == 0.0
 
     def test_trace_of_derivative_vanishes(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            p = rng.dirichlet((1.0, 1.0, 1.0))
-            state = ReducedState(p_e=p[0], p_g=p[1], p_v=p[2],
-                                 c_eg=complex(*rng.normal(size=2)),
-                                 c_ev=complex(*rng.normal(size=2)),
-                                 c_gv=complex(*rng.normal(size=2)))
-            d = master_rhs(state, OMEGA_200, GAMMA_MOL)
-            assert abs(d.p_e + d.p_g + d.p_v) <= 1.0e-12 * GAMMA_MOL
+            state = np.concatenate([rng.dirichlet((1.0, 1.0, 1.0)),
+                                    rng.normal(size=6)])
+            d = generator(OMEGA_200, GAMMA_MOL) @ state
+            assert abs(d[:3].sum()) <= 1.0e-12 * GAMMA_MOL
 
 
 class TestIntegrator:
     def test_lossless_rabi(self):
         dt = max_stable_dt(OMEGA_200, 0.0) / 8.0
-        series = integrate_master(EXCITED_STATE, OMEGA_200, 0.0,
-                                  3.0 * 2.0 * math.pi / OMEGA_200, dt)
-        for t, state in series:
-            assert state.p_e == pytest.approx(math.cos(OMEGA_200 * t) ** 2,
-                                              abs=1.0e-8)
+        times, states = integrate_grid(EXCITED_STATE, OMEGA_200, 0.0,
+                                       3.0 * 2.0 * math.pi / OMEGA_200, dt)
+        for t, p_e in zip(times.tolist(), states[:, 0].tolist()):
+            assert p_e == pytest.approx(math.cos(OMEGA_200 * t) ** 2,
+                                        abs=1.0e-8)
 
     def test_pure_decay(self):
         dt = max_stable_dt(0.0, GAMMA_MOL) / 8.0
-        series = integrate_master(EXCITED_STATE, 0.0, GAMMA_MOL,
-                                  5.0 / GAMMA_MOL, dt)
-        for t, state in series:
-            assert state.p_e == pytest.approx(math.exp(-GAMMA_MOL * t),
-                                              abs=1.0e-8)
+        times, states = integrate_grid(EXCITED_STATE, 0.0, GAMMA_MOL,
+                                       5.0 / GAMMA_MOL, dt)
+        for t, p_e in zip(times.tolist(), states[:, 0].tolist()):
+            assert p_e == pytest.approx(math.exp(-GAMMA_MOL * t), abs=1.0e-8)
 
     def test_matches_closed_form_at_preset(self):
         dt = max_stable_dt(OMEGA_200, GAMMA_MOL) / 10.0
-        series = integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
-                                  5.0e-9, dt)
-        worst = closed_form_gap(series, OMEGA_200, GAMMA_MOL)
+        run = integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL, 5.0e-9, dt)
+        worst = closed_form_gap(run, OMEGA_200, GAMMA_MOL)
         assert worst <= 1.0e-8
 
     def test_random_pairs_both_regimes(self):
@@ -88,32 +85,34 @@ class TestIntegrator:
         for gamma, ratio in zip(gammas, ratios):
             omega = ratio * gamma
             dt = max_stable_dt(omega, gamma) / 8.0
-            series = integrate_master(EXCITED_STATE, omega, gamma,
-                                      5.0 / gamma, dt)
-            worst = closed_form_gap(series, omega, gamma)
+            run = integrate_grid(EXCITED_STATE, omega, gamma, 5.0 / gamma, dt)
+            worst = closed_form_gap(run, omega, gamma)
             assert worst <= 1.0e-8, (gamma, ratio, worst)
-            assert max(abs(s.trace - 1.0) for _, s in series) <= 1.0e-10
-            assert max(max(abs(s.c_ev), abs(s.c_gv))
-                       for _, s in series) <= 1.0e-12
+            states = run[1]
+            trace = states[:, :3].sum(axis=1)
+            assert np.max(np.abs(trace - 1.0)) <= 1.0e-10
+            # |c_ev| and |c_gv|
+            assert np.max(np.hypot(states[:, 5::2],
+                                   states[:, 6::2])) <= 1.0e-12
 
     def test_coherence_block_stays_rank_one(self):
         # the (E,G) block evolves as a pure amplitude pair, so
         # |c_eg|^2 = p_e*p_g exactly; the trajectory sits on the
         # positivity boundary within integrator error
         dt = max_stable_dt(OMEGA_200, GAMMA_MOL) / 8.0
-        series = integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
-                                  3.0 / GAMMA_MOL, dt)
-        for _, s in series:
-            assert abs(s.c_eg) ** 2 == pytest.approx(s.p_e * s.p_g,
-                                                     abs=1.0e-8)
+        _, states = integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
+                                   3.0 / GAMMA_MOL, dt)
+        for p_e, p_g, _, eg_re, eg_im in states[:, :5].tolist():
+            assert abs(complex(eg_re, eg_im)) ** 2 == pytest.approx(
+                p_e * p_g, abs=1.0e-8)
 
     def test_fourth_order_convergence(self):
         gamma, omega, t_end = 1.0, 2.0, 4.0
         errors = []
         for n in (256, 512, 1024):
             dt = t_end / n
-            series = integrate_master(EXCITED_STATE, omega, gamma, t_end, dt)
-            errors.append(closed_form_gap(series, omega, gamma))
+            run = integrate_grid(EXCITED_STATE, omega, gamma, t_end, dt)
+            errors.append(closed_form_gap(run, omega, gamma))
         order_a = math.log2(errors[0] / errors[1])
         order_b = math.log2(errors[1] / errors[2])
         assert order_a == pytest.approx(4.0, abs=0.2)
@@ -122,38 +121,44 @@ class TestIntegrator:
     def test_step_size_enforced(self):
         dt_max = max_stable_dt(OMEGA_200, GAMMA_MOL)
         with pytest.raises(StepSizeError):
-            integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
-                             1.0e-9, 2.0 * dt_max)
+            integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
+                           1.0e-9, 2.0 * dt_max)
 
     def test_unconstrained_when_rates_vanish(self):
         assert max_stable_dt(0.0, 0.0) == math.inf
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
-            integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL, 1.0e-9, 0.0)
+            integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL, 1.0e-9, 0.0)
         with pytest.raises(DomainError):
-            integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL, -1.0, 1.0e-12)
+            integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL, -1.0, 1.0e-12)
         for t_end, dt in ((math.nan, 1.0e-12), (1.0e-9, math.nan)):
             with pytest.raises(DomainError):
-                integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL, t_end, dt)
+                integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL, t_end, dt)
         with pytest.raises(DomainError, match="cap"):
-            integrate_master(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
-                             (MAX_STEPS + 1) * 1.0e-12, 1.0e-12)
+            integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
+                           (MAX_STEPS + 1) * 1.0e-12, 1.0e-12)
 
+    def test_initial_state_must_be_nine_reals(self):
+        # a complex start would lose its imaginary parts with only a warning
+        for initial in (MIXED_STATE[:3], MIXED_STATE.reshape(9, 1),
+                        MIXED_STATE.astype(complex)):
+            with pytest.raises(DomainError, match="initial state"):
+                integrate_grid(initial, OMEGA_200, GAMMA_MOL, 1.0e-9, 1.0e-12)
 
-#: a start state with every coherence non-zero
-MIXED_STATE = ReducedState(p_e=0.5, p_g=0.3, p_v=0.2, c_eg=0.2 - 0.1j,
-                           c_ev=-0.15 + 0.05j, c_gv=0.1 + 0.25j)
+    def test_excited_state_is_read_only(self):
+        with pytest.raises(ValueError):
+            EXCITED_STATE[1] = 1.0
+        assert EXCITED_STATE.tolist() == [1.0] + [0.0] * 8
 
 
 def _agrees_with_oracle(initial, omega, gamma, t_end, dt):
     """The matrix core against the step-by-step oracle, within 1e-12."""
     times, states = integrate_grid(initial, omega, gamma, t_end, dt)
     n_steps = max(1, math.ceil(t_end / dt - 1.0e-9)) if t_end > 0.0 else 0
+    coherences = map(complex, initial[3::2], initial[4::2])
     oracle_times, oracle_states = rk4_master_oracle(
-        (initial.p_e, initial.p_g, initial.p_v,
-         initial.c_eg, initial.c_ev, initial.c_gv),
-        omega, gamma, t_end, n_steps)
+        (*initial[:3], *coherences), omega, gamma, t_end, n_steps)
     assert states.shape == (n_steps + 1, 9)
     assert times.tolist() == oracle_times
     worst = np.max(np.abs(states - oracle_states))
@@ -170,12 +175,8 @@ class TestMatrixCore:
                                                  math.log(8.0)))
             dt = max_stable_dt(omega, gamma) / rng.uniform(1.0, 10.0)
             t_end = dt * rng.uniform(0.5, 1200.0)
-            p = rng.dirichlet((1.0, 1.0, 1.0))
-            c = 0.2 * rng.normal(size=6)
-            initial = ReducedState(p_e=p[0], p_g=p[1], p_v=p[2],
-                                   c_eg=complex(c[0], c[1]),
-                                   c_ev=complex(c[2], c[3]),
-                                   c_gv=complex(c[4], c[5]))
+            initial = np.concatenate([rng.dirichlet((1.0, 1.0, 1.0)),
+                                      0.2 * rng.normal(size=6)])
             _agrees_with_oracle(initial, omega, gamma, t_end, dt)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 15, 16, 17, 24, 25, 99])
@@ -200,7 +201,7 @@ class TestMatrixCore:
         times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
                                        0.0, 1.0e-12)
         assert times.tolist() == [0.0]
-        assert states.tolist() == [state_vector(MIXED_STATE).tolist()]
+        assert states.tolist() == [MIXED_STATE.tolist()]
         _agrees_with_oracle(MIXED_STATE, OMEGA_200, GAMMA_MOL, 0.0, 1.0e-12)
 
     def test_one_step(self):
@@ -208,18 +209,6 @@ class TestMatrixCore:
         states = _agrees_with_oracle(MIXED_STATE, OMEGA_200, GAMMA_MOL,
                                      dt, dt)
         assert len(states) == 2
-
-    def test_list_view_equals_core_bitwise(self):
-        dt = max_stable_dt(OMEGA_200, GAMMA_MOL) / 3.0
-        times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
-                                       500.5 * dt, dt)
-        series = integrate_master(MIXED_STATE, OMEGA_200, GAMMA_MOL,
-                                  500.5 * dt, dt)
-        assert [t for t, _ in series] == times.tolist()
-        for (_, state), row in zip(series, states.tolist()):
-            assert type(state.p_e) is float and type(state.c_gv) is complex
-            assert state_vector(state).tolist() == row
-        assert series[0][1] == MIXED_STATE
 
 
 class TestClosedForm:

@@ -312,7 +312,8 @@ class TestScan:
             scan_grid([m * TWO_PI_MHZ for m in mhz], make_cavity(), RB85)
         assert str(info.value) == (
             "detuning -1200 MHz is outside the validity window "
-            "(-1000.0, -350.0) MHz; pass allow_out_of_window=True to override")
+            "(-1000.0, -350.0) MHz; set scan.allow_out_of_window "
+            "(--allow-out-of-window) to override")
         deltas = [-400.0 * TWO_PI_MHZ, 5.0, -1200.0 * TWO_PI_MHZ, 7.0]
         for allow in (False, True):
             with pytest.raises(ConfigError) as info:
