@@ -14,8 +14,11 @@ starts a fresh isolated interpreter that writes no byte code
 as it streams, so the 10^6-point scan is never held in memory here.
 
 One line per run gives the sha256 of stdout and of stderr and the exit
-code of the working tree, and whether REV printed the same.  The exit
-status is 1 when any run differs, and 0 otherwise.
+code of the working tree, and whether REV printed the same.  The summary
+line ends with the kernel that numpy dispatches for float64 ``exp`` on this
+host (for example ``X86_V4``), read in one more such interpreter: the
+last bits of the output, and so the bytes compared, depend on it.  The
+exit status is 1 when any run differs, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -109,6 +112,16 @@ MORE_RUNS = [
 LAUNCH = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
           "from cavloss.cli import main; sys.exit(main())")
 
+#: prints the kernel that numpy dispatches for float64 exp
+DISPATCH = ("import numpy as np; "
+            "info = np.lib.introspect.opt_func_info("
+            "func_name='^exp$', signature='float64'); "
+            "print(*(kernel['current'] for signatures in info.values() "
+            "for kernel in signatures.values()))")
+
+#: the environment of every child: the help text's width and a locale
+ENV = {"COLUMNS": "80", "LC_ALL": "C.UTF-8"}
+
 
 def export(rev: str, into: Path) -> Path:
     """The committed files of ``rev``, unpacked under ``into``."""
@@ -126,12 +139,19 @@ def outcome(src: Path, argv: list[str], cwd: Path) -> tuple[str, str, int]:
         with subprocess.Popen(
                 [sys.executable, "-I", "-B", "-c", LAUNCH, str(src), *argv],
                 cwd=cwd, stdout=subprocess.PIPE, stderr=stderr,
-                env={"COLUMNS": "80", "LC_ALL": "C.UTF-8"}) as process:
+                env=ENV) as process:
             for block in iter(lambda: process.stdout.read(1 << 20), b""):
                 stdout.update(block)
         stderr.seek(0)
         return (stdout.hexdigest(), hashlib.sha256(stderr.read()).hexdigest(),
                 process.returncode)
+
+
+def exp_dispatch() -> str:
+    """The kernel that numpy dispatches for float64 exp in such a child."""
+    return subprocess.run([sys.executable, "-I", "-B", "-c", DISPATCH],
+                          check=True, capture_output=True, text=True,
+                          env=ENV).stdout.strip()
 
 
 def main() -> int:
@@ -158,7 +178,7 @@ def main() -> int:
                   f"exit {now[2]}  {'same' if then == now else 'DIFFERS'}",
                   flush=True)
     print(f"{len(runs) - differ}/{len(runs)} runs print the same bytes "
-          f"as {args.rev}")
+          f"as {args.rev}; numpy float64 exp dispatch {exp_dispatch()}")
     return 1 if differ else 0
 
 

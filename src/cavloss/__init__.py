@@ -18,9 +18,9 @@ from .dynamics import (EXCITED_STATE, RabiRegime, integrate_grid,
 from .errors import (CavlossError, ConfigError, DivergenceError, DomainError,
                      StepSizeError)
 from .kinematics import (CollisionTimes, collision_times, fraction_f,
-                         g0_constant, phase_exceeds_single_cycle, total_time)
+                         g0_constant, total_time)
 from .potential import (ResonanceGeometry, condon_radius, escape_ratio,
-                        omega_r, potential_slope, resonance_geometry, u_dd)
+                        potential_slope, resonance_geometry, u_dd)
 from .traploss import (DEFAULT_WINDOW_MHZ, LossPoint, P_MODELS,
                        in_default_window, loss_closed_form, loss_grid,
                        loss_no_cavity, loss_point, loss_series, scan_grid,
@@ -37,9 +37,8 @@ __all__ = [
     "escape_ratio", "field_per_photon", "fraction_f", "g0_constant",
     "in_default_window", "integrate_grid", "landau_zener", "loss_closed_form",
     "loss_grid", "loss_no_cavity", "loss_point", "loss_series",
-    "max_stable_dt", "mode_geometry", "molecular_dipole", "omega_r",
-    "p_omega_analytic", "p_omega_approx", "pair_count",
-    "phase_exceeds_single_cycle", "potential_slope", "rabi_regime",
+    "max_stable_dt", "mode_geometry", "molecular_dipole", "p_omega_analytic",
+    "p_omega_approx", "pair_count", "potential_slope", "rabi_regime",
     "resolve_params", "resonance_geometry", "scan_grid", "single_passage_loss",
     "single_rabi", "to_human_units", "total_time", "u_dd",
 ]

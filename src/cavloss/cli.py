@@ -533,9 +533,8 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
         _require((0.0 <= l_c) & (l_c <= 1.0) & (0.0 <= l_o) & (l_o <= 1.0),
                  "0 <= L <= 1", delta_mhz=delta_mhz, loss_cavity=l_c,
                  loss_free=l_o)
-        series = np.array([traploss_mod.loss_series(
-            point.times, point.omega_tilde, gamma, cfg.scan.p_model)[0]
-            for point in grid.points()])
+        series, _ = traploss_mod.loss_series(times, grid.omega_tilde, gamma,
+                                             cfg.scan.p_model)
         _require(np.abs(series - l_c) <= 1.0e-12, "series = closed form",
                  delta_mhz=delta_mhz, series=series, loss_cavity=l_c)
 

@@ -150,14 +150,3 @@ def collision_times(delta, omega_tilde,
         t_prime=0.0,
         geometry=geometry,
     )
-
-
-def phase_exceeds_single_cycle(phase: float) -> bool:
-    """Audit flag: does omega_tilde * t_c exceed one Rabi cycle?
-
-    The semiclassical treatment assumes the resonant passage completes
-    at most a single cycle; exceeding 2*pi is reported as a flag, never
-    a failure (the shipped preset itself reaches 2.3 pi at the smallest
-    |delta|).
-    """
-    return phase > 2.0 * math.pi

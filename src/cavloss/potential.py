@@ -40,11 +40,6 @@ def u_dd(r, params: PhysicalParams):
     return like(-params.c3 / grid**3, r)
 
 
-def omega_r(r, params: PhysicalParams):
-    """Pair splitting omega_a + U(r)/hbar (rad/s); tends to omega_a as r grows."""
-    return params.omega_a + u_dd(r, params) / HBAR
-
-
 def condon_radius(delta, params: PhysicalParams):
     """Radius where the mode is resonant: (C3/(hbar*|delta|))^(1/3) (cm)."""
     grid = red_detuning(delta)

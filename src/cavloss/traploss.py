@@ -23,6 +23,10 @@ independently colliding pairs.  Scanning the detuning sweeps the phase
 omega_tilde*t_c through several half-cycles, which is what imprints
 minima and maxima on L_c while L_o stays smooth.
 
+:func:`loss_series` sums the series term by term, the check on the
+closed form.  Like every loss function here it is elementwise over
+arrays; it returns each element's sum and the number of terms it took.
+
 :func:`loss_grid` computes the whole chain, coupling
 (:func:`~cavloss.cavity.coupling`) -> radii and times
 (:func:`~cavloss.kinematics.collision_times`) -> kernel -> losses, over
@@ -107,45 +111,53 @@ def _resolve_p_model(p_model: Union[str, PModel]) -> PModel:
             f"got {p_model!r}") from None
 
 
-def single_passage_loss(times: CollisionTimes, omega_tilde: float,
-                        gamma: float, p_model: Union[str, PModel]) -> float:
-    """Loss probability of the first passage through the escape region."""
-    p = _resolve_p_model(p_model)
-    return (p(times.t_resonant, omega_tilde, gamma)
-            * math.exp(-times.t_prime * gamma)
-            * -math.expm1(-2.0 * times.t_escape_region * gamma))
+def single_passage_loss(times: CollisionTimes, omega_tilde, gamma: float,
+                        p_model: Union[str, PModel]):
+    """Loss probability of the first passage through the escape region.
 
-
-def _series_ratio(times: CollisionTimes, omega_tilde: float, gamma: float,
-                  p: PModel) -> float:
-    return (math.exp(-2.0 * (times.t_prime + times.t_escape_region) * gamma)
-            * p(2.0 * times.t_resonant, omega_tilde, gamma))
-
-
-def loss_series(times: CollisionTimes, omega_tilde: float, gamma: float,
-                p_model: Union[str, PModel]) -> tuple[float, int]:
-    """Multiple-passage loss by direct summation; returns (value, terms).
-
-    The per-passage factors form a geometric series; summation stops
-    once a term falls below SERIES_REL_CUTOFF of the partial sum or
-    SERIES_MAX_TERMS terms are added.
+    Elementwise when the times and omega_tilde are arrays.
     """
     p = _resolve_p_model(p_model)
-    ratio = _series_ratio(times, omega_tilde, gamma, p)
-    if ratio >= 1.0:
+    loss = (p(times.t_resonant, omega_tilde, gamma)
+            * np.exp(-times.t_prime * gamma)
+            * -np.expm1(-2.0 * times.t_escape_region * gamma))
+    return like(loss, times.t_resonant, omega_tilde)
+
+
+def loss_series(times: CollisionTimes, omega_tilde, gamma: float,
+                p_model: Union[str, PModel]):
+    """Multiple-passage loss by direct summation; returns (values, terms).
+
+    Elementwise when the times and omega_tilde are arrays.  The
+    per-passage factors form a geometric series; each element stops once
+    its term falls to 0 or below SERIES_REL_CUTOFF of its partial sum,
+    or after SERIES_MAX_TERMS terms.  DivergenceError names the ratio of
+    the first element that never stops.
+    """
+    p = _resolve_p_model(p_model)
+    ratio = as_grid(
+        np.exp(-2.0 * (times.t_prime + times.t_escape_region) * gamma)
+        * p(2.0 * times.t_resonant, omega_tilde, gamma))
+    diverging = ratio >= 1.0
+    if diverging.any():
         raise DivergenceError(
             "multiple-passage sum diverges: lossless passage with full "
-            f"revival (ratio={ratio!r})")
-    term = single_passage_loss(times, omega_tilde, gamma, p)
-    total = 0.0
-    terms_used = 0
+            f"revival (ratio={float(ratio[diverging][0])!r})")
+    term = as_grid(single_passage_loss(times, omega_tilde, gamma, p))
+    total = np.zeros(term.shape)
+    terms = np.zeros(term.shape, dtype=int)
+    live = np.ones(term.shape, dtype=bool)
     for _ in range(SERIES_MAX_TERMS):
+        # a stopped element's term is 0, so its sum and count stay put
         total += term
-        terms_used += 1
+        terms += live
         term *= ratio
-        if term < SERIES_REL_CUTOFF * total:
+        live &= (term >= SERIES_REL_CUTOFF * total) & (term > 0.0)
+        if not live.any():
             break
-    return total, terms_used
+        term *= live
+    return (like(total, times.t_resonant, omega_tilde),
+            like(terms, times.t_resonant, omega_tilde))
 
 
 def loss_closed_form(times: CollisionTimes, omega_tilde, gamma: float,

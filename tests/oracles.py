@@ -133,6 +133,30 @@ def loss_series_reference(p_tc: float, p_2tc: float, gamma: float,
     return total
 
 
+def loss_series_per_point(times, omega_tilde: float, gamma: float, p,
+                          cutoff: float = 1.0e-15,
+                          max_terms: int = 10_000) -> tuple[float, int]:
+    """Multiple-passage loss of one point summed in ``math``; (value, terms).
+
+    The reference for the elementwise ``loss_series``: first term and
+    ratio from ``math.exp``, one term at a time, stopping once a term
+    falls below ``cutoff`` of the partial sum or after ``max_terms``
+    terms.  ``p`` is the survival kernel, called on floats.
+    """
+    t_c, t_e, t_p = times.t_resonant, times.t_escape_region, times.t_prime
+    ratio = math.exp(-2.0 * (t_p + t_e) * gamma) * p(2.0 * t_c, omega_tilde,
+                                                     gamma)
+    term = (p(t_c, omega_tilde, gamma) * math.exp(-t_p * gamma)
+            * -math.expm1(-2.0 * t_e * gamma))
+    total = 0.0
+    for terms in range(1, max_terms + 1):
+        total += term
+        term *= ratio
+        if term < cutoff * total:
+            break
+    return total, terms
+
+
 def rk4_master_oracle(initial: tuple, omega_tilde: float, gamma: float,
                       t_end: float, n_steps: int) -> tuple:
     """Classical RK4 on the six complex master equations, step by step.

@@ -53,9 +53,14 @@ def times_row():
 
 
 @pytest.fixture(scope="module")
-def default_scan():
+def default_grid():
     deltas = [m * TWO_PI_MHZ for m in np.linspace(-1000.0, -350.0, 200)]
-    return scan_grid(deltas, make_cavity(), RB85, "approx").points()
+    return scan_grid(deltas, make_cavity(), RB85, "approx")
+
+
+@pytest.fixture(scope="module")
+def default_scan(default_grid):
+    return default_grid.points()
 
 
 def test_01_condon_radius():
@@ -160,19 +165,26 @@ def _random_times(rng, gamma, with_t_prime):
                           t_resonant=t_c, t_escape_region=t_e, t_prime=t_p)
 
 
-def test_10_series_equals_closed_form(default_scan):
-    worst = 0.0
-    for point in default_scan:
-        series, _ = loss_series(point.times, point.omega_tilde, GAMMA, "approx")
-        worst = max(worst, abs(series - point.loss_cavity))
+def test_10_series_equals_closed_form(default_grid):
+    series, _ = loss_series(default_grid.times, default_grid.omega_tilde,
+                            GAMMA, "approx")
+    worst = np.max(np.abs(series - default_grid.loss_cavity))
     rng = np.random.default_rng(59)
+    draws = []
     for i in range(1000):
         gamma = rng.uniform(1.0e7, 1.0e9)
         times = _random_times(rng, gamma, with_t_prime=(i % 2 == 0))
-        omega = gamma * rng.uniform(0.05, 20.0)
-        series, _ = loss_series(times, omega, gamma, "approx")
-        closed = loss_closed_form(times, omega, gamma, "approx")
-        worst = max(worst, abs(series - closed))
+        draws.append((gamma, times.t_resonant, times.t_escape_region,
+                      times.t_prime, gamma * rng.uniform(0.05, 20.0)))
+    # every tuple in units of its own 1/gamma, so the grid runs at gamma = 1
+    gamma, t_c, t_e, t_p, omega = map(np.array, zip(*draws))
+    t_c, t_e = gamma * t_c, gamma * t_e
+    times = CollisionTimes(t_total=t_c + t_e, frac_resonant=t_c / (t_c + t_e),
+                           t_resonant=t_c, t_escape_region=t_e,
+                           t_prime=gamma * t_p)
+    series, _ = loss_series(times, omega / gamma, 1.0, "approx")
+    closed = loss_closed_form(times, omega / gamma, 1.0, "approx")
+    worst = max(worst, np.max(np.abs(series - closed)))
     verdict("10 series/closed-form equivalence", worst <= 1.0e-12,
             f"max |sum - closed|={worst:.2e}")
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cavloss import (DomainError, HumanUnitsConfig, collision_times,
-                     fraction_f, g0_constant, kinematics,
-                     phase_exceeds_single_cycle, resolve_params, total_time)
+                     fraction_f, g0_constant, kinematics, resolve_params,
+                     total_time)
 from cavloss.kinematics import _infall_integral
 from oracles import (TWO_PI_MHZ, DenseFractionOracle, fraction_oracle,
                      g0_oracle, gauss_legendre_oracle, infall_integral_oracle,
@@ -190,13 +190,3 @@ class TestCollisionTimes:
         assert times.geometry is not None
         assert times.geometry.r_escape < times.geometry.r_condon
 
-
-class TestPhaseAudit:
-    def test_reference_point_exceeds_single_cycle(self):
-        # the preset itself runs past one cycle; flagged, never an error
-        times = collision_times(DELTA_350, OMEGA_200, RB85)
-        assert phase_exceeds_single_cycle(OMEGA_200 * times.t_resonant)
-
-    def test_large_detuning_within_cycle(self):
-        times = collision_times(DELTA_1000, OMEGA_70, RB85)
-        assert not phase_exceeds_single_cycle(OMEGA_70 * times.t_resonant)

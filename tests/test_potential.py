@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cavloss import (DomainError, HumanUnitsConfig, condon_radius, omega_r,
+from cavloss import (DomainError, HumanUnitsConfig, condon_radius,
                      potential_slope, resolve_params, resonance_geometry,
                      u_dd)
 from cavloss.constants import HBAR
@@ -40,13 +40,6 @@ class TestPotential:
 
 
 class TestSplitting:
-    def test_asymptotic_limit(self):
-        assert omega_r(1.0e4, RB85) == pytest.approx(RB85.omega_a, rel=1.0e-12)
-
-    def test_condon_point_hits_mode_frequency(self):
-        shift = omega_r(condon_radius(DELTA_350, RB85), RB85) - RB85.omega_a
-        assert shift == pytest.approx(DELTA_350, rel=1.0e-6)
-
     def test_escape_point_detuned_by_coupling(self):
         # compare potential parts; the omega_a offsets cancel in algebra
         # but would bury the 1e-12 target in floating point
@@ -58,11 +51,6 @@ class TestSplitting:
             r_c = condon_radius(delta, RB85)
             shift = (u_dd(r_e, RB85) - u_dd(r_c, RB85)) / HBAR
             assert abs(shift + omega_tilde) <= 1.0e-12 * omega_tilde
-
-    def test_monotone_in_radius(self):
-        radii = np.linspace(100.0, 1000.0, 50) * ANG
-        values = [omega_r(r, RB85) for r in radii]
-        assert all(b > a for a, b in zip(values, values[1:]))
 
 
 class TestCondonRadius:

@@ -19,7 +19,8 @@ from cavloss import (CavityConfig, DomainError, HumanUnitsConfig,
                      landau_zener,
                      loss_closed_form, loss_grid, loss_no_cavity, loss_point,
                      loss_series, p_omega_analytic, p_omega_approx,
-                     resolve_params, resonance_geometry, total_time)
+                     resolve_params, resonance_geometry, single_passage_loss,
+                     total_time)
 from cavloss.dynamics import _branch
 from oracles import TWO_PI_MHZ
 
@@ -141,9 +142,19 @@ def test_loss_identities(case):
     gamma = params.gamma_mol
     assert np.all((grid.loss_cavity >= 0.0) & (grid.loss_cavity <= 1.0))
     assert np.all((grid.loss_free >= 0.0) & (grid.loss_free <= 1.0))
-    for point in grid.points():
-        series, _ = loss_series(point.times, point.omega_tilde, gamma, p_model)
-        assert abs(series - point.loss_cavity) <= 1.0e-12
+    series, terms = loss_series(grid.times, grid.omega_tilde, gamma, p_model)
+    assert np.all(np.abs(series - grid.loss_cavity) <= 1.0e-12)
+    first = single_passage_loss(grid.times, grid.omega_tilde, gamma, p_model)
+    points = grid.points()
+    # a scalar call is one element of the grid, so it agrees bit for bit
+    i = len(points) // 2
+    value, count = loss_series(points[i].times, points[i].omega_tilde, gamma,
+                               p_model)
+    assert (value.hex(), count) == (series[i].hex(), terms[i])
+    assert type(count) is int
+    assert single_passage_loss(points[i].times, points[i].omega_tilde, gamma,
+                               p_model).hex() == first[i].hex()
+    for point in points:
         decay = loss_closed_form(point.times, point.omega_tilde, gamma,
                                  lambda t, _w, g: math.exp(-g * t))
         assert abs(decay - point.loss_free) <= 1.0e-12

@@ -12,7 +12,8 @@ from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      loss_grid, loss_no_cavity, loss_point, loss_series,
                      p_omega_approx, resolve_params, scan_grid,
                      single_passage_loss, traploss)
-from oracles import TWO_PI_MHZ, DenseFractionOracle, loss_series_reference
+from oracles import (TWO_PI_MHZ, DenseFractionOracle, loss_series_per_point,
+                     loss_series_reference)
 
 RB85 = resolve_params(HumanUnitsConfig())
 GAMMA = RB85.gamma_mol
@@ -34,14 +35,32 @@ def synthetic_times(t_c, t_e, t_prime=0.0):
                           t_prime=t_prime)
 
 
+def reduced(draws):
+    """Tuples (gamma, t_c, t_e, t', omega) as one grid in units of 1/gamma.
+
+    Returns the times and omega_tilde of every tuple measured in its own
+    1/gamma, so that the grid runs at gamma = 1.
+    """
+    gamma, t_c, t_e, t_prime, omega = map(np.array, zip(*draws))
+    t_c, t_e = gamma * t_c, gamma * t_e
+    return CollisionTimes(t_total=t_c + t_e, frac_resonant=t_c / (t_c + t_e),
+                          t_resonant=t_c, t_escape_region=t_e,
+                          t_prime=gamma * t_prime), omega / gamma
+
+
 def decay_kernel(t, _omega, gamma):
     return math.exp(-gamma * t)
 
 
 @pytest.fixture(scope="module")
-def default_scan():
+def default_grid():
     deltas = [m * TWO_PI_MHZ for m in np.linspace(-1000.0, -350.0, 200)]
-    return scan_grid(deltas, make_cavity(), RB85, "approx").points()
+    return scan_grid(deltas, make_cavity(), RB85, "approx")
+
+
+@pytest.fixture(scope="module")
+def default_scan(default_grid):
+    return default_grid.points()
 
 
 class TestSinglePassage:
@@ -94,18 +113,21 @@ class TestSeriesAndClosedForm:
 
     def test_matches_closed_form_random_tuples(self):
         rng = np.random.default_rng(37)
+        draws = []
         for _ in range(1000):
             gamma = rng.uniform(1.0e7, 1.0e9)
-            times = synthetic_times(
-                rng.uniform(0.01, 3.0) / gamma,
-                rng.uniform(0.01, 2.0) / gamma,
-                t_prime=rng.choice([0.0, rng.uniform(0.01, 1.0) / gamma]))
-            omega = gamma * rng.uniform(0.05, 20.0)
-            series, terms = loss_series(times, omega, gamma, "approx")
-            closed = loss_closed_form(times, omega, gamma, "approx")
-            assert abs(series - closed) <= 1.0e-12, (gamma, times)
-            assert terms < 10_000
-            assert 0.0 <= closed <= 1.0
+            t_c = rng.uniform(0.01, 3.0) / gamma
+            t_e = rng.uniform(0.01, 2.0) / gamma
+            t_prime = rng.choice([0.0, rng.uniform(0.01, 1.0) / gamma])
+            draws.append((gamma, t_c, t_e, t_prime,
+                          gamma * rng.uniform(0.05, 20.0)))
+        times, omega = reduced(draws)
+        series, terms = loss_series(times, omega, 1.0, "approx")
+        closed = loss_closed_form(times, omega, 1.0, "approx")
+        bad = ~(np.abs(series - closed) <= 1.0e-12)
+        assert not bad.any(), draws[np.argmax(bad)]
+        assert np.all(terms < 10_000)
+        assert np.all((0.0 <= closed) & (closed <= 1.0))
 
     def test_term_by_term_reference(self):
         times = collision_times(DELTA_350, OMEGA_200, RB85)
@@ -126,11 +148,41 @@ class TestSeriesAndClosedForm:
         with pytest.raises(DivergenceError):
             loss_series(times, omega, 0.0, "approx")
 
+    def test_divergence_names_the_diverging_element(self):
+        # only the middle element has a full revival at 2 t_c
+        omegas = np.array([1.0e8, math.pi / (2.0 * 2.0e-9), 2.0e8])
+        times = synthetic_times(2.0e-9, 1.0e-9)
+        ratio = p_omega_approx(2.0 * times.t_resonant, omegas[1], 0.0)
+        with pytest.raises(DivergenceError) as caught:
+            loss_series(times, omegas, 0.0, "approx")
+        assert str(caught.value) == (
+            "multiple-passage sum diverges: lossless passage with full "
+            f"revival (ratio={ratio!r})")
+
     def test_zero_gamma_converging_series_is_zero(self):
         times = synthetic_times(2.0e-9, 1.0e-9)
         omega = 1.0e8   # no full revival: ratio < 1, every term zero
-        value, _ = loss_series(times, omega, 0.0, "approx")
-        assert value == 0.0
+        assert loss_series(times, omega, 0.0, "approx") == (0.0, 1)
+
+    def test_no_escape_region_series_is_zero(self):
+        # t_e = 0: no passage can decay below the escape radius
+        times = synthetic_times(2.0e-9, 0.0)
+        assert loss_series(times, OMEGA_200, GAMMA, "approx") == (0.0, 1)
+
+    @pytest.mark.parametrize("p_model", ["approx", "analytic"])
+    def test_grid_matches_per_point_reference(self, p_model):
+        # validate's 50-point grid, summed point by point in math
+        deltas = np.linspace(-1000.0, -350.0, 50) * TWO_PI_MHZ
+        grid = scan_grid(deltas, make_cavity(), RB85, p_model)
+        values, terms = loss_series(grid.times, grid.omega_tilde, GAMMA,
+                                    p_model)
+        kernel = traploss.P_MODELS[p_model]
+        for i, point in enumerate(grid.points()):
+            value, count = loss_series_per_point(point.times,
+                                                 point.omega_tilde, GAMMA,
+                                                 kernel)
+            assert abs(values[i] - value) <= 1.0e-15 * value, i
+            assert terms[i] == count, i
 
     def test_closed_form_requires_decay(self):
         times = synthetic_times(2.0e-9, 1.0e-9)
@@ -155,16 +207,19 @@ class TestSeriesAndClosedForm:
 
     def test_probabilities_bounded_on_large_random_sweep(self):
         rng = np.random.default_rng(47)
+        draws = []
         for _ in range(10_000):
             gamma = rng.uniform(1.0e6, 1.0e10)
-            times = synthetic_times(rng.uniform(0.0, 4.0) / gamma,
-                                    rng.uniform(0.0, 3.0) / gamma,
-                                    t_prime=rng.uniform(0.0, 1.0) / gamma)
-            omega = gamma * rng.uniform(0.0, 30.0)
-            closed = loss_closed_form(times, omega, gamma, "approx")
-            free = loss_no_cavity(times, gamma)
-            assert 0.0 <= closed <= 1.0
-            assert 0.0 <= free <= 1.0
+            t_c = rng.uniform(0.0, 4.0) / gamma
+            t_e = rng.uniform(0.0, 3.0) / gamma
+            t_prime = rng.uniform(0.0, 1.0) / gamma
+            draws.append((gamma, t_c, t_e, t_prime,
+                          gamma * rng.uniform(0.0, 30.0)))
+        times, omega = reduced(draws)
+        closed = loss_closed_form(times, omega, 1.0, "approx")
+        free = loss_no_cavity(times, 1.0)
+        assert np.all((0.0 <= closed) & (closed <= 1.0))
+        assert np.all((0.0 <= free) & (free <= 1.0))
 
     def test_unknown_p_model_rejected(self):
         times = synthetic_times(2.0e-9, 1.0e-9)
@@ -279,11 +334,10 @@ class TestScan:
                    if (lo[i] - lo[i - 1]) * (lo[i + 1] - lo[i]) < 0.0]
         assert len(extrema) <= 1
 
-    def test_series_closed_form_agreement(self, default_scan):
-        for point in default_scan:
-            series, _ = loss_series(point.times, point.omega_tilde, GAMMA,
-                                    "approx")
-            assert abs(series - point.loss_cavity) <= 1.0e-12
+    def test_series_closed_form_agreement(self, default_grid):
+        series, _ = loss_series(default_grid.times, default_grid.omega_tilde,
+                                GAMMA, "approx")
+        assert np.all(np.abs(series - default_grid.loss_cavity) <= 1.0e-12)
 
     def test_window_gate(self):
         good = [-900.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ]
