@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 32 runs below
+    python3 scripts/same_bytes.py REV          # the 36 runs below
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -14,7 +14,9 @@ starts a fresh isolated interpreter that writes no byte code
 as it streams, so the 10^6-point scan is never held in memory here.
 
 One line per run gives the sha256 of stdout and of stderr and the exit
-code of the working tree, and whether REV printed the same.  The summary
+code of the working tree, and whether REV printed the same.  A run that
+names ``--output out.csv`` also gives the sha256 of the file it wrote,
+which should be that of the same run's stdout without the flag.  The summary
 line ends with the kernel that numpy dispatches for float64 ``exp`` on this
 host (for example ``X86_V4``), read in one more such interpreter: the
 last bits of the output, and so the bytes compared, depend on it.  The
@@ -54,9 +56,12 @@ CONFIGS = {
     **{f"p{p}.json": {"output": {"precision": p}} for p in range(6, 17)},
 }
 
+#: the file that the --output runs write, in the config directory
+OUTPUT = "out.csv"
+
 #: (name, argv) of every run: every command, both kernels and couplings,
 #: out-of-window and refused scans, a refused validate config, refused
-#: dynamics steps, precision 17 and the decay-free limit
+#: dynamics steps, precision 17, the decay-free limit and output files
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -96,6 +101,12 @@ RUNS = [
                                "--dt-ps", "1e-320"]),
     ("dynamics-negative-t", ["dynamics", "--delta-mhz", "-350",
                              "--t-max-ns", "-1"]),
+    ("scan-default-output", ["scan", "--output", OUTPUT]),
+    ("scan-20000-output", ["scan", "--points", "20000", "--output", OUTPUT]),
+    ("dynamics-output", ["dynamics", "--delta-mhz", "-350",
+                         "--output", OUTPUT]),
+    ("dynamics-decay-free-output", ["--config", "decay_free.json", "dynamics",
+                                    "--delta-mhz", "-350", "--output", OUTPUT]),
 ]
 
 #: the runs --all adds: a 5 000-point scan and a dynamics run at every
@@ -132,8 +143,9 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def outcome(src: Path, argv: list[str], cwd: Path) -> tuple[str, str, int]:
-    """(sha256 of stdout, sha256 of stderr, exit code) of one CLI run."""
+def outcome(src: Path, argv: list[str], cwd: Path) -> tuple[str, str, int, str]:
+    """(sha256 of stdout, sha256 of stderr, exit code, sha256 of the
+    --output file or "") of one CLI run; the file is removed."""
     stdout = hashlib.sha256()
     with tempfile.TemporaryFile() as stderr:
         with subprocess.Popen(
@@ -143,8 +155,13 @@ def outcome(src: Path, argv: list[str], cwd: Path) -> tuple[str, str, int]:
             for block in iter(lambda: process.stdout.read(1 << 20), b""):
                 stdout.update(block)
         stderr.seek(0)
+        written = cwd / OUTPUT
+        file_sha = ""
+        if written.exists():
+            file_sha = hashlib.sha256(written.read_bytes()).hexdigest()
+            written.unlink()
         return (stdout.hexdigest(), hashlib.sha256(stderr.read()).hexdigest(),
-                process.returncode)
+                process.returncode, file_sha)
 
 
 def exp_dispatch() -> str:
@@ -174,9 +191,10 @@ def main() -> int:
             then = outcome(base, argv, configs)
             now = outcome(ROOT / "src", argv, configs)
             differ += then != now
+            file = f" file {now[3][:16]}" if now[3] else ""
             print(f"{name:28s} stdout {now[0][:16]} stderr {now[1][:16]} "
-                  f"exit {now[2]}  {'same' if then == now else 'DIFFERS'}",
-                  flush=True)
+                  f"exit {now[2]}{file}  "
+                  f"{'same' if then == now else 'DIFFERS'}", flush=True)
     print(f"{len(runs) - differ}/{len(runs)} runs print the same bytes "
           f"as {args.rev}; numpy float64 exp dispatch {exp_dispatch()}")
     return 1 if differ else 0

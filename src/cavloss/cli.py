@@ -30,7 +30,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Optional, get_args, get_type_hints
+from typing import Iterator, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from . import potential as potential_mod
 from . import traploss as traploss_mod
 from .constants import (HBAR, HumanUnitsConfig, PhysicalParams,
                         resolve_params, to_human_units)
-from .csvtext import write_csv
+from .csvtext import csv_pieces, write_csv
 from .errors import CavlossError, ConfigError, DomainError, StepSizeError
 from .grid import float_range
 
@@ -298,8 +298,11 @@ DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
 
 def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
                  t_max_ns: Optional[float] = None,
-                 dt_ps: Optional[float] = None) -> str:
+                 dt_ps: Optional[float] = None) -> Iterator:
     """CSV time series of the integrated master equation at one detuning.
+
+    Everything is computed before this returns; the CSV comes as the
+    bytes pieces of :func:`~cavloss.csvtext.csv_pieces`.
 
     ``t_max_ns`` and ``dt_ps`` are the ``--t-max-ns`` and ``--dt-ps``
     values as given (None for the default run), and each refusal of them
@@ -328,12 +331,13 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
             f"steps per fastest cycle)")
     t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
     times, states = dynamics_mod.integrate_grid(
-        dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s)
-    p_e, p_g, p_v = states[:, 0], states[:, 1], states[:, 2]
+        dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s,
+        components=(0, 1, 2))
+    p_e, p_g, p_v = states.T
     analytic = dynamics_mod.p_omega_analytic(times, omega_tilde, gamma)
     columns = [times, p_e, analytic, p_g, p_v, np.abs(p_e - analytic),
                p_e + p_g + p_v]
-    return write_csv(DYNAMICS_HEADER, columns, cfg.output.precision)
+    return csv_pieces(DYNAMICS_HEADER, columns, cfg.output.precision)
 
 
 SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
@@ -341,8 +345,8 @@ SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
                "loss_free"]
 
 
-def cmd_scan(cfg: RunConfig) -> str:
-    """CSV of the full detuning scan."""
+def cmd_scan(cfg: RunConfig) -> Iterator:
+    """CSV of the full detuning scan, as :func:`cmd_dynamics` returns it."""
     params = resolve_params(cfg.species)
     scan = cfg.scan
     grid = traploss_mod.scan_grid(
@@ -364,7 +368,7 @@ def cmd_scan(cfg: RunConfig) -> str:
     if scan.allow_out_of_window:
         header.append("in_window")
         columns.append(traploss_mod.in_default_window(grid.delta))
-    return write_csv(header, columns, cfg.output.precision)
+    return csv_pieces(header, columns, cfg.output.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +678,25 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
             if "." in dest and value is not None}
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, pieces) -> None:
+    """Write the bytes pieces to the ``output.path`` file, or to stdout.
+
+    Each piece is written before the next is asked for, since a piece of
+    :func:`~cavloss.csvtext.csv_pieces` may be overwritten by the next.
+    A stdout that takes no bytes (an ``io.StringIO``) gets them as text.
+    """
     if cfg.output.path:
-        with open(cfg.output.path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        with open(cfg.output.path, "wb") as handle:
+            for piece in pieces:
+                handle.write(piece)
+        return
+    sys.stdout.flush()   # text written to stdout before stays first
+    sink = getattr(sys.stdout, "buffer", None)
+    for piece in pieces:
+        if sink is None:
+            sys.stdout.write(str(piece, "utf-8"))
+        else:
+            sink.write(piece)
 
 
 def _window_note(delta_mhz: float) -> None:
@@ -696,9 +713,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config, _flag_overrides(args))
         if args.command == "constants":
-            _emit(cfg, cmd_constants(cfg))
+            _emit(cfg, [cmd_constants(cfg).encode()])
         elif args.command == "times":
-            _emit(cfg, cmd_times(cfg, args.delta_mhz))
+            _emit(cfg, [cmd_times(cfg, args.delta_mhz).encode()])
             _window_note(args.delta_mhz)
         elif args.command == "dynamics":
             _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, args.t_max_ns,

@@ -2,8 +2,10 @@
 
 :func:`write_csv` writes every float cell as ``"%.{p-1}e" % value`` and
 every integer or boolean cell as ``"%d" % value``, byte for byte, without
-running ``%`` on each cell.  The text goes into one preallocated uint8
-buffer, header line first, and is decoded once.
+running ``%`` on each cell.  :func:`csv_pieces` hands the same text out
+as bytes, chunk by chunk, each chunk written into one uint8 buffer that
+the next chunk reuses, so a caller can send the bytes to a file or pipe
+without holding the whole text; :func:`write_csv` joins and decodes them.
 
 The rows are taken in chunks of :data:`CSV_CHUNK_ROWS`, and each chunk
 is written straight into one fixed row layout.  A row is its cells, each
@@ -16,8 +18,8 @@ piece of a cell (the separator, sign, first digit and '.' as one word,
 the digits as left-aligned 4-digit words, the exponent word written last
 over their pad bytes) is one strided view per run of adjacent columns of
 equal width.  A positive cell in a column with a sign slot leaves a NUL
-there, and the NULs are deleted from the text in one pass, only when
-some were written.
+there, and the NULs are deleted from the chunk's text in one pass, only
+when some were written.
 
 A float cell takes the fast path only when its digits are certain.  With
 e = floor(log10|x|), corrected by one either way, the mantissa
@@ -119,11 +121,13 @@ def _scale_table(precision: int) -> np.ndarray:
                   [0.0, 2.0**-51], np.inf)])
 
 
-def write_csv(header: list[str], columns: list, precision: int) -> str:
-    """The header line, then one line per row of the equal-length columns.
+def csv_pieces(header: list[str], columns: list, precision: int):
+    """The text of :func:`write_csv` as bytes pieces, one at a time.
 
-    Float columns are written in scientific notation with ``precision``
-    significant digits, integer and boolean columns as ``%d``.
+    The pieces are the header, the rows of each chunk of
+    :data:`CSV_CHUNK_ROWS` and the final newline.  A chunk's piece may be
+    a view of a buffer that the next chunk is written into, so use or copy
+    each piece before asking for the next.
     """
     columns = [np.asarray(column) for column in columns]
     kinds = tuple(column.dtype.kind in "biu" for column in columns)
@@ -133,37 +137,28 @@ def write_csv(header: list[str], columns: list, precision: int) -> str:
     chunks = [slice(start, start + CSV_CHUNK_ROWS)
               for start in range(0, n_rows, CSV_CHUNK_ROWS)]
     # every row is written with the newline that ends the line before it
+    yield ",".join(header).encode()
     if precision > _FAST_MAX_PRECISION:
-        pieces = [",".join(header)]
         for rows in chunks:
-            pieces += _percent_lines(row_format, columns, rows)
-        pieces.append("\n")
-        return "".join(pieces)
+            yield "".join(_percent_lines(row_format, columns, rows)).encode()
+    else:
+        widest = _layout(kinds, tuple(not is_int for is_int in kinds),
+                         precision)[0]
+        buf = np.empty(min(n_rows, CSV_CHUNK_ROWS) * widest, dtype=np.uint8)
+        for rows in chunks:
+            yield _write_chunk(buf, kinds, row_format, precision, columns,
+                               rows)
+    yield b"\n"
 
-    head = ",".join(header).encode()
-    widest = _layout(kinds, tuple(not is_int for is_int in kinds),
-                     precision)[0]
-    buf = np.empty(len(head) + n_rows * widest + 1, dtype=np.uint8)
-    memoryview(buf)[:len(head)] = head
-    end, any_nul, splices = len(head), False, []
-    for rows in chunks:
-        end, nul = _write_chunk(buf, end, kinds, row_format, precision,
-                                columns, rows, splices)
-        any_nul |= nul
-    buf[end] = ord("\n")
-    data = memoryview(buf)[:end + 1]
-    if not (any_nul or splices):
-        return str(data, "utf-8")
-    parts, done = [], 0
-    for at, tail in splices:
-        parts += [data[done:at], tail]
-        done = at
-    parts.append(data[done:])
-    data = b"".join(parts)
-    del parts, buf   # at most two copies of the text at once
-    if any_nul:
-        data = data.translate(None, b"\0")
-    return str(data, "utf-8")
+
+def write_csv(header: list[str], columns: list, precision: int) -> str:
+    """The header line, then one line per row of the equal-length columns.
+
+    Float columns are written in scientific notation with ``precision``
+    significant digits, integer and boolean columns as ``%d``.
+    """
+    return "".join(str(piece, "utf-8")
+                   for piece in csv_pieces(header, columns, precision))
 
 
 def _percent_lines(row_format: str, columns: list, rows) -> list[str]:
@@ -299,13 +294,11 @@ def _float_words(digits, index, by_column, negative, leads_row: bool,
     return lead, words[::-1], _EXPONENT4.take(index, mode="clip")
 
 
-def _write_chunk(buf, start: int, kinds, row_format, precision, columns,
-                 rows: slice, splices: list):
-    """Write one chunk of rows into ``buf`` at byte ``start``.
+def _write_chunk(buf, kinds, row_format, precision, columns, rows: slice):
+    """The text of one chunk of rows, written into the start of ``buf``.
 
-    Returns the byte after the chunk and whether a NUL was written;
-    (offset, bytes) pairs still to be spliced in are appended to
-    ``splices``.
+    Returns a view of ``buf``, or bytes when ``%`` rows had to be spliced
+    in or NULs deleted.
     """
     floats = [column[rows] for column, is_int in zip(columns, kinds)
               if not is_int]
@@ -340,29 +333,37 @@ def _write_chunk(buf, start: int, kinds, row_format, precision, columns,
 
     for cols, offset, width, digits_at in runs:
         shape, strides = (n_rows, cols.stop - cols.start), (row_len, width)
-        at = start + offset
         if digits_at is None:   # an integer cell is its lead word
-            np.ndarray(shape, "<u2", buf, at, strides)[...] = int_lead[:, cols]
+            np.ndarray(shape, "<u2", buf, offset, strides)[...] \
+                = int_lead[:, cols]
             continue
-        np.ndarray(shape, "<u4", buf, at, strides)[...] = lead[:, cols]
+        np.ndarray(shape, "<u4", buf, offset, strides)[...] = lead[:, cols]
         for k, group in enumerate(words):
-            np.ndarray(shape, np.uint32, buf, start + digits_at + 4 * k,
+            np.ndarray(shape, np.uint32, buf, digits_at + 4 * k,
                        strides)[...] = group[:, cols]
-        np.ndarray(shape, np.uint32, buf, at + width - 4, strides)[...] \
+        np.ndarray(shape, np.uint32, buf, offset + width - 4, strides)[...] \
             = exponent[:, cols]
 
+    text = memoryview(buf)[:n_rows * row_len]
     fallback = np.flatnonzero(percent)
-    if not len(fallback):
-        return start + n_rows * row_len, nul
-    text = memoryview(buf)
-    lines = _percent_lines(row_format, columns, fallback + rows.start)
-    for i, line in zip(fallback.tolist(), lines):
-        at, line = start + i * row_len, line.encode()
-        fits, tail = line[:row_len], line[row_len:]
-        text[at:at + len(fits)] = fits
-        if len(fits) < row_len:   # pad the slot with NULs
-            text[at + len(fits):at + row_len] = bytes(row_len - len(fits))
-            nul = True
-        if tail:
-            splices.append((at + row_len, tail))
-    return start + n_rows * row_len, nul
+    splices = []   # (offset, bytes) still to be spliced in
+    if len(fallback):
+        lines = _percent_lines(row_format, columns, fallback + rows.start)
+        for i, line in zip(fallback.tolist(), lines):
+            at, line = i * row_len, line.encode()
+            fits, tail = line[:row_len], line[row_len:]
+            text[at:at + len(fits)] = fits
+            if len(fits) < row_len:   # pad the slot with NULs
+                text[at + len(fits):at + row_len] = bytes(row_len - len(fits))
+                nul = True
+            if tail:
+                splices.append((at + row_len, tail))
+    if not (nul or splices):
+        return text
+    parts, done = [], 0
+    for at, tail in splices:
+        parts += [text[done:at], tail]
+        done = at
+    parts.append(text[done:])
+    data = b"".join(parts)
+    return data.translate(None, b"\0") if nul else data

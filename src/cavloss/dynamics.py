@@ -47,9 +47,10 @@ RK4's stability polynomial.  Sample n is M^n*y0.  The samples come from
 blocked powers (Higham, Functions of Matrices, SIAM 2008, ch. 4): with
 a block length B near sqrt(n), the stack M^j for j < B and the block
 starts (M^B)^b*y0 are built by about 2*sqrt(n) small products, and one
-einsum combines them into every sample M^(b*B + j)*y0.  The method, its
-step and its fourth order are those of the step-by-step loop; only the
-rounding differs, and no Python loop runs per step.
+einsum combines them into every sample M^(b*B + j)*y0, computing only
+the components asked for (``dynamics`` prints p_e, p_g and p_v).  The
+method, its step and its fourth order are those of the step-by-step loop;
+only the rounding differs, and no Python loop runs per step.
 """
 
 from __future__ import annotations
@@ -167,15 +168,19 @@ def _powers(m: np.ndarray, count: int) -> np.ndarray:
 
 
 def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
-                   t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+                   t_end: float, dt: float, *,
+                   components=range(9)) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over [0, t_end] from the state ``initial``.
 
     Returns ``(times, states)`` with ``times = arange(n + 1) * h`` and
-    ``states[k]`` the state after k steps, one row per sample.  The step
-    h is ``dt`` shrunk slightly so an integer number n of steps lands
-    exactly on ``t_end``.  A start state other than 9 reals is refused,
-    not cast; so are steps coarser than :func:`max_stable_dt` and a run
-    of more than :data:`MAX_STEPS` steps, before anything is allocated.
+    ``states[k]`` the given ``components`` of the state after k steps, one
+    row per sample.  Each component is the same dot product whichever
+    others are asked for, so ``states`` equals those columns of the full
+    state bit for bit.  The step h is ``dt`` shrunk slightly so an integer
+    number n of steps lands exactly on ``t_end``.  A start state other
+    than 9 reals is refused, not cast; so are steps coarser than
+    :func:`max_stable_dt` and a run of more than :data:`MAX_STEPS` steps,
+    before anything is allocated.
     """
     start = np.asarray(initial)
     if start.shape != (9,) or start.dtype.kind not in "fiu":
@@ -207,7 +212,10 @@ def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
     bases[0] = start
     for b in range(1, count):
         bases[b] = stride @ bases[b - 1]
-    states = np.einsum("jik,bk->bji", inner, bases).reshape(-1, 9)
+    # a contiguous copy of the rows asked for: a strided view runs no faster
+    # than all nine
+    rows = np.ascontiguousarray(inner[:, list(components)])
+    states = np.einsum("jik,bk->bji", rows, bases).reshape(count * block, -1)
     return np.arange(n_steps + 1) * h, states[:n_steps + 1]
 
 
@@ -269,28 +277,35 @@ def _branch(t, omega_tilde, gamma):
     return (omega_tilde != 0.0) * (1 + hyperbolic + far)
 
 
-def p_omega_analytic(t, omega_tilde, gamma: float):
+def p_omega_analytic(t, omega_tilde, gamma):
     """Closed-form excited-state survival probability p(t).
 
     Covers all damping regimes continuously; the decoupled limit
-    omega_tilde = 0 returns exp(-gamma*t) exactly.
+    omega_tilde = 0 returns exp(-gamma*t) exactly.  Elementwise in all
+    three arguments.
     """
     time, omega, decay = as_grid(t), as_grid(omega_tilde), as_grid(gamma)
     refuse(time < 0.0, time, "time must be >= 0, got {!r}")
     refuse(decay < 0.0, decay, "decay rate must be >= 0, got {!r}")
     refuse(omega < 0.0, omega,
            "collective Rabi frequency must be >= 0, got {!r}")
-    time, omega = np.broadcast_arrays(time, omega)
-    branch = _branch(time, omega, gamma)
+    per_element = decay.size > 1
+    if per_element:
+        time, omega, decay = np.broadcast_arrays(time, omega, decay)
+    else:   # one rate for every element stays a scalar: no copy per branch
+        time, omega = np.broadcast_arrays(time, omega)
+        decay = decay.item()
+    branch = _branch(time, omega, decay)
     value = np.empty(time.shape)
     for index, form in enumerate(_BRANCHES):
         rows = branch == index
         if rows.any():
-            value[rows] = form(time[rows], omega[rows], gamma)
-    return like(value, t, omega_tilde)
+            value[rows] = form(time[rows], omega[rows],
+                               decay[rows] if per_element else decay)
+    return like(value, t, omega_tilde, gamma)
 
 
-def p_omega_approx(t, omega_tilde, gamma: float):
+def p_omega_approx(t, omega_tilde, gamma):
     """Simplified survival probability exp(-gamma*t/2)*cos^2(omega_tilde*t).
 
     Drops the sine correction and replaces the oscillation rate by
@@ -300,4 +315,4 @@ def p_omega_approx(t, omega_tilde, gamma: float):
     time = as_grid(t)
     refuse(time < 0.0, time, "time must be >= 0, got {!r}")
     return like(np.exp(-0.5 * gamma * time) * np.cos(omega_tilde * time) ** 2,
-                t, omega_tilde)
+                t, omega_tilde, gamma)

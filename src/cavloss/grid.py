@@ -33,7 +33,7 @@ def refuse(bad: np.ndarray, values: np.ndarray, message: str) -> None:
 
     ``message`` holds one ``{!r}`` field for that element.
     """
-    if bad.any():
+    if np.count_nonzero(bad):   # faster than bad.any() on small grids
         raise DomainError(message.format(float(values[bad][0])))
 
 

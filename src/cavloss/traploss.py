@@ -48,8 +48,8 @@ import numpy as np
 from .cavity import CavityConfig, coupling
 from .constants import PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
-from .errors import ConfigError, DivergenceError, DomainError
-from .grid import as_grid, float_range, like
+from .errors import ConfigError, DivergenceError
+from .grid import as_grid, float_range, like, refuse
 from .kinematics import CollisionTimes, collision_times
 from .potential import ResonanceGeometry
 
@@ -160,32 +160,31 @@ def loss_series(times: CollisionTimes, omega_tilde, gamma: float,
             like(terms, times.t_resonant, omega_tilde))
 
 
-def loss_closed_form(times: CollisionTimes, omega_tilde, gamma: float,
+def loss_closed_form(times: CollisionTimes, omega_tilde, gamma,
                      p_model: Union[str, PModel]):
     """Multiple-passage loss in closed form (requires gamma > 0).
 
-    Elementwise when the times and omega_tilde are arrays.
+    Elementwise when the times, omega_tilde or gamma are arrays.
     """
-    if gamma <= 0.0:
-        raise DomainError(
-            f"decay rate must be positive for the closed form, got {gamma!r}")
+    decay = as_grid(gamma)
+    refuse(decay <= 0.0, decay,
+           "decay rate must be positive for the closed form, got {!r}")
     p = _resolve_p_model(p_model)
     g_te = gamma * times.t_escape_region
     g_off = gamma * (times.t_prime + times.t_escape_region)
     p_return = p(2.0 * times.t_resonant, omega_tilde, gamma)
     loss = (p(times.t_resonant, omega_tilde, gamma) * np.sinh(g_te)
             / (0.5 * (np.exp(g_off) - p_return * np.exp(-g_off))))
-    return like(loss, times.t_resonant, omega_tilde)
+    return like(loss, times.t_resonant, omega_tilde, gamma)
 
 
-def loss_no_cavity(times: CollisionTimes, gamma: float):
+def loss_no_cavity(times: CollisionTimes, gamma):
     """Free-space loss sinh(G*t_e)/sinh(G*(t_c+t_e)) of independent pairs."""
-    if gamma <= 0.0:
-        raise DomainError(
-            f"decay rate must be positive, got {gamma!r}")
+    decay = as_grid(gamma)
+    refuse(decay <= 0.0, decay, "decay rate must be positive, got {!r}")
     loss = (np.sinh(gamma * times.t_escape_region)
             / np.sinh(gamma * (times.t_resonant + times.t_escape_region)))
-    return like(loss, times.t_resonant)
+    return like(loss, times.t_resonant, gamma)
 
 
 def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,

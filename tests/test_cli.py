@@ -1,8 +1,10 @@
 """Command-line interface: config handling, CSV contracts, exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
@@ -678,9 +680,72 @@ def test_csv_matches_percent_oracle(capsys, monkeypatch, tmp_path, document,
     config = write_config(tmp_path, {**document,
                                      "output": {"precision": precision}})
     fast = run(capsys, ["--config", config] + argv)
-    monkeypatch.setattr(cli, "write_csv", percent_csv_oracle)
+    tables = []
+
+    def oracle(header, columns, precision):
+        tables.append(header)
+        return percent_csv_oracle(header, columns, precision)
+
+    # the commands write CSV through these two names; patching both makes
+    # the second run write every row by `%`
+    monkeypatch.setattr(cli, "write_csv", oracle)
+    monkeypatch.setattr(cli, "csv_pieces",
+                        lambda *table: [oracle(*table).encode()])
     assert run(capsys, ["--config", config] + argv) == fast
+    assert len(tables) == 1
     assert fast[0] == 0 and fast[1].count("\n") > 1
+
+
+#: (config document, argv) of runs whose CSV spans several chunks
+SINK_RUNS = [
+    ({}, ["scan", "--points", "5000"]),
+    ({}, ["dynamics", "--delta-mhz", "-700"]),
+    ({"species": {"gamma_a_mhz": 0.0}}, ["dynamics", "--delta-mhz", "-350"]),
+]
+
+
+@pytest.mark.parametrize("document, argv", SINK_RUNS)
+def test_every_sink_gets_the_same_bytes(capsys, tmp_path, document, argv):
+    argv = ["--config", write_config(tmp_path, document)] + argv
+    code, out, _ = run(capsys, argv)   # a stdout with a byte buffer
+    assert code == 0 and out.count("\n") > 2 * 2048
+    target = tmp_path / "out.csv"
+    assert run(capsys, argv + ["--output", str(target)])[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
+    text = io.StringIO()   # a stdout that takes only text
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == out
+
+
+@pytest.mark.parametrize("argv", [["scan", "--points", "3000"],
+                                  ["constants"]])
+def test_text_written_to_stdout_before_stays_first(monkeypatch, argv):
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    stdout.write("before\n")   # held in the wrapper until it is flushed
+    assert main(argv) == 0
+    stdout.write("after\n")
+    stdout.flush()
+    lines = raw.getvalue().decode().splitlines()
+    assert lines[0] == "before" and lines[-1] == "after"
+    assert lines[1].startswith(("delta_mhz,", "omega_a_rad_s="))
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--from-mhz", "-1500"],
+    ["scan", "--from-mhz=-1e300", "--allow-out-of-window"],
+    ["dynamics", "--delta-mhz", "-350", "--dt-ps", "1000"],
+    ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "1e9"],
+    ["dynamics", "--delta-mhz=-1e-300"],
+])
+def test_refused_run_writes_nothing(capsys, tmp_path, argv):
+    target = tmp_path / "out.csv"
+    for output in ([], ["--output", str(target)]):
+        code, out, err = run(capsys, argv + output)
+        assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_export_list_is_the_public_names():

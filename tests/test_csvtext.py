@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cavloss import cli, csvtext
-from cavloss.csvtext import CSV_CHUNK_ROWS, write_csv
+from cavloss.csvtext import CSV_CHUNK_ROWS, csv_pieces, write_csv
 from oracles import percent_csv_oracle
 from test_properties import PROPERTY
 
@@ -20,6 +20,17 @@ def same_as_oracle(columns, precision):
     text = write_csv(header, columns, precision)
     assert text == percent_csv_oracle(header, columns, precision)
     assert "\0" not in text
+
+
+def same_pieces_as_oracle(columns, precision):
+    """The header, one piece per chunk and the final newline, joined."""
+    header = [f"c{j}" for j in range(len(columns))]
+    # a piece may be overwritten by the next one, so copy it at once
+    pieces = [bytes(piece) for piece in csv_pieces(header, columns, precision)]
+    assert b"".join(pieces) \
+        == percent_csv_oracle(header, columns, precision).encode()
+    assert pieces[0] == ",".join(header).encode() and pieces[-1] == b"\n"
+    assert len(pieces) == 2 + -(-len(columns[0]) // CSV_CHUNK_ROWS)
 
 
 @st.composite
@@ -81,6 +92,7 @@ def tables(draw):
 def test_byte_identical_to_percent(table):
     precision, columns = table
     same_as_oracle(columns, precision)
+    same_pieces_as_oracle(columns, precision)
 
 
 @pytest.mark.parametrize("precision", [6, 12, 15])
@@ -106,9 +118,10 @@ def scan_like(rows):
 
 @pytest.mark.parametrize("precision", [6, 12, 17])
 @pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
-                                  CSV_CHUNK_ROWS + 1])
+                                  CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1])
 def test_chunk_edges(rows, precision):
     same_as_oracle(scan_like(rows), precision)
+    same_pieces_as_oracle(scan_like(rows), precision)
 
 
 @pytest.mark.parametrize("precision", [6, 12])
@@ -122,6 +135,7 @@ def test_rejected_row_at_chunk_edge(rejected, precision):
     columns[1][rejected] = 123456.5
     columns[2][rejected[::2]] = math.nan
     same_as_oracle(columns, precision)
+    same_pieces_as_oracle(columns, precision)
 
 
 def test_all_fallback_chunk():
@@ -129,10 +143,15 @@ def test_all_fallback_chunk():
     columns[2][CSV_CHUNK_ROWS:2 * CSV_CHUNK_ROWS] = math.inf
     columns.append(np.arange(3 * CSV_CHUNK_ROWS) % 11)   # 10 falls back too
     same_as_oracle(columns, 12)
+    same_pieces_as_oracle(columns, 12)
 
 
 def test_no_rows_is_the_header_line():
-    assert write_csv(["a", "b"], [np.array([]), np.array([])], 12) == "a,b\n"
+    columns = [np.array([]), np.array([])]
+    for precision in (12, 17):
+        assert write_csv(["a", "b"], columns, precision) == "a,b\n"
+        assert list(csv_pieces(["a", "b"], columns, precision)) \
+            == [b"a,b", b"\n"]
 
 
 @pytest.fixture
@@ -204,8 +223,8 @@ def test_integer_columns_between_float_columns(slow):
     assert slow == []
 
 
-@pytest.mark.parametrize("row", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
-                                 CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("row", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                 CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1])
 @pytest.mark.parametrize("column, value", [
     (1, 1.0e-100),    # one byte longer than its unsigned slot
     (0, -1.0e-100),   # one byte longer than its signed slot
@@ -218,6 +237,8 @@ def test_percent_row_longer_or_shorter_than_its_slot(slow, row, column,
     same_as_oracle(columns, 12)
     assert slow == ["\n" + "%.11e,%.11e,%.11e" % tuple(
         float(cells[row]) for cells in columns)]
+    # spliced in, or its NULs deleted, within the chunk's own piece
+    same_pieces_as_oracle(columns, 12)
 
 
 def near_tie_lines(columns, precision):
@@ -248,12 +269,12 @@ def test_scan_rows_take_the_fast_path_except_near_ties(slow, monkeypatch,
 
     def capture(header, columns, precision):
         tables.append(columns)
-        return write_csv(header, columns, precision)
+        return csv_pieces(header, columns, precision)
 
-    monkeypatch.setattr(cli, "write_csv", capture)
+    monkeypatch.setattr(cli, "csv_pieces", capture)
     assert cli.main(["scan", "--points", "20000"]) == 0
     capsys.readouterr()
-    columns = tables[0]
+    [columns] = tables
     for precision in (6, 12):
         slow.clear()
         same_as_oracle(columns, precision)

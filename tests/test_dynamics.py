@@ -8,7 +8,7 @@ import pytest
 from cavloss import (EXCITED_STATE, DomainError, StepSizeError,
                      integrate_grid, max_stable_dt, p_omega_analytic,
                      p_omega_approx, rabi_regime)
-from cavloss.dynamics import MAX_STEPS, generator
+from cavloss.dynamics import MAX_STEPS, default_run, generator
 from oracles import TWO_PI_MHZ, p_underdamped_reference, rk4_master_oracle
 
 OMEGA_200 = 200.0 * TWO_PI_MHZ
@@ -197,6 +197,22 @@ class TestMatrixCore:
             dt = max_stable_dt(omega, gamma) / 4.0
             _agrees_with_oracle(initial, omega, gamma, 777.3 * dt, dt)
 
+    @pytest.mark.parametrize("omega,gamma", [
+        (OMEGA_200, GAMMA_MOL), (0.25 * GAMMA_MOL, GAMMA_MOL),
+        (0.05 * GAMMA_MOL, GAMMA_MOL), (OMEGA_200, 0.0),
+    ], ids=["underdamped", "critical", "overdamped", "decay-free"])
+    def test_components_are_columns_of_the_full_state(self, omega, gamma):
+        t_end, dt = default_run(omega, gamma)
+        for initial in (EXCITED_STATE, MIXED_STATE):
+            times, full = integrate_grid(initial, omega, gamma, t_end, dt)
+            for components in ((0, 1, 2), (4,), (8, 0, 3)):
+                part_times, part = integrate_grid(
+                    initial, omega, gamma, t_end, dt, components=components)
+                assert part_times.tobytes() == times.tobytes()
+                assert part.shape == (len(times), len(components))
+                assert part.tobytes() == np.ascontiguousarray(
+                    full[:, list(components)]).tobytes()
+
     def test_zero_span_returns_the_start_state(self):
         times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
                                        0.0, 1.0e-12)
@@ -273,6 +289,18 @@ class TestClosedForm:
             expected = math.exp(-0.5 * gamma * t) * (1.0 - gamma * t / 4.0) ** 2
             assert p_omega_analytic(t, 0.25 * gamma, gamma) \
                 == pytest.approx(expected, rel=1.0e-12, abs=1.0e-15)
+
+    def test_array_decay_rates_over_mixed_branches(self):
+        # oscillating, hyperbolic near and far, decoupled and critical
+        t = np.array([1.0e-9, 2.0e-9, 1.0e-6, 1.0e-9, 3.0e-9])
+        omega = np.array([1.0e7, 1.0e6, 1.0e6, 0.0, 2.5e6])
+        gamma = np.array([1.0e7, 1.0e7, 1.0e7, 3.0e7, 1.0e7])
+        for kernel in (p_omega_analytic, p_omega_approx):
+            assert kernel(t, omega, gamma).tolist() == [
+                kernel(*args) for args in zip(t.tolist(), omega.tolist(),
+                                              gamma.tolist())]
+            assert kernel(1.0e-9, 1.0e7, gamma).tolist() == [
+                kernel(1.0e-9, 1.0e7, g) for g in gamma.tolist()]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -188,6 +188,23 @@ class TestSeriesAndClosedForm:
         times = synthetic_times(2.0e-9, 1.0e-9)
         with pytest.raises(DomainError):
             loss_closed_form(times, OMEGA_200, 0.0, "approx")
+        with pytest.raises(DomainError, match=r"got -2\.0$"):
+            loss_closed_form(times, OMEGA_200, np.array([GAMMA, -2.0, 0.0]),
+                             "approx")
+
+    @pytest.mark.parametrize("p_model", ["approx", "analytic"])
+    def test_array_decay_rates_are_elementwise(self, p_model):
+        # the rates put the analytic kernel on all four of its branches
+        times = synthetic_times(2.0e-9, 1.0e-9, t_prime=0.5e-9)
+        omega = np.array([OMEGA_200, 1.0e6, 0.0, 2.0e8])
+        gamma = np.array([GAMMA, 1.0e7, GAMMA, 4.0e9])
+        closed = loss_closed_form(times, omega, gamma, p_model)
+        free = loss_no_cavity(times, gamma)
+        assert closed.tolist() == [
+            loss_closed_form(times, w, g, p_model)
+            for w, g in zip(omega.tolist(), gamma.tolist())]
+        assert free.tolist() == [loss_no_cavity(times, g)
+                                 for g in gamma.tolist()]
 
     def test_vanishing_resonant_time_loses_everything(self):
         times = synthetic_times(0.0, 3.0e-9)
@@ -244,6 +261,9 @@ class TestNoCavity:
     def test_requires_decay(self):
         with pytest.raises(DomainError):
             loss_no_cavity(synthetic_times(2.0e-9, 1.0e-9), 0.0)
+        with pytest.raises(DomainError, match=r"got 0\.0$"):
+            loss_no_cavity(synthetic_times(2.0e-9, 1.0e-9),
+                           np.array([GAMMA, 0.0, -1.0]))
 
     def test_closed_form_with_decay_kernel_is_identity(self):
         rng = np.random.default_rng(43)
