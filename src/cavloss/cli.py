@@ -25,12 +25,13 @@ failed validation suite, 2 for configuration or domain errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, get_args, get_type_hints
+from typing import Iterable, Iterator, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -298,11 +299,11 @@ DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
 
 def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
                  t_max_ns: Optional[float] = None,
-                 dt_ps: Optional[float] = None) -> Iterator:
+                 dt_ps: Optional[float] = None) -> Iterator[str]:
     """CSV time series of the integrated master equation at one detuning.
 
     Everything is computed before this returns; the CSV comes as the
-    bytes pieces of :func:`~cavloss.csvtext.csv_pieces`.
+    pieces of :func:`~cavloss.csvtext.csv_pieces`.
 
     ``t_max_ns`` and ``dt_ps`` are the ``--t-max-ns`` and ``--dt-ps``
     values as given (None for the default run), and each refusal of them
@@ -345,7 +346,7 @@ SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
                "loss_free"]
 
 
-def cmd_scan(cfg: RunConfig) -> Iterator:
+def cmd_scan(cfg: RunConfig) -> Iterator[str]:
     """CSV of the full detuning scan, as :func:`cmd_dynamics` returns it."""
     params = resolve_params(cfg.species)
     scan = cfg.scan
@@ -678,24 +679,11 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
             if "." in dest and value is not None}
 
 
-def _emit(cfg: RunConfig, pieces) -> None:
-    """Write the bytes pieces to the ``output.path`` file, or to stdout.
-
-    Each piece is written before the next is asked for, since a piece of
-    :func:`~cavloss.csvtext.csv_pieces` may be overwritten by the next.
-    A stdout that takes no bytes (an ``io.StringIO``) gets them as text.
-    """
-    if cfg.output.path:
-        with open(cfg.output.path, "wb") as handle:
-            for piece in pieces:
-                handle.write(piece)
-        return
-    sys.stdout.flush()   # text written to stdout before stays first
-    sink = getattr(sys.stdout, "buffer", None)
-    for piece in pieces:
-        if sink is None:
-            sys.stdout.write(str(piece, "utf-8"))
-        else:
+def _emit(cfg: RunConfig, pieces: Iterable[str]) -> None:
+    """Write the text pieces to the ``output.path`` file, or to stdout."""
+    with (open(cfg.output.path, "w", encoding="utf-8", newline="")
+          if cfg.output.path else contextlib.nullcontext(sys.stdout)) as sink:
+        for piece in pieces:
             sink.write(piece)
 
 
@@ -713,9 +701,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config, _flag_overrides(args))
         if args.command == "constants":
-            _emit(cfg, [cmd_constants(cfg).encode()])
+            _emit(cfg, [cmd_constants(cfg)])
         elif args.command == "times":
-            _emit(cfg, [cmd_times(cfg, args.delta_mhz).encode()])
+            _emit(cfg, [cmd_times(cfg, args.delta_mhz)])
             _window_note(args.delta_mhz)
         elif args.command == "dynamics":
             _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, args.t_max_ns,

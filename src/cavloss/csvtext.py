@@ -3,9 +3,9 @@
 :func:`write_csv` writes every float cell as ``"%.{p-1}e" % value`` and
 every integer or boolean cell as ``"%d" % value``, byte for byte, without
 running ``%`` on each cell.  :func:`csv_pieces` hands the same text out
-as bytes, chunk by chunk, each chunk written into one uint8 buffer that
-the next chunk reuses, so a caller can send the bytes to a file or pipe
-without holding the whole text; :func:`write_csv` joins and decodes them.
+chunk by chunk, each chunk written into one uint8 buffer that the next
+chunk reuses and decoded on its own, so a caller can send it to a file
+or pipe without holding the whole text; :func:`write_csv` joins it.
 
 The rows are taken in chunks of :data:`CSV_CHUNK_ROWS`, and each chunk
 is written straight into one fixed row layout.  A row is its cells, each
@@ -58,6 +58,7 @@ double, so every row goes through ``%``.
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -121,13 +122,12 @@ def _scale_table(precision: int) -> np.ndarray:
                   [0.0, 2.0**-51], np.inf)])
 
 
-def csv_pieces(header: list[str], columns: list, precision: int):
-    """The text of :func:`write_csv` as bytes pieces, one at a time.
+def csv_pieces(header: list[str], columns: list,
+               precision: int) -> Iterator[str]:
+    """The text of :func:`write_csv` in pieces, one at a time.
 
     The pieces are the header, the rows of each chunk of
-    :data:`CSV_CHUNK_ROWS` and the final newline.  A chunk's piece may be
-    a view of a buffer that the next chunk is written into, so use or copy
-    each piece before asking for the next.
+    :data:`CSV_CHUNK_ROWS` and the final newline.
     """
     columns = [np.asarray(column) for column in columns]
     kinds = tuple(column.dtype.kind in "biu" for column in columns)
@@ -137,18 +137,18 @@ def csv_pieces(header: list[str], columns: list, precision: int):
     chunks = [slice(start, start + CSV_CHUNK_ROWS)
               for start in range(0, n_rows, CSV_CHUNK_ROWS)]
     # every row is written with the newline that ends the line before it
-    yield ",".join(header).encode()
+    yield ",".join(header)
     if precision > _FAST_MAX_PRECISION:
         for rows in chunks:
-            yield "".join(_percent_lines(row_format, columns, rows)).encode()
+            yield "".join(_percent_lines(row_format, columns, rows))
     else:
         widest = _layout(kinds, tuple(not is_int for is_int in kinds),
                          precision)[0]
         buf = np.empty(min(n_rows, CSV_CHUNK_ROWS) * widest, dtype=np.uint8)
         for rows in chunks:
-            yield _write_chunk(buf, kinds, row_format, precision, columns,
-                               rows)
-    yield b"\n"
+            yield str(_write_chunk(buf, kinds, row_format, precision,
+                                   columns, rows), "utf-8")
+    yield "\n"
 
 
 def write_csv(header: list[str], columns: list, precision: int) -> str:
@@ -157,8 +157,7 @@ def write_csv(header: list[str], columns: list, precision: int) -> str:
     Float columns are written in scientific notation with ``precision``
     significant digits, integer and boolean columns as ``%d``.
     """
-    return "".join(str(piece, "utf-8")
-                   for piece in csv_pieces(header, columns, precision))
+    return "".join(csv_pieces(header, columns, precision))
 
 
 def _percent_lines(row_format: str, columns: list, rows) -> list[str]:

@@ -690,7 +690,7 @@ def test_csv_matches_percent_oracle(capsys, monkeypatch, tmp_path, document,
     # the second run write every row by `%`
     monkeypatch.setattr(cli, "write_csv", oracle)
     monkeypatch.setattr(cli, "csv_pieces",
-                        lambda *table: [oracle(*table).encode()])
+                        lambda *table: [oracle(*table)])
     assert run(capsys, ["--config", config] + argv) == fast
     assert len(tables) == 1
     assert fast[0] == 0 and fast[1].count("\n") > 1
@@ -707,12 +707,12 @@ SINK_RUNS = [
 @pytest.mark.parametrize("document, argv", SINK_RUNS)
 def test_every_sink_gets_the_same_bytes(capsys, tmp_path, document, argv):
     argv = ["--config", write_config(tmp_path, document)] + argv
-    code, out, _ = run(capsys, argv)   # a stdout with a byte buffer
+    code, out, _ = run(capsys, argv)
     assert code == 0 and out.count("\n") > 2 * 2048
     target = tmp_path / "out.csv"
     assert run(capsys, argv + ["--output", str(target)])[:2] == (0, "")
     assert target.read_bytes() == out.encode()
-    text = io.StringIO()   # a stdout that takes only text
+    text = io.StringIO()   # as a calling program may redirect stdout
     with contextlib.redirect_stdout(text):
         assert main(argv) == 0
     assert text.getvalue() == out

@@ -25,11 +25,9 @@ def same_as_oracle(columns, precision):
 def same_pieces_as_oracle(columns, precision):
     """The header, one piece per chunk and the final newline, joined."""
     header = [f"c{j}" for j in range(len(columns))]
-    # a piece may be overwritten by the next one, so copy it at once
-    pieces = [bytes(piece) for piece in csv_pieces(header, columns, precision)]
-    assert b"".join(pieces) \
-        == percent_csv_oracle(header, columns, precision).encode()
-    assert pieces[0] == ",".join(header).encode() and pieces[-1] == b"\n"
+    pieces = list(csv_pieces(header, columns, precision))
+    assert "".join(pieces) == percent_csv_oracle(header, columns, precision)
+    assert pieces[0] == ",".join(header) and pieces[-1] == "\n"
     assert len(pieces) == 2 + -(-len(columns[0]) // CSV_CHUNK_ROWS)
 
 
@@ -151,7 +149,7 @@ def test_no_rows_is_the_header_line():
     for precision in (12, 17):
         assert write_csv(["a", "b"], columns, precision) == "a,b\n"
         assert list(csv_pieces(["a", "b"], columns, precision)) \
-            == [b"a,b", b"\n"]
+            == ["a,b", "\n"]
 
 
 @pytest.fixture
