@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 36 runs below
+    python3 scripts/same_bytes.py REV          # the 37 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -13,14 +13,20 @@ starts a fresh isolated interpreter that writes no byte code
 ``COLUMNS=80`` for the help text.  Its stdout is hashed
 as it streams, so the 10^6-point scan is never held in memory here.
 
-One line per run gives the sha256 of stdout and of stderr and the exit
-code of the working tree, and whether REV printed the same.  A run that
-names ``--output out.csv`` also gives the sha256 of the file it wrote,
-which should be that of the same run's stdout without the flag.  The summary
-line ends with the kernel that numpy dispatches for float64 ``exp`` on this
-host (for example ``X86_V4``), read in one more such interpreter: the
-last bits of the output, and so the bytes compared, depend on it.  The
-exit status is 1 when any run differs, and 0 otherwise.
+The last bits of the output, and so the bytes compared, depend on the
+kernels that numpy dispatches for this CPU.  So every run is made in two
+passes: under the host's default dispatch, and again with the AVX-512
+kernels off (``NPY_DISABLE_CPU_FEATURES`` set in the children's
+environment only).
+
+One line per run and pass gives the sha256 of stdout and of stderr and
+the exit code of the working tree, and whether REV printed the same.  A
+run that names ``--output out.csv`` also gives the sha256 of the file it
+wrote, which should be that of the same run's stdout without the flag.
+The summary line ends with the kernel that numpy dispatches for float64
+``exp`` in each pass (for example ``X86_V4`` and ``X86_V3``), read in one
+more such interpreter.  The exit status is 1 when any run differs, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ CONFIGS = {
     "p17.json": {"output": {"precision": 17}},
     "p_excite.json": {"scan": {"include_p_excite": True}},
     "micro.json": {"coupling": {"mode": "microscopic"}},
+    "micro_blue_ref.json": {"coupling": {"mode": "microscopic",
+                                         "delta_ref_mhz": 100.0}},
     "analytic.json": {"scan": {"p_model": "analytic"}},
     "decay_free.json": {"species": {"gamma_a_mhz": 0.0}},
     "decay_free_micro.json": {"species": {"gamma_a_mhz": 0.0},
@@ -61,7 +69,8 @@ OUTPUT = "out.csv"
 
 #: (name, argv) of every run: every command, both kernels and couplings,
 #: out-of-window and refused scans, a refused validate config, refused
-#: dynamics steps, precision 17, the decay-free limit and output files
+#: dynamics steps, a refused constants reference detuning, precision 17, the
+#: decay-free limit and output files
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -84,6 +93,8 @@ RUNS = [
     ("scan-help", ["scan", "--help"]),
     ("constants", ["constants"]),
     ("constants-micro", ["constants", "--coupling", "microscopic"]),
+    ("constants-micro-blue-ref", ["--config", "micro_blue_ref.json",
+                                  "constants"]),
     ("validate", ["validate"]),
     ("validate-micro", ["--config", "micro.json", "validate"]),
     ("validate-analytic", ["--config", "analytic.json", "validate"]),
@@ -133,6 +144,13 @@ DISPATCH = ("import numpy as np; "
 #: the environment of every child: the help text's width and a locale
 ENV = {"COLUMNS": "80", "LC_ALL": "C.UTF-8"}
 
+#: (name, what the pass adds to ENV): the host's default numpy dispatch,
+#: then the same runs with the AVX-512 kernels off
+PASSES = [
+    ("default", {}),
+    ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}),
+]
+
 
 def export(rev: str, into: Path) -> Path:
     """The committed files of ``rev``, unpacked under ``into``."""
@@ -143,15 +161,16 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def outcome(src: Path, argv: list[str], cwd: Path) -> tuple[str, str, int, str]:
+def outcome(src: Path, argv: list[str], cwd: Path,
+            env: dict) -> tuple[str, str, int, str]:
     """(sha256 of stdout, sha256 of stderr, exit code, sha256 of the
-    --output file or "") of one CLI run; the file is removed."""
+    --output file or "") of one CLI run in ``env``; the file is removed."""
     stdout = hashlib.sha256()
     with tempfile.TemporaryFile() as stderr:
         with subprocess.Popen(
                 [sys.executable, "-I", "-B", "-c", LAUNCH, str(src), *argv],
                 cwd=cwd, stdout=subprocess.PIPE, stderr=stderr,
-                env=ENV) as process:
+                env=env) as process:
             for block in iter(lambda: process.stdout.read(1 << 20), b""):
                 stdout.update(block)
         stderr.seek(0)
@@ -164,11 +183,11 @@ def outcome(src: Path, argv: list[str], cwd: Path) -> tuple[str, str, int, str]:
                 process.returncode, file_sha)
 
 
-def exp_dispatch() -> str:
-    """The kernel that numpy dispatches for float64 exp in such a child."""
+def exp_dispatch(env: dict) -> str:
+    """The kernel that numpy dispatches for float64 exp in a child in ``env``."""
     return subprocess.run([sys.executable, "-I", "-B", "-c", DISPATCH],
                           check=True, capture_output=True, text=True,
-                          env=ENV).stdout.strip()
+                          env=env).stdout.strip()
 
 
 def main() -> int:
@@ -187,16 +206,21 @@ def main() -> int:
         for name, document in CONFIGS.items():
             (configs / name).write_text(json.dumps(document))
         base = export(args.rev, workdir / "rev") / "src"
-        for name, argv in runs:
-            then = outcome(base, argv, configs)
-            now = outcome(ROOT / "src", argv, configs)
-            differ += then != now
-            file = f" file {now[3][:16]}" if now[3] else ""
-            print(f"{name:28s} stdout {now[0][:16]} stderr {now[1][:16]} "
-                  f"exit {now[2]}{file}  "
-                  f"{'same' if then == now else 'DIFFERS'}", flush=True)
-    print(f"{len(runs) - differ}/{len(runs)} runs print the same bytes "
-          f"as {args.rev}; numpy float64 exp dispatch {exp_dispatch()}")
+        dispatches = []
+        for pass_name, extra in PASSES:
+            env = {**ENV, **extra}
+            dispatches.append(f"{pass_name} {exp_dispatch(env)}")
+            for name, argv in runs:
+                then = outcome(base, argv, configs, env)
+                now = outcome(ROOT / "src", argv, configs, env)
+                differ += then != now
+                file = f" file {now[3][:16]}" if now[3] else ""
+                print(f"{pass_name:9s} {name:28s} stdout {now[0][:16]} "
+                      f"stderr {now[1][:16]} exit {now[2]}{file}  "
+                      f"{'same' if then == now else 'DIFFERS'}", flush=True)
+    total = len(runs) * len(PASSES)
+    print(f"{total - differ}/{total} runs print the same bytes as "
+          f"{args.rev}; numpy float64 exp dispatch: {', '.join(dispatches)}")
     return 1 if differ else 0
 
 

@@ -264,6 +264,9 @@ def cmd_constants(cfg: RunConfig) -> str:
         f"coupling_mode={cfg.coupling.mode}",
     ]
     if cfg.coupling.mode == "microscopic":
+        if not cfg.coupling.delta_ref_mhz < 0.0:   # the pairs need red light
+            raise ConfigError("coupling.delta_ref_mhz must be negative, got "
+                              f"{cfg.coupling.delta_ref_mhz!r}")
         point = cavity_mod.coupling(cav.delta_ref, cav, params)
         lines.append(f"n_pairs_at_delta_ref={point.n_pairs!r}")
         lines.append(f"omega_tilde_at_delta_ref_mhz={point.omega_tilde / TWO_PI_MHZ!r}")

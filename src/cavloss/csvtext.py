@@ -49,10 +49,10 @@ in doubt (a few min/max reductions tell) builds no per-cell mask, and
 its rows need no search for ``%`` rows.
 
 A row with any other cell (a tie, NaN, inf, a subnormal, a three-digit
-exponent, an integer outside 0..9) is written by ``%`` into its slot,
-padded with NULs; bytes past the end of the slot are spliced in after
-it.  At 16 or more digits m can pass 2^52, where n + 1/2 is no longer a
-double, so every row goes through ``%``.
+exponent, an integer outside 0..9) is written by ``%`` and spliced into
+the chunk's text in place of its whole slot.  At 16 or more digits m can
+pass 2^52, where n + 1/2 is no longer a double, so every row goes
+through ``%``.
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def _write_chunk(buf, kinds, row_format, precision, columns, rows: slice):
     """The text of one chunk of rows, written into the start of ``buf``.
 
     Returns a view of ``buf``, or bytes when ``%`` rows had to be spliced
-    in or NULs deleted.
+    in or sign-slot NULs deleted.
     """
     floats = [column[rows] for column, is_int in zip(columns, kinds)
               if not is_int]
@@ -345,24 +345,14 @@ def _write_chunk(buf, kinds, row_format, precision, columns, rows: slice):
 
     text = memoryview(buf)[:n_rows * row_len]
     fallback = np.flatnonzero(percent)
-    splices = []   # (offset, bytes) still to be spliced in
-    if len(fallback):
-        lines = _percent_lines(row_format, columns, fallback + rows.start)
-        for i, line in zip(fallback.tolist(), lines):
-            at, line = i * row_len, line.encode()
-            fits, tail = line[:row_len], line[row_len:]
-            text[at:at + len(fits)] = fits
-            if len(fits) < row_len:   # pad the slot with NULs
-                text[at + len(fits):at + row_len] = bytes(row_len - len(fits))
-                nul = True
-            if tail:
-                splices.append((at + row_len, tail))
-    if not (nul or splices):
+    if not (nul or len(fallback)):
         return text
     parts, done = [], 0
-    for at, tail in splices:
-        parts += [text[done:at], tail]
-        done = at
+    if len(fallback):   # each `%` row takes the place of its whole slot
+        lines = _percent_lines(row_format, columns, fallback + rows.start)
+        for i, line in zip(fallback.tolist(), lines):
+            parts += [text[done:i * row_len], line.encode()]
+            done = (i + 1) * row_len
     parts.append(text[done:])
     data = b"".join(parts)
     return data.translate(None, b"\0") if nul else data

@@ -27,9 +27,10 @@ analytic in b^2, so the value crosses the boundary continuously and no
 0/0 arises anywhere.
 
 The two survival kernels are elementwise over grids (see
-:mod:`cavloss.grid`); the analytic one computes each damping branch on
-its own elements.  The ``dynamics`` CSV takes them over all its samples
-at once.
+:mod:`cavloss.grid`) and refuse a negative time, coupling or decay rate
+alike.  The analytic one computes each damping branch on its own
+elements; its branch index is the only damping classification.  The
+``dynamics`` CSV takes them over all its samples at once.
 
 The state is the real 9-vector
 
@@ -56,16 +57,12 @@ only the rounding differs, and no Python loop runs per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, StepSizeError
 from .grid import as_grid, like, refuse
-
-#: relative half-width of the band reported as critically damped
-CRITICAL_BAND = 1.0e-6
 
 #: minimum number of steps per fastest cycle, always enforced
 STEPS_PER_CYCLE = 200
@@ -76,25 +73,6 @@ MAX_STEPS = 1_000_000
 #: the system prepared in the collective excited state, read-only
 EXCITED_STATE = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 EXCITED_STATE.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class RabiRegime:
-    """Damping classification at given coupling and decay rate."""
-
-    beta: float    # |W^2 - (G/4)^2|^(1/2), rad/s
-    regime: str    # "underdamped" | "critical" | "overdamped"
-
-
-def rabi_regime(omega_tilde: float, gamma: float) -> RabiRegime:
-    """Classify the damping regime; oscillations require W > G/4."""
-    quarter = 0.25 * gamma
-    beta = math.sqrt(abs(omega_tilde**2 - quarter**2))
-    if abs(omega_tilde - quarter) < CRITICAL_BAND * gamma:
-        return RabiRegime(beta=beta, regime="critical")
-    if omega_tilde > quarter:
-        return RabiRegime(beta=beta, regime="underdamped")
-    return RabiRegime(beta=beta, regime="overdamped")
 
 
 def generator(omega_tilde: float, gamma: float) -> np.ndarray:
@@ -114,9 +92,13 @@ def generator(omega_tilde: float, gamma: float) -> np.ndarray:
 
 
 def max_stable_dt(omega_tilde: float, gamma: float) -> float:
-    """Step-size ceiling: 1/STEPS_PER_CYCLE of the fastest cycle."""
-    regime = rabi_regime(omega_tilde, gamma)
-    rate = max(regime.beta if regime.regime == "underdamped" else 0.0, gamma)
+    """Step-size ceiling: 1/STEPS_PER_CYCLE of the fastest cycle.
+
+    The fastest rate is max(b, G), with b = sqrt(W^2 - (G/4)^2) counted only
+    where the motion oscillates (b^2 > 0); it depends on W only through W^2.
+    """
+    beta_sq = omega_tilde**2 - (0.25 * gamma)**2
+    rate = max(math.sqrt(beta_sq) if beta_sq > 0.0 else 0.0, gamma)
     if rate == 0.0:
         return math.inf
     return 2.0 * math.pi / rate / STEPS_PER_CYCLE
@@ -277,6 +259,16 @@ def _branch(t, omega_tilde, gamma):
     return (omega_tilde != 0.0) * (1 + hyperbolic + far)
 
 
+def _kernel_arguments(t, omega_tilde, gamma):
+    """The arguments of a survival kernel as grids, a negative element refused."""
+    time, omega, decay = as_grid(t), as_grid(omega_tilde), as_grid(gamma)
+    refuse(time < 0.0, time, "time must be >= 0, got {!r}")
+    refuse(decay < 0.0, decay, "decay rate must be >= 0, got {!r}")
+    refuse(omega < 0.0, omega,
+           "collective Rabi frequency must be >= 0, got {!r}")
+    return time, omega, decay
+
+
 def p_omega_analytic(t, omega_tilde, gamma):
     """Closed-form excited-state survival probability p(t).
 
@@ -284,11 +276,7 @@ def p_omega_analytic(t, omega_tilde, gamma):
     omega_tilde = 0 returns exp(-gamma*t) exactly.  Elementwise in all
     three arguments.
     """
-    time, omega, decay = as_grid(t), as_grid(omega_tilde), as_grid(gamma)
-    refuse(time < 0.0, time, "time must be >= 0, got {!r}")
-    refuse(decay < 0.0, decay, "decay rate must be >= 0, got {!r}")
-    refuse(omega < 0.0, omega,
-           "collective Rabi frequency must be >= 0, got {!r}")
+    time, omega, decay = _kernel_arguments(t, omega_tilde, gamma)
     per_element = decay.size > 1
     if per_element:
         time, omega, decay = np.broadcast_arrays(time, omega, decay)
@@ -310,9 +298,9 @@ def p_omega_approx(t, omega_tilde, gamma):
 
     Drops the sine correction and replaces the oscillation rate by
     omega_tilde itself; intended for omega_tilde >> gamma/4, where it
-    deviates from the full form by order gamma/(4*omega_tilde).
+    deviates from the full form by order gamma/(4*omega_tilde).  Refuses
+    what :func:`p_omega_analytic` refuses.
     """
-    time = as_grid(t)
-    refuse(time < 0.0, time, "time must be >= 0, got {!r}")
+    time = _kernel_arguments(t, omega_tilde, gamma)[0]
     return like(np.exp(-0.5 * gamma * time) * np.cos(omega_tilde * time) ** 2,
                 t, omega_tilde, gamma)

@@ -69,6 +69,18 @@ class TestConstantsCommand:
         assert float(report["omega_tilde_at_delta_ref_mhz"]) \
             == pytest.approx(200.0, rel=0.3)
 
+    def test_blue_reference_detuning_refused_by_its_key(self, capsys,
+                                                        tmp_path):
+        # the microscopic report counts pairs at delta_ref, which needs red
+        # light; the refusal names the key and its value in MHz
+        micro = write_config(tmp_path, {"coupling": {
+            "mode": "microscopic", "delta_ref_mhz": 100}})
+        assert run(capsys, ["--config", micro, "constants"]) == (
+            2, "", "error: coupling.delta_ref_mhz must be negative, "
+                   "got 100.0\n")
+        # the microscopic scan does not count pairs there
+        assert run(capsys, ["--config", micro, "scan", "--points", "3"])[0] == 0
+
     def test_missing_field_exits_2_naming_it(self, capsys, tmp_path):
         config = write_config(tmp_path, {"species": {"lambda_nm": None}})
         code, out, err = run(capsys, ["--config", config, "constants"])

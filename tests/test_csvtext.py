@@ -339,13 +339,32 @@ def run_command(argv, tmp_path, precision, capsys):
     return capsys.readouterr().out
 
 
+def exp_dispatch() -> str:
+    """The kernel that numpy dispatches for float64 exp in this process."""
+    info = np.lib.introspect.opt_func_info(func_name="^exp$",
+                                           signature="float64")
+    return " ".join(kernel["current"] for signatures in info.values()
+                    for kernel in signatures.values())
+
+
+# Which rows are near ties depends on the last bits of the values, and so on
+# numpy's exp kernel: one count table per dispatch, each measured under it
+# (X86_V3 and the baseline with NPY_DISABLE_CPU_FEATURES set in a child).
 @pytest.mark.parametrize("argv, percent_rows", [
-    (["scan", "--points", "20000"], {6: 0, 12: 17, 14: 1711}),
-    (["dynamics", "--delta-mhz=-600"], {6: 0, 12: 9, 14: 1557}),
+    (["scan", "--points", "20000"],
+     {"X86_V4": {6: 0, 12: 17, 14: 1711}, "X86_V3": {6: 0, 12: 19, 14: 1665},
+      "baseline(X86_V2)": {6: 0, 12: 19, 14: 1665}}),
+    (["dynamics", "--delta-mhz=-600"],
+     {"X86_V4": {6: 0, 12: 9, 14: 1557}, "X86_V3": {6: 0, 12: 8, 14: 1571},
+      "baseline(X86_V2)": {6: 0, 12: 8, 14: 1571}}),
 ])
 def test_percent_rows_of_the_commands_are_pinned(slow, tmp_path, capsys, argv,
                                                   percent_rows):
-    for precision, count in percent_rows.items():
+    dispatch = exp_dispatch()
+    if dispatch not in percent_rows:
+        pytest.fail(f"no `%` row counts are pinned for numpy's float64 exp "
+                    f"dispatch {dispatch!r}")
+    for precision, count in percent_rows[dispatch].items():
         slow.clear()
         text = run_command(argv, tmp_path, precision, capsys)
         assert len(slow) == count

@@ -7,8 +7,9 @@ import pytest
 
 from cavloss import (EXCITED_STATE, DomainError, StepSizeError,
                      integrate_grid, max_stable_dt, p_omega_analytic,
-                     p_omega_approx, rabi_regime)
-from cavloss.dynamics import MAX_STEPS, default_run, generator
+                     p_omega_approx)
+from cavloss.dynamics import (MAX_STEPS, STEPS_PER_CYCLE, default_run,
+                              generator)
 from oracles import TWO_PI_MHZ, p_underdamped_reference, rk4_master_oracle
 
 OMEGA_200 = 200.0 * TWO_PI_MHZ
@@ -328,13 +329,42 @@ class TestApproximateForm:
             assert worst <= 2.5 * gamma / (4.0 * omega)
 
 
-class TestRegimeClassification:
-    def test_three_regimes(self):
-        assert rabi_regime(GAMMA_MOL, GAMMA_MOL).regime == "underdamped"
-        assert rabi_regime(GAMMA_MOL / 8.0, GAMMA_MOL).regime == "overdamped"
-        assert rabi_regime(GAMMA_MOL / 4.0, GAMMA_MOL).regime == "critical"
+#: (omega_tilde, gamma, ceiling) by regime, the ceilings pinned from the
+#: three-way classifier this formula replaced, whose critical band was
+#: |omega_tilde - gamma/4| < 1e-6 * gamma
+CEILINGS = {
+    "underdamped": (OMEGA_200, GAMMA_MOL, 2.500281297469838e-11),
+    "overdamped": (GAMMA_MOL / 8.0, GAMMA_MOL, 4.166666666666667e-10),
+    "critical": (GAMMA_MOL / 4.0, GAMMA_MOL, 4.166666666666667e-10),
+    "band-above": (GAMMA_MOL * (0.25 + 0.5e-6), GAMMA_MOL,
+                   4.166666666666667e-10),
+    "band-below": (GAMMA_MOL * (0.25 - 0.5e-6), GAMMA_MOL,
+                   4.166666666666667e-10),
+    "past-band": (GAMMA_MOL * (0.25 + 2.0e-6), GAMMA_MOL,
+                  4.166666666666667e-10),
+    "decay-free": (OMEGA_200, 0.0, 2.5e-11),
+    "decoupled": (0.0, GAMMA_MOL, 4.166666666666667e-10),
+    "both-zero": (0.0, 0.0, math.inf),
+}
 
-    def test_beta_value(self):
-        regime = rabi_regime(OMEGA_200, GAMMA_MOL)
-        assert regime.beta == pytest.approx(
-            math.sqrt(OMEGA_200**2 - (GAMMA_MOL / 4.0) ** 2), rel=1.0e-12)
+
+class TestStepCeiling:
+    @pytest.mark.parametrize("omega,gamma,ceiling", CEILINGS.values(),
+                             ids=CEILINGS.keys())
+    def test_same_ceiling_in_every_regime(self, omega, gamma, ceiling):
+        assert max_stable_dt(omega, gamma) == ceiling
+
+    def test_oscillation_rate_sets_the_underdamped_ceiling(self):
+        beta = math.sqrt(OMEGA_200**2 - (GAMMA_MOL / 4.0) ** 2)
+        assert max_stable_dt(OMEGA_200, GAMMA_MOL) == pytest.approx(
+            2.0 * math.pi / beta / STEPS_PER_CYCLE, rel=1.0e-15)
+
+    @pytest.mark.parametrize("omega,gamma,ceiling", CEILINGS.values(),
+                             ids=CEILINGS.keys())
+    def test_sign_of_the_coupling_does_not_matter(self, omega, gamma,
+                                                  ceiling):
+        assert max_stable_dt(-omega, gamma) == ceiling
+        if math.isfinite(ceiling):
+            with pytest.raises(StepSizeError):
+                integrate_grid(EXCITED_STATE, -omega, gamma, 1.0e-9,
+                               2.0 * ceiling)

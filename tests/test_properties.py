@@ -201,21 +201,24 @@ def test_approx_kernel_array_matches_scalar():
     assert_scalar_calls_match(p_omega_approx, t, omega, gamma)
 
 
+#: (t, omega_tilde, gamma, the refusal) for a negative element of each
+REFUSALS = [
+    (-1.0, 2.0, 1.0, "time must be >= 0, got -1.0"),
+    (1.0, 2.0, -0.5, "decay rate must be >= 0, got -0.5"),
+    (1.0, -2.0, 1.0, "collective Rabi frequency must be >= 0, got -2.0"),
+    (-1.0, -2.0, -0.5, "time must be >= 0, got -1.0"),
+    (1.0, -2.0, -0.5, "decay rate must be >= 0, got -0.5"),
+]
+
+
 @pytest.mark.parametrize("grid", [False, True], ids=["scalar", "array"])
 @pytest.mark.parametrize("kernel, t, omega, gamma, message", [
-    (p_omega_analytic, -1.0, 2.0, 1.0, "time must be >= 0, got -1.0"),
-    (p_omega_analytic, 1.0, 2.0, -0.5, "decay rate must be >= 0, got -0.5"),
-    (p_omega_analytic, 1.0, -2.0, 1.0,
-     "collective Rabi frequency must be >= 0, got -2.0"),
-    (p_omega_analytic, -1.0, -2.0, -0.5, "time must be >= 0, got -1.0"),
-    (p_omega_analytic, 1.0, -2.0, -0.5, "decay rate must be >= 0, got -0.5"),
-    (p_omega_approx, -1.0, 2.0, 1.0, "time must be >= 0, got -1.0"),
-    (p_omega_approx, -1.0, -2.0, -0.5, "time must be >= 0, got -1.0"),
-])
+    (kernel, *refusal) for kernel in (p_omega_analytic, p_omega_approx)
+    for refusal in REFUSALS])
 def test_kernel_refusals_name_the_first_bad_input(kernel, t, omega, gamma,
                                                   message, grid):
-    # time, then decay rate, then coupling; an array names its first
-    # offender, so the -4.0 after it is never reported
+    # both kernels alike: time, then decay rate, then coupling; an array
+    # names its first offender, so the -4.0 after it is never reported
     if grid:
         t, omega = np.array([0.5, t, 3.0]), np.array([1.0, omega, -4.0])
     with pytest.raises(DomainError) as caught:
