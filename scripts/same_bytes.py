@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 37 runs below, twice
+    python3 scripts/same_bytes.py REV          # the 42 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -55,6 +55,10 @@ CONFIGS = {
     "decay_free_micro.json": {"species": {"gamma_a_mhz": 0.0},
                               "coupling": {"mode": "microscopic"}},
     "zero_length.json": {"cavity": {"length_cm": 0}},
+    "anchored_blue_ref.json": {"coupling": {"delta_ref_mhz": 100}},
+    "tiny_lambda.json": {"species": {"lambda_nm": 1e-320}},
+    "tiny_gamma.json": {"species": {"gamma_a_mhz": 1e-320}},
+    "huge_c3.json": {"species": {"c3_erg_ang3": 1e300}},
     "wide_p17.json": {"output": {"precision": 17},
                       "coupling": {"mode": "microscopic"},
                       "scan": {"points": 2000, "from_mhz": -1500.0,
@@ -69,8 +73,9 @@ OUTPUT = "out.csv"
 
 #: (name, argv) of every run: every command, both kernels and couplings,
 #: out-of-window and refused scans, a refused validate config, refused
-#: dynamics steps, a refused constants reference detuning, precision 17, the
-#: decay-free limit and output files
+#: dynamics steps, refused reference detunings, species values and a scan
+#: bound beyond the float range, precision 17, the decay-free limit and
+#: output files
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -112,6 +117,13 @@ RUNS = [
                                "--dt-ps", "1e-320"]),
     ("dynamics-negative-t", ["dynamics", "--delta-mhz", "-350",
                              "--t-max-ns", "-1"]),
+    ("constants-anchored-blue-ref", ["--config", "anchored_blue_ref.json",
+                                     "constants"]),
+    ("constants-tiny-lambda", ["--config", "tiny_lambda.json", "constants"]),
+    ("scan-tiny-gamma", ["--config", "tiny_gamma.json", "scan"]),
+    ("scan-overflowing-from", ["scan", "--from-mhz=-1e308", "--to-mhz",
+                               "-350", "--allow-out-of-window"]),
+    ("validate-huge-c3", ["--config", "huge_c3.json", "validate"]),
     ("scan-default-output", ["scan", "--output", OUTPUT]),
     ("scan-20000-output", ["scan", "--points", "20000", "--output", OUTPUT]),
     ("dynamics-output", ["dynamics", "--delta-mhz", "-350",

@@ -194,6 +194,12 @@ def build_run_config(document: Optional[dict] = None,
     if cfg.coupling.v_inf_cm_s <= 0.0:
         raise ConfigError("coupling.v_inf_cm_s must be positive, got "
                           f"{cfg.coupling.v_inf_cm_s!r}")
+    for key, wanted, sign in (("omega_tilde_ref_mhz", "positive", 1.0),
+                              ("delta_ref_mhz", "negative", -1.0)):
+        value = getattr(cfg.coupling, key)
+        if cfg.coupling.mode == "anchored" and not sign * value > 0.0:
+            raise ConfigError(f"coupling.{key} must be {wanted} in anchored "
+                              f"mode, got {value!r}")
     scan = cfg.scan
     if not scan.from_mhz < scan.to_mhz < 0.0:
         raise ConfigError(
@@ -353,6 +359,9 @@ def cmd_scan(cfg: RunConfig) -> Iterator[str]:
     """CSV of the full detuning scan, as :func:`cmd_dynamics` returns it."""
     params = resolve_params(cfg.species)
     scan = cfg.scan
+    if not math.isfinite(scan.from_mhz * TWO_PI_MHZ):   # from < to < 0
+        raise ConfigError("scan.from_mhz leaves the floating-point range in "
+                          f"rad/s, got {scan.from_mhz!r}")
     grid = traploss_mod.scan_grid(
         np.linspace(scan.from_mhz, scan.to_mhz, scan.points) * TWO_PI_MHZ,
         cavity_config(cfg), params, scan.p_model,
@@ -579,7 +588,8 @@ def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     checks = _validation_checks(cfg)
     for name, check in checks:
         try:
-            check()
+            with float_range(name):   # an overflow fails the check
+                check()
         except Exception as exc:  # report and continue
             failures += 1
             lines.append(f"FAIL {name}: {exc}")

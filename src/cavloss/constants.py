@@ -73,9 +73,7 @@ def _require_positive(name: str, value: Optional[float], *,
         raise ConfigError(f"{name} is missing")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+    value = float(value)   # inf and NaN are refused once converted
     if value < 0.0 or (value == 0.0 and not allow_zero):
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return value
@@ -86,7 +84,7 @@ def resolve_params(config: HumanUnitsConfig, *,
     """Convert lab-unit species input to internal CGS values.
 
     ``allow_zero_gamma`` admits gamma_a_mhz = 0 for decay-free dynamics
-    runs and self-validation; every other field must be strictly positive.
+    runs and self-validation; all else must be finite and > 0, in CGS too.
     """
     lambda_nm = _require_positive("species.lambda_nm", config.lambda_nm)
     gamma_a_mhz = _require_positive("species.gamma_a_mhz", config.gamma_a_mhz,
@@ -98,27 +96,35 @@ def resolve_params(config: HumanUnitsConfig, *,
         raise ConfigError(
             "species.trap_depth_mk and species.trap_depth_mhz are exclusive")
     if config.trap_depth_mk is not None:
-        trap_mk = _require_positive("species.trap_depth_mk",
-                                    config.trap_depth_mk)
-        trap_depth = trap_mk * 1.0e-3 * KB_ERG
+        trap_key = "species.trap_depth_mk"
+        trap_given = _require_positive(trap_key, config.trap_depth_mk)
+        trap_depth = trap_given * 1.0e-3 * KB_ERG
     else:
-        trap_mhz = _require_positive("species.trap_depth_mhz",
-                                     config.trap_depth_mhz)
+        trap_key = "species.trap_depth_mhz"
+        trap_given = _require_positive(trap_key, config.trap_depth_mhz)
         # stored value is V0; the input is the frequency 2*V0/h
-        trap_depth = 0.5 * PLANCK_H * trap_mhz * 1.0e6
+        trap_depth = 0.5 * PLANCK_H * trap_given * 1.0e6
 
-    omega_a = 2.0 * math.pi * C_LIGHT / (lambda_nm * 1.0e-7)
+    lambda_cm = lambda_nm * 1.0e-7
     gamma_a = 2.0 * math.pi * gamma_a_mhz * 1.0e6
     mass_atom = mass_amu * AMU_G
-    return PhysicalParams(
-        omega_a=omega_a,
-        gamma_a=gamma_a,
-        gamma_mol=2.0 * gamma_a,
-        mass_atom=mass_atom,
-        mu=mass_atom / 2.0,
-        c3=c3_erg_ang3 * ANG3_CM3,
-        trap_depth=trap_depth,
-    )
+    params = PhysicalParams(
+        omega_a=2.0 * math.pi * C_LIGHT / lambda_cm if lambda_cm else math.inf,
+        gamma_a=gamma_a, gamma_mol=2.0 * gamma_a, mass_atom=mass_atom,
+        mu=mass_atom / 2.0, c3=c3_erg_ang3 * ANG3_CM3, trap_depth=trap_depth)
+    # a lab-unit value can leave the float range in CGS (1e-320 nm is 0 cm);
+    # only a gamma_a_mhz of 0, admitted above, may resolve to 0
+    for key, given, value in (
+            ("species.lambda_nm", lambda_nm, params.omega_a),
+            ("species.gamma_a_mhz", gamma_a_mhz, params.gamma_mol),
+            ("species.mass_amu", mass_amu, params.mu),
+            ("species.c3_erg_ang3", c3_erg_ang3, params.c3),
+            (trap_key, trap_given, trap_depth)):
+        if not (0.0 < value < math.inf or value == given == 0.0):
+            raise ConfigError(f"{key} must be finite and stay in the "
+                              f"floating-point range in CGS units, got "
+                              f"{given!r}")
+    return params
 
 
 def to_human_units(params: PhysicalParams) -> HumanUnitsConfig:

@@ -29,12 +29,10 @@ arrays; it returns each element's sum and the number of terms it took.
 
 :func:`loss_grid` computes the whole chain, coupling
 (:func:`~cavloss.cavity.coupling`) -> radii and times
-(:func:`~cavloss.kinematics.collision_times`) -> kernel -> losses, over
-an array of detunings at once, as one :class:`LossPoint` of arrays;
+(:func:`~cavloss.kinematics.collision_times`) -> kernel -> losses, as one
+:class:`LossPoint` of arrays over an array of detunings, or of floats at
+one detuning as :func:`loss_point` calls it (see :mod:`cavloss.grid`);
 :func:`scan_grid` is that chain over a checked scan grid.
-:meth:`LossPoint.points` splits a record into records of floats, one
-per detuning, and :func:`loss_point` is the one at a single detuning
-(see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -51,13 +49,12 @@ from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError
 from .grid import as_grid, float_range, like, refuse
 from .kinematics import CollisionTimes, collision_times
-from .potential import ResonanceGeometry
 
 #: detuning window (MHz) inside which the semiclassical model is trusted
 DEFAULT_WINDOW_MHZ = (-1000.0, -350.0)
 
 #: survival-kernel callable signature: (t, omega_tilde, gamma) -> probability;
-#: :func:`loss_grid` calls it with arrays of t and omega_tilde
+#: :func:`loss_grid` calls it with numbers or arrays of t and omega_tilde
 PModel = Callable[[float, float, float], float]
 
 P_MODELS: dict[str, PModel] = {
@@ -80,24 +77,6 @@ class LossPoint:
     phase: float             # omega_tilde * t_c, rad
     loss_cavity: float
     loss_free: float
-
-    def points(self) -> list[LossPoint]:
-        """One LossPoint of builtin floats per detuning."""
-        times, geometry = self.times, self.times.geometry
-        columns = np.broadcast_arrays(*map(as_grid, (
-            self.delta, self.omega_tilde, self.n_pairs, times.t_total,
-            times.frac_resonant, times.t_resonant, times.t_escape_region,
-            times.t_prime, geometry.r_condon, geometry.r_escape,
-            geometry.r_ratio, self.phase, self.loss_cavity, self.loss_free)))
-        return [
-            LossPoint(delta=d, omega_tilde=w, n_pairs=n, times=CollisionTimes(
-                t_total=t0, frac_resonant=f, t_resonant=t_c,
-                t_escape_region=t_e, t_prime=t_p,
-                geometry=ResonanceGeometry(detuning=d, r_condon=r_c,
-                                           r_escape=r_e, r_ratio=ratio)),
-                      phase=phase, loss_cavity=l_c, loss_free=l_o)
-            for d, w, n, t0, f, t_c, t_e, t_p, r_c, r_e, ratio, phase, l_c, l_o
-            in zip(*(column.tolist() for column in columns))]
 
 
 def _resolve_p_model(p_model: Union[str, PModel]) -> PModel:
@@ -191,10 +170,11 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
               p_model: Union[str, PModel] = "approx") -> LossPoint:
     """Everything the scan reports, at every detuning at once, in given order.
 
-    A floating-point overflow or invalid operation anywhere in the chain
-    raises DomainError instead of writing inf or NaN.
+    A number gives a LossPoint of floats.  Coupling refuses a detuning
+    that is not red; a floating-point overflow or invalid operation
+    anywhere in the chain raises DomainError instead of writing inf or NaN.
     """
-    delta = as_grid(deltas)   # coupling refuses a detuning that is not red
+    delta = float(deltas) if np.ndim(deltas) == 0 else as_grid(deltas)
     gamma = params.gamma_mol
     with float_range("the loss chain"):
         point = coupling(delta, cavity, params)
@@ -202,6 +182,9 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
         times = collision_times(delta, omega_tilde, params)
         loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
         loss_free = loss_no_cavity(times, gamma)
+    n_pairs = as_grid(point.n_pairs)   # inf where the dipole underflows
+    refuse(np.isinf(n_pairs), n_pairs, "the resonant pair count is {!r}: "
+           "the pair dipole is 0 as species.gamma_a_mhz is too small")
     return LossPoint(delta=delta, omega_tilde=omega_tilde,
                      n_pairs=point.n_pairs, times=times,
                      phase=omega_tilde * times.t_resonant,
@@ -211,7 +194,7 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
 def loss_point(delta: float, cavity: CavityConfig, params: PhysicalParams,
                p_model: Union[str, PModel] = "approx") -> LossPoint:
     """Everything the scan reports, for a single detuning."""
-    return loss_grid([delta], cavity, params, p_model).points()[0]
+    return loss_grid(float(delta), cavity, params, p_model)
 
 
 def in_default_window(delta):

@@ -16,7 +16,7 @@ from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      HumanUnitsConfig, collision_times, condon_radius,
                      coupling, fraction_f, g0_constant, integrate_grid,
                      landau_zener, loss_closed_form, loss_no_cavity,
-                     loss_series, max_stable_dt, p_omega_analytic,
+                     loss_point, loss_series, max_stable_dt, p_omega_analytic,
                      pair_count, resolve_params, scan_grid, total_time)
 from cavloss.cli import build_run_config, cmd_constants, cmd_times, main
 from oracles import TWO_PI_MHZ, g0_oracle
@@ -60,7 +60,8 @@ def default_grid():
 
 @pytest.fixture(scope="module")
 def default_scan(default_grid):
-    return default_grid.points()
+    return [loss_point(delta, make_cavity(), RB85, "approx")
+            for delta in default_grid.delta.tolist()]
 
 
 def test_01_condon_radius():

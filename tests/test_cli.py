@@ -21,6 +21,7 @@ from cavloss import (cavity, cli, in_default_window, kinematics, potential,
                      traploss)
 from cavloss.cli import TWO_PI_MHZ, RunConfig, main
 from oracles import percent_csv_oracle
+from test_csvtext import exp_dispatch
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -496,6 +497,13 @@ class TestConfigHandling:
         ({"coupling": {"v_inf_cm_s": 0.0},
           "scan": {"include_p_excite": True}}, ["scan"],
          "error: coupling.v_inf_cm_s must be positive, got 0.0\n"),
+        ({"coupling": {"delta_ref_mhz": 100}}, ["constants"],
+         "error: coupling.delta_ref_mhz must be negative in anchored mode, "
+         "got 100.0\n"),
+        ({"coupling": {"omega_tilde_ref_mhz": 0}},
+         ["times", "--delta-mhz", "-350"],
+         "error: coupling.omega_tilde_ref_mhz must be positive in anchored "
+         "mode, got 0.0\n"),
     ])
     def test_non_finite_or_non_integral_exits_2(self, capsys, tmp_path,
                                                 document, argv, name):
@@ -779,3 +787,97 @@ def test_cli_import_leaves_out_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == ["cavloss", "numpy"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("document, argv, code, name", [
+    *(({"species": {"lambda_nm": 1e-320}}, argv, 2, "species.lambda_nm")
+      for argv in (["constants"], ["times", "--delta-mhz", "-350"],
+                   ["dynamics", "--delta-mhz", "-350"], ["scan"],
+                   ["validate"])),
+    ({"species": {"lambda_nm": 1e-300}}, ["scan"], 2, "species.lambda_nm"),
+    ({"species": {"mass_amu": 1e-320}}, ["constants"], 2, "species.mass_amu"),
+    ({"species": {"mass_amu": 1e-320}}, ["times", "--delta-mhz", "-350"], 2,
+     "species.mass_amu"),
+    ({"species": {"c3_erg_ang3": 1e-320}}, ["constants"], 2,
+     "species.c3_erg_ang3"),
+    ({"species": {"trap_depth_mk": 1e-320}}, ["constants"], 2,
+     "species.trap_depth_mk"),
+    ({"species": {"gamma_a_mhz": 1e-320}}, ["scan"], 2, "species.gamma_a_mhz"),
+    ({}, ["scan", "--from-mhz=-1e308", "--to-mhz", "-350",
+          "--allow-out-of-window"], 2, "scan.from_mhz"),
+    ({"species": {"c3_erg_ang3": 1e300}}, ["validate"], 1,
+     "FAIL cavity.landau_zener_monotonic: cavity.landau_zener_monotonic left "
+     "the floating-point range: overflow encountered in power"),
+])
+def test_values_out_of_float_range_are_refused(capsys, tmp_path, document,
+                                               argv, code, name):
+    # exit 2 names the key on stderr; validate reports the check it fails
+    config = write_config(tmp_path, document)
+    assert main(["--config", config] + argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert name in captured.err and captured.err.count("\n") == 1
+    else:
+        assert captured.err == "" and name in captured.out
+        assert "nan" not in captured.out
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_decay_rate_keeps_the_times_output(capsys, tmp_path):
+    # the pair dipole underflows to 0, which only the scan's n_pairs shows
+    config = write_config(tmp_path, {"species": {"gamma_a_mhz": 1e-320}})
+    argv = ["times", "--delta-mhz", "-350"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(["--config", config] + argv) == 0
+    assert capsys.readouterr() == (default, "")
+
+
+#: prints numpy's float64 exp kernel to stderr, then runs the CLI
+DISPATCH_CHILD = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from cavloss.cli import main\n"
+    "info = np.lib.introspect.opt_func_info(func_name='^exp$', "
+    "signature='float64')\n"
+    "print(*(kernel['current'] for signatures in info.values() "
+    "for kernel in signatures.values()), file=sys.stderr)\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["scan", "--points", "20000"]])
+def test_scan_holds_under_another_numpy_dispatch(capsys, tmp_path, argv):
+    # numpy's exp, pow, sinh and cosh kernels differ in the last bits from
+    # one CPU dispatch to another; the scan may move only that far
+    config = write_config(tmp_path, {"output": {"precision": 17}})
+    argv = ["--config", config] + argv
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    src = str(Path(cavloss.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src,
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    child = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, *argv],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    dispatch = child.stderr.strip()
+    if dispatch == exp_dispatch():
+        pytest.skip(f"numpy dispatches float64 exp to {dispatch} with the "
+                    f"AVX-512 kernels off too, so nothing can move")
+    header, *rows = default.splitlines()
+    other_header, *other_rows = child.stdout.splitlines()
+    assert other_header == header and len(other_rows) == len(rows)
+    want = np.array([row.split(",") for row in rows], dtype=float)
+    got = np.array([row.split(",") for row in other_rows], dtype=float)
+    columns = header.split(",")
+    for name in ("loss_cavity", "loss_free"):
+        column = got[:, columns.index(name)]
+        assert np.all((0.0 <= column) & (column <= 1.0)), name
+    close = np.abs(got - want) <= 1.0e-12 * np.abs(want)
+    # loss_cavity runs through zeros of cos^2, where relative moves grow
+    lc = columns.index("loss_cavity")
+    close[:, lc] |= np.abs(got[:, lc] - want[:, lc]) <= 1.0e-15
+    for i, name in enumerate(columns):
+        assert close[:, i].all(), name

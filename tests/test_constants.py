@@ -85,6 +85,15 @@ def test_params_immutable():
     ("mass_amu", 0.0),
     ("c3_erg_ang3", None),
     ("trap_depth_mk", -5.0),
+    # out of the float range once converted to CGS (1e-320 nm is 0 cm)
+    ("lambda_nm", 1e-320),
+    ("lambda_nm", 1e-300),
+    ("lambda_nm", math.inf),
+    ("gamma_a_mhz", 1e308),
+    ("mass_amu", 1e-320),
+    ("mass_amu", math.nan),
+    ("c3_erg_ang3", 1e-320),
+    ("trap_depth_mk", 1e-320),
 ])
 def test_rejects_bad_field_naming_it(field, value):
     config = HumanUnitsConfig(**{field: value})

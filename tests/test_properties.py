@@ -101,6 +101,8 @@ def test_rows_equal_loss_point_bitwise(case):
     for i, delta in enumerate(deltas.tolist()):
         point = loss_point(delta, cavity, params, p_model)
         assert point.delta == delta
+        # loss_grid on a number is the same chain, of builtin floats
+        assert loss_grid(delta, cavity, params, p_model) == point
         # the times and radii of one collision_times call, as `cavloss times`
         # writes them
         alone = replace(point, times=collision_times(delta, point.omega_tilde,
@@ -138,14 +140,15 @@ def test_times_array_matches_scalar(case):
 @given(scan_cases())
 @example(OVERDAMPED)
 def test_loss_identities(case):
-    params, cavity, p_model, _, grid = run_case(case)
+    params, cavity, p_model, deltas, grid = run_case(case)
     gamma = params.gamma_mol
     assert np.all((grid.loss_cavity >= 0.0) & (grid.loss_cavity <= 1.0))
     assert np.all((grid.loss_free >= 0.0) & (grid.loss_free <= 1.0))
     series, terms = loss_series(grid.times, grid.omega_tilde, gamma, p_model)
     assert np.all(np.abs(series - grid.loss_cavity) <= 1.0e-12)
     first = single_passage_loss(grid.times, grid.omega_tilde, gamma, p_model)
-    points = grid.points()
+    points = [loss_point(delta, cavity, params, p_model)
+              for delta in deltas.tolist()]
     # a scalar call is one element of the grid, so it agrees bit for bit
     i = len(points) // 2
     value, count = loss_series(points[i].times, points[i].omega_tilde, gamma,
@@ -233,6 +236,7 @@ def test_scalar_views_return_builtin_floats():
     params = resolve_params(species)
     delta, omega = -500.0 * TWO_PI_MHZ, 140.0 * TWO_PI_MHZ
     point = loss_point(delta, cavity, params)
+    whole = loss_grid(delta, cavity, params)
     times = collision_times(delta, omega, params)
     geometry = resonance_geometry(delta, omega, params)
     values = [condon_radius(delta, params), geometry.r_escape,
@@ -247,6 +251,12 @@ def test_scalar_views_return_builtin_floats():
               point.times.geometry.r_escape, point.phase, point.loss_cavity,
               point.loss_free, times.t_total, times.frac_resonant,
               times.geometry.r_condon]
+    values += [whole.delta, whole.omega_tilde, whole.n_pairs, whole.phase,
+               whole.loss_cavity, whole.loss_free, whole.times.t_total,
+               whole.times.frac_resonant, whole.times.t_resonant,
+               whole.times.t_escape_region, whole.times.geometry.detuning,
+               whole.times.geometry.r_condon, whole.times.geometry.r_escape,
+               whole.times.geometry.r_ratio]
     coupled = coupling(delta, cavity, params)
     values += [coupled.omega_single, coupled.n_pairs, coupled.omega_tilde]
     assert [type(v) for v in values] == [float] * len(values)

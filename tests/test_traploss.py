@@ -60,7 +60,8 @@ def default_grid():
 
 @pytest.fixture(scope="module")
 def default_scan(default_grid):
-    return default_grid.points()
+    return [loss_point(delta, make_cavity(), RB85, "approx")
+            for delta in default_grid.delta.tolist()]
 
 
 class TestSinglePassage:
@@ -177,7 +178,8 @@ class TestSeriesAndClosedForm:
         values, terms = loss_series(grid.times, grid.omega_tilde, GAMMA,
                                     p_model)
         kernel = traploss.P_MODELS[p_model]
-        for i, point in enumerate(grid.points()):
+        for i, delta in enumerate(grid.delta.tolist()):
+            point = loss_point(delta, make_cavity(), RB85, p_model)
             value, count = loss_series_per_point(point.times,
                                                  point.omega_tilde, GAMMA,
                                                  kernel)
@@ -365,9 +367,9 @@ class TestScan:
         outside = [-1200.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ]
         with pytest.raises(ConfigError, match="window"):
             scan_grid(outside, make_cavity(), RB85, "approx")
-        points = scan_grid(outside, make_cavity(), RB85, "approx",
-                           allow_out_of_window=True).points()
-        assert len(points) == 2
+        grid = scan_grid(outside, make_cavity(), RB85, "approx",
+                         allow_out_of_window=True)
+        assert len(grid.delta) == 2
         assert not in_default_window(outside[0])
         assert in_default_window(outside[1])
 
@@ -423,13 +425,12 @@ class TestScan:
     def test_points_of_floats_and_of_arrays(self):
         deltas = np.linspace(-900.0, -400.0, 7) * TWO_PI_MHZ
         grid = loss_grid(deltas, make_cavity(), RB85)
-        rows = grid.points()
-        assert len(rows) == 7
-        for delta, row in zip(deltas.tolist(), rows):
+        assert grid.loss_cavity.shape == (7,)
+        for i, delta in enumerate(deltas.tolist()):
             point = loss_point(delta, make_cavity(), RB85)
-            assert row == point and point.points() == [point]
-            assert type(row.loss_cavity) is float
-            assert type(row.times.geometry.r_condon) is float
+            assert point.loss_cavity == grid.loss_cavity[i]
+            assert type(point.loss_cavity) is float
+            assert type(point.times.geometry.r_condon) is float
 
 
 def test_readme_library_example_runs(capsys):
