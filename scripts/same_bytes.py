@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 42 runs below, twice
+    python3 scripts/same_bytes.py REV          # the 51 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -59,6 +59,16 @@ CONFIGS = {
     "tiny_lambda.json": {"species": {"lambda_nm": 1e-320}},
     "tiny_gamma.json": {"species": {"gamma_a_mhz": 1e-320}},
     "huge_c3.json": {"species": {"c3_erg_ang3": 1e300}},
+    "huge_delta_ref.json": {"coupling": {"delta_ref_mhz": -1e308}},
+    "huge_omega_ref.json": {"coupling": {"omega_tilde_ref_mhz": 1e308}},
+    "micro_huge_delta_ref.json": {"coupling": {"mode": "microscopic",
+                                               "delta_ref_mhz": -1e308}},
+    "slow_p_excite.json": {"scan": {"include_p_excite": True},
+                           "coupling": {"v_inf_cm_s": 1e-320}},
+    "long_cavity.json": {"cavity": {"length_cm": 1e308}},
+    "short_cavity.json": {"cavity": {"length_cm": 1e-300}},
+    "dense_micro.json": {"coupling": {"mode": "microscopic"},
+                         "cavity": {"n_atoms": 1e308, "density_cm3": 1e308}},
     "wide_p17.json": {"output": {"precision": 17},
                       "coupling": {"mode": "microscopic"},
                       "scan": {"points": 2000, "from_mhz": -1500.0,
@@ -73,8 +83,9 @@ OUTPUT = "out.csv"
 
 #: (name, argv) of every run: every command, both kernels and couplings,
 #: out-of-window and refused scans, a refused validate config, refused
-#: dynamics steps, refused reference detunings, species values and a scan
-#: bound beyond the float range, precision 17, the decay-free limit and
+#: dynamics steps and step counts, refused reference detunings, species
+#: values, coupling references, cavity values, a scan bound and a p_excite
+#: column beyond the float range, precision 17, the decay-free limit and
 #: output files
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
@@ -124,6 +135,20 @@ RUNS = [
     ("scan-overflowing-from", ["scan", "--from-mhz=-1e308", "--to-mhz",
                                "-350", "--allow-out-of-window"]),
     ("validate-huge-c3", ["--config", "huge_c3.json", "validate"]),
+    ("scan-huge-delta-ref", ["--config", "huge_delta_ref.json", "scan"]),
+    ("validate-huge-omega-ref", ["--config", "huge_omega_ref.json",
+                                 "validate"]),
+    ("constants-micro-huge-delta-ref", ["--config",
+                                        "micro_huge_delta_ref.json",
+                                        "constants"]),
+    ("dynamics-tiny-gamma", ["--config", "tiny_gamma.json", "dynamics",
+                             "--delta-mhz", "-350"]),
+    ("dynamics-over-cap", ["dynamics", "--delta-mhz", "-350",
+                           "--t-max-ns", "1e6"]),
+    ("scan-slow-p-excite", ["--config", "slow_p_excite.json", "scan"]),
+    ("constants-long-cavity", ["--config", "long_cavity.json", "constants"]),
+    ("scan-short-cavity", ["--config", "short_cavity.json", "scan"]),
+    ("scan-dense-micro", ["--config", "dense_micro.json", "scan"]),
     ("scan-default-output", ["scan", "--output", OUTPUT]),
     ("scan-20000-output", ["scan", "--points", "20000", "--output", OUTPUT]),
     ("dynamics-output", ["dynamics", "--delta-mhz", "-350",

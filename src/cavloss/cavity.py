@@ -58,17 +58,27 @@ class CavityConfig:
             if not value > 0.0:   # NaN too
                 raise ConfigError(
                     f"cavity.{name} must be positive, got {value!r}")
+        # the mode volume is pi*c*length^2/omega_c
+        if not 0.0 < self.length * self.length < math.inf:
+            raise ConfigError("cavity.length_cm squared leaves the "
+                              f"floating-point range, got {self.length!r}")
+        if math.isinf(self.n_atoms_total * self.density):
+            raise ConfigError(
+                "cavity.n_atoms * cavity.density_cm3 leaves the floating-point "
+                f"range, got {self.n_atoms_total!r} * {self.density!r}")
         if self.coupling_mode not in COUPLING_MODES:
             raise ConfigError(
                 f"coupling.mode must be one of {COUPLING_MODES}, "
                 f"got {self.coupling_mode!r}")
         if self.coupling_mode == "anchored":
-            if self.omega_tilde_ref is None or self.omega_tilde_ref <= 0.0:
-                raise ConfigError(
-                    "coupling.omega_tilde_ref_mhz must be positive in anchored mode")
-            if self.delta_ref is None or self.delta_ref >= 0.0:
-                raise ConfigError(
-                    "coupling.delta_ref_mhz must be negative in anchored mode")
+            for name, value, sign in (
+                    ("omega_tilde_ref_mhz", self.omega_tilde_ref, 1.0),
+                    ("delta_ref_mhz", self.delta_ref, -1.0)):
+                if value is None or not 0.0 < sign * value < math.inf:
+                    raise ConfigError(
+                        f"coupling.{name} must be finite and "
+                        f"{'positive' if sign > 0.0 else 'negative'} in "
+                        f"anchored mode, got {value!r} rad/s")
 
 
 @dataclass(frozen=True)
@@ -96,8 +106,10 @@ def mode_geometry(omega_c, config: CavityConfig):
 def field_per_photon(omega, volume):
     """Vacuum field amplitude (2*pi*hbar*omega/V)^(1/2), (erg/cm^3)^(1/2)."""
     omega_grid, volume_grid = as_grid(omega), as_grid(volume)
-    if (omega_grid <= 0.0).any() or (volume_grid <= 0.0).any():
-        raise DomainError("mode frequency and volume must be positive")
+    refuse(omega_grid <= 0.0, omega_grid,
+           "mode frequency must be positive, got {!r} rad/s")
+    refuse(volume_grid <= 0.0, volume_grid,
+           "mode volume must be positive, got {!r} cm^3")
     return like(np.sqrt(2.0 * math.pi * HBAR * omega_grid / volume_grid),
                 omega, volume)
 

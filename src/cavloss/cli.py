@@ -30,7 +30,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import Iterable, Iterator, Optional, get_args, get_type_hints
 
 import numpy as np
@@ -194,12 +194,16 @@ def build_run_config(document: Optional[dict] = None,
     if cfg.coupling.v_inf_cm_s <= 0.0:
         raise ConfigError("coupling.v_inf_cm_s must be positive, got "
                           f"{cfg.coupling.v_inf_cm_s!r}")
-    for key, wanted, sign in (("omega_tilde_ref_mhz", "positive", 1.0),
-                              ("delta_ref_mhz", "negative", -1.0)):
-        value = getattr(cfg.coupling, key)
-        if cfg.coupling.mode == "anchored" and not sign * value > 0.0:
-            raise ConfigError(f"coupling.{key} must be {wanted} in anchored "
-                              f"mode, got {value!r}")
+    if cfg.coupling.mode == "anchored":   # microscopic: see cmd_constants
+        for key, wanted, sign in (("omega_tilde_ref_mhz", "positive", 1.0),
+                                  ("delta_ref_mhz", "negative", -1.0)):
+            value = getattr(cfg.coupling, key)
+            if not sign * value > 0.0:
+                raise ConfigError(f"coupling.{key} must be {wanted} in "
+                                  f"anchored mode, got {value!r}")
+            if math.isinf(value * TWO_PI_MHZ):
+                raise ConfigError(f"coupling.{key} leaves the floating-point "
+                                  f"range in rad/s, got {value!r}")
     scan = cfg.scan
     if not scan.from_mhz < scan.to_mhz < 0.0:
         raise ConfigError(
@@ -247,6 +251,14 @@ def cmd_constants(cfg: RunConfig) -> str:
     """Key=value report of every resolved quantity."""
     params = resolve_params(cfg.species)
     cav = cavity_config(cfg)
+    reference = cfg.coupling.delta_ref_mhz
+    if cfg.coupling.mode == "microscopic":   # anchored: see build_run_config
+        if not reference < 0.0:   # the pairs need red light
+            raise ConfigError(
+                f"coupling.delta_ref_mhz must be negative, got {reference!r}")
+        if math.isinf(cav.delta_ref):
+            raise ConfigError("coupling.delta_ref_mhz leaves the floating-point "
+                              f"range in rad/s, got {reference!r}")
     omega_c = params.omega_a + cav.delta_ref
     waist, volume = cavity_mod.mode_geometry(omega_c, cav)
     d_atom = cavity_mod.atomic_dipole(params)
@@ -270,9 +282,6 @@ def cmd_constants(cfg: RunConfig) -> str:
         f"coupling_mode={cfg.coupling.mode}",
     ]
     if cfg.coupling.mode == "microscopic":
-        if not cfg.coupling.delta_ref_mhz < 0.0:   # the pairs need red light
-            raise ConfigError("coupling.delta_ref_mhz must be negative, got "
-                              f"{cfg.coupling.delta_ref_mhz!r}")
         point = cavity_mod.coupling(cav.delta_ref, cav, params)
         lines.append(f"n_pairs_at_delta_ref={point.n_pairs!r}")
         lines.append(f"omega_tilde_at_delta_ref_mhz={point.omega_tilde / TWO_PI_MHZ!r}")
@@ -316,8 +325,9 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
 
     ``t_max_ns`` and ``dt_ps`` are the ``--t-max-ns`` and ``--dt-ps``
     values as given (None for the default run), and each refusal of them
-    names the flag and its unit.  gamma_a_mhz = 0 is accepted here
-    (decay-free Rabi oscillation).
+    names the flag and its unit; a run over the step cap names what set
+    its length and step.  gamma_a_mhz = 0 is accepted here (decay-free
+    Rabi oscillation).
     """
     if t_max_ns is not None and t_max_ns < 0.0:
         raise DomainError(f"--t-max-ns must be >= 0, got {t_max_ns!r}")
@@ -340,6 +350,15 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
             f"{dt_max * 1.0e12:.6g} ps ({dynamics_mod.STEPS_PER_CYCLE} "
             f"steps per fastest cycle)")
     t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
+    steps = t_max_s / dt_s
+    if steps - 1.0e-9 > dynamics_mod.MAX_STEPS:   # integrate_grid's cap
+        given = [f"{flag} {value!r}" for flag, value
+                 in (("--t-max-ns", t_max_ns), ("--dt-ps", dt_ps))
+                 if value is not None]
+        if t_max_ns is None and gamma > 0.0:   # the default length 5/Gamma_mol
+            given.insert(0, f"species.gamma_a_mhz {cfg.species.gamma_a_mhz!r}")
+        raise DomainError(f"{' with '.join(given)} gives a run of {steps:.6g} "
+                          f"steps, over the cap of {dynamics_mod.MAX_STEPS}")
     times, states = dynamics_mod.integrate_grid(
         dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s,
         components=(0, 1, 2))
@@ -376,8 +395,10 @@ def cmd_scan(cfg: RunConfig) -> Iterator[str]:
                grid.loss_cavity, grid.loss_free]
     if scan.include_p_excite:
         header.append("p_excite")
-        columns.append(cavity_mod.landau_zener(
-            grid.delta, grid.omega_tilde, cfg.coupling.v_inf_cm_s, params))
+        with float_range("p_excite at coupling.v_inf_cm_s "
+                         f"{cfg.coupling.v_inf_cm_s!r}"):
+            columns.append(cavity_mod.landau_zener(
+                grid.delta, grid.omega_tilde, cfg.coupling.v_inf_cm_s, params))
     if scan.allow_out_of_window:
         header.append("in_window")
         columns.append(traploss_mod.in_default_window(grid.delta))
@@ -388,21 +409,13 @@ def cmd_scan(cfg: RunConfig) -> Iterator[str]:
 # validate
 
 
-def _check_round_trip(params: PhysicalParams, species: HumanUnitsConfig) -> None:
-    back = to_human_units(params)
-    for key in fields(species):
-        want, got = getattr(species, key.name), getattr(back, key.name)
-        if want is None or got is None or (want == 0.0 and got == 0.0):
-            continue   # the trap depth given in the other unit, or zero
-        if abs(got - want) > 1.0e-12 * abs(want):
-            raise AssertionError(f"{key.name} round-trip {want!r} -> {got!r}")
-
-
 def _require(ok, claim: str, **samples) -> None:
     """Raise AssertionError naming the first sample where ``ok`` is False.
 
     Each keyword is an array of sample values (or one value for all)
-    reported at that index.
+    reported at that index.  Every validate check fails through this or
+    through a refusal it meets, never an ``assert``, so ``python -O`` keeps
+    the verdicts.
     """
     ok = np.asarray(ok)
     if ok.all():
@@ -424,12 +437,20 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
     delta_mid = 0.5 * (cfg.scan.from_mhz + cfg.scan.to_mhz) * TWO_PI_MHZ
 
     def resolve_strict():
-        _check_round_trip(resolve_params(cfg.species), cfg.species)
+        back = to_human_units(resolve_params(cfg.species))
+        for key in fields(cfg.species):
+            want, got = getattr(cfg.species, key.name), getattr(back, key.name)
+            if want is None or got is None or (want == 0.0 and got == 0.0):
+                continue   # the trap depth given in the other unit, or zero
+            _require(abs(got - want) <= 1.0e-12 * abs(want),
+                     f"{key.name} round-trip", given=want, resolved=got)
 
     def resolve_deterministic():
-        first = resolve_params(cfg.species, allow_zero_gamma=True)
-        second = resolve_params(cfg.species, allow_zero_gamma=True)
-        assert first == second, "two resolutions differ"
+        once, again = (np.array(astuple(resolve_params(
+            cfg.species, allow_zero_gamma=True))) for _ in range(2))
+        _require(once == again, "two resolutions agree",
+                 field=[key.name for key in fields(PhysicalParams)],
+                 once=once, again=again)
 
     def condon_condition():
         r_c = potential_mod.condon_radius(delta_samples, params)
@@ -461,7 +482,7 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
 
     def g0_normalization():
         full = kinematics_mod.fraction_f(-1.0, 1.0e30)
-        assert abs(full - 1.0) <= 1.0e-9, f"f(r->0) = {full!r}"
+        _require(abs(full - 1.0) <= 1.0e-9, "f(r->0) = 1", f=full)
 
     def f_monotonic_in_coupling():
         omegas = np.linspace(0.0, 4.0 * abs(delta_mid), 20)
@@ -485,9 +506,9 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
         t_c = (kinematics_mod.total_time(delta_samples, params)
                * kinematics_mod.fraction_f(delta_samples, omega_tilde))
         phase = omega_tilde * t_c
-        valid = np.isfinite(phase) & (phase > 0.0)
-        assert valid.all(), \
-            f"phase omega_tilde*t_c = {phase[~valid][0].item()!r}"
+        _require(np.isfinite(phase) & (phase > 0.0),
+                 "finite phase omega_tilde*t_c > 0", phase=phase,
+                 delta_mhz=delta_samples / TWO_PI_MHZ)
 
     def coupling_identity():
         point = cavity_mod.coupling(delta_samples, cav, params)
@@ -499,12 +520,14 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
                      <= 1.0e-12 * omega_tilde**2, "omega_tilde^2 = N*Omega^2",
                      delta_mhz=delta_mhz, omega_tilde=omega_tilde,
                      n_pairs=point.n_pairs, omega_single=point.omega_single)
+            products = point.n_pairs * delta_samples**2   # N ~ delta^-2
+            claim = "N*delta^2 constant"
         else:
             products = omega_tilde * np.abs(delta_samples)
-            ref = products[0]
-            _require(np.abs(products - ref) <= 1.0e-12 * ref,
-                     "omega_tilde*|delta| constant", delta_mhz=delta_mhz,
-                     product=products, first_product=ref)
+            claim = "omega_tilde*|delta| constant"
+        ref = products[0]
+        _require(np.abs(products - ref) <= 1.0e-12 * ref, claim,
+                 delta_mhz=delta_mhz, product=products, first_product=ref)
 
     def dynamics_fidelity():
         omega_tilde = cavity_mod.coupling(delta_mid, cav, params).omega_tilde
@@ -512,24 +535,25 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
         t_end, dt = dynamics_mod.default_run(omega_tilde, gamma)
         times, states = dynamics_mod.integrate_grid(
             dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_end, dt)
-        p_e = states[:, 0]
+        p_e, p_g, p_v = states[:, :3].T
         analytic = dynamics_mod.p_omega_analytic(times, omega_tilde, gamma)
-        worst = np.max(np.abs(p_e - analytic)).item()
-        assert worst <= 1.0e-8, f"max |numeric - analytic| = {worst!r}"
-        trace_dev = np.max(np.abs(p_e + states[:, 1] + states[:, 2] - 1.0)).item()
-        assert trace_dev <= 1.0e-10, f"trace deviation {trace_dev!r}"
-        coherence = np.max(np.hypot(states[:, 5::2], states[:, 6::2])).item()
-        assert coherence <= 1.0e-12, f"decoupled coherences reached {coherence!r}"
+        _require(np.abs(p_e - analytic) <= 1.0e-8, "p_e = analytic to 1e-8",
+                 t_s=times, p_e=p_e, analytic=analytic)
+        trace = p_e + p_g + p_v
+        _require(np.abs(trace - 1.0) <= 1.0e-10, "trace = 1 to 1e-10",
+                 t_s=times, trace=trace)
+        coherence = np.hypot(states[:, 5::2], states[:, 6::2]).max(axis=1)
+        _require(coherence <= 1.0e-12, "decoupled coherences stay 0",
+                 t_s=times, coherence=coherence)
 
     def regime_continuity():
         gamma = params.gamma_mol if params.gamma_mol > 0.0 else 1.0
-        for t_probe in (0.5 / gamma, 2.0 / gamma, 5.0 / gamma):
-            at_boundary = dynamics_mod.p_omega_analytic(t_probe, 0.25 * gamma, gamma)
-            for eps in (-1.0e-9, 1.0e-9):
-                side = dynamics_mod.p_omega_analytic(
-                    t_probe, 0.25 * gamma * (1.0 + eps), gamma)
-                assert abs(side - at_boundary) <= 1.0e-9, \
-                    f"boundary jump {abs(side - at_boundary)!r} at t={t_probe!r}"
+        t_probe = np.array([[0.5], [2.0], [5.0]]) / gamma   # one row each
+        omegas = 0.25 * gamma * (1.0 + np.array([0.0, -1.0e-9, 1.0e-9]))
+        p = dynamics_mod.p_omega_analytic(t_probe, omegas, gamma)
+        jump = np.abs(p[:, 1:] - p[:, :1])   # W = gamma/4 -+ 1e-9 against W
+        _require(jump <= 1.0e-9, "p(t) continuous at W = gamma/4", t=t_probe,
+                 jump=jump)
 
     def scan_identities():
         deltas = np.linspace(cfg.scan.from_mhz, cfg.scan.to_mhz,
@@ -584,19 +608,18 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
 def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     """Run every invariant check; returns (report, exit status)."""
     lines = []
-    failures = 0
     checks = _validation_checks(cfg)
     for name, check in checks:
         try:
             with float_range(name):   # an overflow fails the check
                 check()
         except Exception as exc:  # report and continue
-            failures += 1
             lines.append(f"FAIL {name}: {exc}")
         else:
             lines.append(f"PASS {name}")
-    lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return "\n".join(lines) + "\n", 0 if failures == 0 else 1
+    passed = sum(line.startswith("PASS") for line in lines)
+    lines.append(f"{passed}/{len(checks)} checks passed")
+    return "\n".join(lines) + "\n", 0 if passed == len(checks) else 1
 
 
 # ---------------------------------------------------------------------------

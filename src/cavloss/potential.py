@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, PhysicalParams
-from .errors import DomainError
 from .grid import as_grid, like, red_detuning, refuse
 
 
@@ -70,7 +69,8 @@ def resonance_geometry(delta, omega_tilde,
     r_condon = condon_radius(delta, params)
     ratio = escape_ratio(delta, omega_tilde)
     r_escape = r_condon * ratio
-    if not np.all((0.0 < r_escape) & (r_escape <= r_condon)):
-        raise DomainError("requires 0 < r_escape <= r_condon")
+    radius = as_grid(r_escape)   # NaN is refused too
+    refuse(~((0.0 < radius) & (radius <= r_condon)), radius,
+           "requires 0 < r_escape <= r_condon, got r_escape={!r} cm")
     return ResonanceGeometry(detuning=delta, r_condon=r_condon,
                              r_escape=r_escape, r_ratio=ratio)

@@ -43,7 +43,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .cavity import CavityConfig, coupling
+from .cavity import CavityConfig, atomic_dipole, coupling
 from .constants import PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError
@@ -182,9 +182,13 @@ def loss_grid(deltas, cavity: CavityConfig, params: PhysicalParams,
         times = collision_times(delta, omega_tilde, params)
         loss_cavity = loss_closed_form(times, omega_tilde, gamma, p_model)
         loss_free = loss_no_cavity(times, gamma)
-    n_pairs = as_grid(point.n_pairs)   # inf where the dipole underflows
-    refuse(np.isinf(n_pairs), n_pairs, "the resonant pair count is {!r}: "
-           "the pair dipole is 0 as species.gamma_a_mhz is too small")
+    n_pairs = as_grid(point.n_pairs)   # inf where Omega underflows to 0
+    unbounded = np.isinf(n_pairs)
+    if np.count_nonzero(unbounded):   # name the key that zeroed Omega
+        refuse(unbounded, n_pairs, "the resonant pair count is {!r}: " + (
+            "the pair dipole is 0 as species.gamma_a_mhz is too small"
+            if atomic_dipole(params) == 0.0 else
+            "the field per photon is 0 as cavity.length_cm is too large"))
     return LossPoint(delta=delta, omega_tilde=omega_tilde,
                      n_pairs=point.n_pairs, times=times,
                      phase=omega_tilde * times.t_resonant,

@@ -65,6 +65,17 @@ class TestField:
         with pytest.raises(DomainError):
             field_per_photon(1.0, -1.0)
 
+    @pytest.mark.parametrize("omega, volume, message", [
+        (np.array([1.0, -2.0, 0.0]), 1.0,
+         "mode frequency must be positive, got -2.0 rad/s"),
+        (1.0, np.array([1.0, 0.0, -3.0]),
+         "mode volume must be positive, got 0.0 cm^3"),
+    ])
+    def test_refusal_names_the_first_offender(self, omega, volume, message):
+        with pytest.raises(DomainError) as info:
+            field_per_photon(omega, volume)
+        assert str(info.value) == message
+
 
 class TestDipole:
     def test_inversion_formula(self):
@@ -203,6 +214,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"^cavity\.length_cm must be "
                                               r"positive, got nan$"):
             make_config(length=math.nan)
+
+    @pytest.mark.parametrize("overrides, message", [
+        # the mode volume is pi*c*length^2/omega_c
+        ({"length": 1e308}, "cavity.length_cm squared leaves the "
+                            "floating-point range, got 1e+308"),
+        ({"length": 1e-300}, "cavity.length_cm squared leaves the "
+                             "floating-point range, got 1e-300"),
+        ({"n_atoms_total": 1e308, "density": 1e308},
+         "cavity.n_atoms * cavity.density_cm3 leaves the floating-point "
+         "range, got 1e+308 * 1e+308"),
+        ({"omega_tilde_ref": math.inf}, "coupling.omega_tilde_ref_mhz must "
+         "be finite and positive in anchored mode, got inf rad/s"),
+        ({"delta_ref": -math.inf}, "coupling.delta_ref_mhz must be finite "
+         "and negative in anchored mode, got -inf rad/s"),
+        ({"delta_ref": math.nan}, "coupling.delta_ref_mhz must be finite "
+         "and negative in anchored mode, got nan rad/s"),
+    ])
+    def test_rejects_values_beyond_the_float_range(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            make_config(**overrides)
+        assert str(info.value) == message
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError, match="coupling.mode"):

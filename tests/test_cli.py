@@ -1,10 +1,12 @@
 """Command-line interface: config handling, CSV contracts, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -17,13 +19,20 @@ import numpy as np
 import pytest
 
 import cavloss
-from cavloss import (cavity, cli, in_default_window, kinematics, potential,
-                     traploss)
+from cavloss import (cavity, cli, constants, dynamics, in_default_window,
+                     kinematics, potential, traploss)
 from cavloss.cli import TWO_PI_MHZ, RunConfig, main
 from oracles import percent_csv_oracle
 from test_csvtext import exp_dispatch
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
+
+def moved_component(row, integrate=dynamics.integrate_grid):
+    """A fake integrate_grid: the integrator's states, component ``row`` + 1."""
+    def fake(*args, **kwargs):
+        times, states = integrate(*args, **kwargs)
+        return times, states + np.eye(9)[row]
+    return fake
 
 
 def write_config(tmp_path, document):
@@ -109,8 +118,9 @@ class TestTimesCommand:
         for value in rows[0].values():
             assert SCI_NUMBER.match(value), value
 
-    def test_positive_detuning_exits_2(self, capsys):
-        code, out, err = run(capsys, ["times", "--delta-mhz", "350"])
+    @pytest.mark.parametrize("command", ["times", "dynamics"])
+    def test_positive_detuning_exits_2(self, capsys, command):
+        code, out, err = run(capsys, [command, "--delta-mhz", "350"])
         assert code == 2 and out == ""
         assert "delta" in err
 
@@ -271,6 +281,12 @@ class TestDynamicsCommand:
         ("--dt-ps", "1e-320", "--dt-ps must be positive, got 1e-320"),
         ("--dt-ps", "1000", "--dt-ps 1000.0 exceeds the ceiling of about "
                             "25.0028 ps (200 steps per fastest cycle)"),
+        ("--t-max-ns", "1e6", "--t-max-ns 1000000.0 gives a run of "
+                              "3.99955e+08 steps, over the cap of 1000000"),
+        # the default length 5/Gamma_mol is set by the species
+        ("--dt-ps", "1e-6", "species.gamma_a_mhz 6.0 with --dt-ps 1e-06 gives "
+                            "a run of 6.63146e+10 steps, over the cap of "
+                            "1000000"),
     ])
     def test_refused_flag_is_named_in_its_unit(self, capsys, flag, value,
                                                message):
@@ -416,12 +432,17 @@ class TestConfigHandling:
         assert code == 2
         assert "laser" in err
 
-    def test_bad_json_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "is not valid JSON"),
+        (None, "cannot read config file"),   # no such file
+    ])
+    def test_bad_json_exits_2(self, capsys, tmp_path, text, message):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = run(capsys, ["--config", str(path), "constants"])
-        assert code == 2
-        assert "JSON" in err
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, ["--config", str(path), "constants"])
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_non_numeric_value_exits_2(self, capsys, tmp_path):
         config = write_config(tmp_path, {"species": {"lambda_nm": "red"}})
@@ -504,6 +525,11 @@ class TestConfigHandling:
          ["times", "--delta-mhz", "-350"],
          "error: coupling.omega_tilde_ref_mhz must be positive in anchored "
          "mode, got 0.0\n"),
+        ([], ["constants"], "error: config document must be a JSON object\n"),
+        ({"scan": 3}, ["scan"],
+         "error: config section 'scan' must be an object\n"),
+        ({}, ["times", "--delta-mhz", "abc"],
+         "argument --delta-mhz: expected a finite number, got 'abc'"),
     ])
     def test_non_finite_or_non_integral_exits_2(self, capsys, tmp_path,
                                                 document, argv, name):
@@ -586,8 +612,12 @@ def test_one_parser_serves_every_call(capsys):
 
 
 class TestValidateCommand:
-    def test_default_config_passes(self, capsys):
-        code, out, err = run(capsys, ["validate"])
+    @pytest.mark.parametrize("document", [
+        {}, {"coupling": {"mode": "microscopic"}}])
+    def test_default_config_passes(self, capsys, tmp_path, document):
+        code, out, err = run(capsys, ["--config",
+                                      write_config(tmp_path, document),
+                                      "validate"])
         assert code == 0 and err == ""
         assert "FAIL" not in out
         assert out.strip().splitlines()[-1].endswith("checks passed")
@@ -633,6 +663,30 @@ class TestValidateCommand:
             assert "species.gamma_a_mhz" in line and "coupling.mode" in line
 
     @pytest.mark.parametrize("module, name, fake, check", [
+        (cli, "to_human_units",
+         lambda params: dataclasses.replace(constants.to_human_units(params),
+                                            lambda_nm=1.0),
+         "constants.resolve_round_trip"),
+        (cli, "resolve_params",   # a new mass at every call
+         lambda species, counter=itertools.count(1), **kw: dataclasses.replace(
+             constants.resolve_params(species, **kw), mu=next(counter) * 1e-22),
+         "constants.deterministic"),
+        (kinematics, "g0_constant", lambda: 0.70,
+         "kinematics.g0_normalization"),
+        (kinematics, "fraction_f",
+         lambda delta, omega: np.zeros(np.shape(omega)),
+         "kinematics.phase_single_cycle"),
+        (dynamics, "p_omega_analytic",
+         lambda t, omega, gamma: np.zeros(np.shape(t)),
+         "dynamics.fidelity: p_e = analytic"),
+        (dynamics, "integrate_grid", moved_component(2),   # p_v, not p_e
+         "dynamics.fidelity: trace = 1"),
+        (dynamics, "integrate_grid", moved_component(5),   # Re c_ev
+         "dynamics.fidelity: decoupled coherences stay 0"),
+        (dynamics, "p_omega_analytic",   # a step at W = gamma/4
+         lambda t, omega, gamma: (np.asarray(omega) > gamma / 4.0)
+         + 0.0 * np.asarray(t),
+         "dynamics.regime_continuity"),
         (kinematics, "fraction_f",
          lambda delta, omega: np.zeros(np.shape(omega)),
          "kinematics.f_monotonic_in_coupling"),
@@ -666,10 +720,21 @@ class TestValidateCommand:
         monkeypatch.setattr(module, name, fake)
         code, out, _ = run(capsys, ["validate"])
         assert code == 1
-        line = next(line for line in out.splitlines()
-                    if line.startswith(f"FAIL {check}:"))
+        line = next(line for line in out.splitlines()   # check, then claim
+                    if line.startswith(f"FAIL {check}"))
         reason = line.split(":", 1)[1]
         assert re.search(r"fails at sample \d+: \w+ = \S", reason), reason
+
+    def test_replaced_pair_count_caught(self, capsys, monkeypatch, tmp_path):
+        # omega_tilde^2 = N*Omega^2 holds for any N; N ~ delta^-2 does not
+        monkeypatch.setattr(cavity, "pair_count",
+                            lambda delta, cav, params: np.ones(np.shape(delta)))
+        config = write_config(tmp_path, {"coupling": {"mode": "microscopic"}})
+        code, out, _ = run(capsys, ["--config", config, "validate"])
+        assert code == 1
+        assert re.search(r"^FAIL cavity\.coupling_identity: N\*delta\^2 "
+                         r"constant fails at sample 1: delta_mhz = \S+, "
+                         r"product = \S", out, re.MULTILINE)
 
     def test_vanishing_phase_caught(self, capsys, monkeypatch):
         # no resonant fraction, so no Rabi phase is accumulated
@@ -677,8 +742,31 @@ class TestValidateCommand:
                             lambda delta, omega: np.zeros(np.shape(omega)))
         code, out, _ = run(capsys, ["validate"])
         assert code == 1
-        assert "FAIL kinematics.phase_single_cycle: phase omega_tilde*t_c = 0.0" \
-            in out
+        assert "FAIL kinematics.phase_single_cycle: finite phase " \
+            "omega_tilde*t_c > 0 fails at sample 0: phase = 0.0, " in out
+
+    def test_failures_survive_python_optimize(self):
+        # a check fails by raising, not by an assert that -O strips
+        probe = ("import sys; from cavloss import cli, kinematics; "
+                 "kinematics.g0_constant = lambda: 0.70; "
+                 "sys.exit(cli.main(['validate']))")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(cavloss.__file__).resolve().parent.parent))
+        result = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "FAIL kinematics.g0_normalization: f(r->0) = 1 fails at " \
+            "sample 0: f = " in result.stdout
+
+
+def test_no_assert_in_the_package():
+    # python -O strips asserts, so the package fails only by raising
+    package = Path(cavloss.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 #: (config document, argv) of every command that writes CSV
@@ -809,6 +897,41 @@ def test_cli_import_leaves_out_scipy():
     ({"species": {"c3_erg_ang3": 1e300}}, ["validate"], 1,
      "FAIL cavity.landau_zener_monotonic: cavity.landau_zener_monotonic left "
      "the floating-point range: overflow encountered in power"),
+    # anchored references beyond the float range once in rad/s
+    *(({"coupling": {key: value}}, argv, 2,
+       f"error: coupling.{key} leaves the floating-point range in rad/s, "
+       f"got {value!r}\n")
+      for key, value in (("delta_ref_mhz", -1e308),
+                         ("omega_tilde_ref_mhz", 1e308))
+      for argv in (["constants"], ["times", "--delta-mhz", "-350"],
+                   ["dynamics", "--delta-mhz", "-350"], ["scan"],
+                   ["validate"])),
+    ({"coupling": {"mode": "microscopic", "delta_ref_mhz": -1e308}},
+     ["constants"], 2, "error: coupling.delta_ref_mhz leaves the "
+     "floating-point range in rad/s, got -1e+308\n"),
+    # the dynamics step cap names what set the run length
+    ({"species": {"gamma_a_mhz": 1e-320}}, ["dynamics", "--delta-mhz", "-350"],
+     2, "error: species.gamma_a_mhz 1e-320 gives a run of inf steps, over "
+        "the cap of 1000000\n"),
+    ({}, ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "1e6"], 2,
+     "--t-max-ns 1000000.0"),
+    ({"scan": {"include_p_excite": True}, "coupling": {"v_inf_cm_s": 1e-320}},
+     ["scan"], 2, "error: p_excite at coupling.v_inf_cm_s 1e-320 left the "
+                  "floating-point range"),
+    # cavity values whose products leave the float range
+    *((document, argv, 2, name)
+      for document, name in (
+          ({"cavity": {"length_cm": 1e308}},
+           "error: cavity.length_cm squared leaves the floating-point range, "
+           "got 1e+308\n"),
+          ({"cavity": {"length_cm": 1e-300}},
+           "error: cavity.length_cm squared leaves the floating-point range, "
+           "got 1e-300\n"),
+          ({"coupling": {"mode": "microscopic"},
+            "cavity": {"n_atoms": 1e308, "density_cm3": 1e308}},
+           "error: cavity.n_atoms * cavity.density_cm3 leaves the "
+           "floating-point range, got 1e+308 * 1e+308\n"))
+      for argv in (["constants"], ["scan"])),
 ])
 def test_values_out_of_float_range_are_refused(capsys, tmp_path, document,
                                                argv, code, name):

@@ -94,6 +94,7 @@ def test_params_immutable():
     ("mass_amu", math.nan),
     ("c3_erg_ang3", 1e-320),
     ("trap_depth_mk", 1e-320),
+    ("lambda_nm", "red"),   # not a number
 ])
 def test_rejects_bad_field_naming_it(field, value):
     config = HumanUnitsConfig(**{field: value})

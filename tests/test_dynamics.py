@@ -368,3 +368,11 @@ class TestStepCeiling:
             with pytest.raises(StepSizeError):
                 integrate_grid(EXCITED_STATE, -omega, gamma, 1.0e-9,
                                2.0 * ceiling)
+
+    @pytest.mark.parametrize("t_end, message", [
+        (None, "t_end must be given when both rates are zero"),
+        (1.0e-9, "dt must be given when both rates are zero"),
+    ])
+    def test_default_run_needs_a_rate(self, t_end, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            default_run(0.0, 0.0, t_end)

@@ -134,3 +134,15 @@ class TestGeometry:
     def test_rejects_positive_detuning(self):
         with pytest.raises(DomainError):
             resonance_geometry(1.0, 0.0, RB85)
+
+    @pytest.mark.parametrize("omega_tilde, radius", [
+        (np.inf, "0.0"), (np.nan, "nan"),
+        (np.array([200.0 * TWO_PI_MHZ, np.inf, np.nan]), "0.0"),
+    ])
+    def test_escape_radius_outside_the_condon_radius_refused(self, omega_tilde,
+                                                             radius):
+        # an infinite coupling puts R_e at 0; NaN fails every comparison
+        with pytest.raises(DomainError) as info:
+            resonance_geometry(DELTA_350, omega_tilde, RB85)
+        assert str(info.value) == ("requires 0 < r_escape <= r_condon, got "
+                                   f"r_escape={radius} cm")

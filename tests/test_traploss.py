@@ -404,6 +404,26 @@ class TestScan:
             scan_grid([-400.0 * TWO_PI_MHZ, 1.0], make_cavity(), RB85,
                       "approx", allow_out_of_window=True)
 
+    @pytest.mark.parametrize("species, length, above_transition, key", [
+        # the pair dipole underflows to 0
+        (HumanUnitsConfig(gamma_a_mhz=1e-320), 1.0, None,
+         "species.gamma_a_mhz"),
+        # the field per photon underflows to 0 at a mode frequency of 1 MHz
+        (HumanUnitsConfig(), 1e150, 1.0e6, "cavity.length_cm"),
+    ])
+    def test_unbounded_pair_count_names_its_key(self, species, length,
+                                                above_transition, key):
+        params = resolve_params(species)
+        cavity = CavityConfig(length=length, n_atoms_total=2.0e9,
+                              density=4.0e13, omega_tilde_ref=OMEGA_200,
+                              delta_ref=DELTA_350)
+        delta = (DELTA_350 if above_transition is None
+                 else above_transition - params.omega_a)
+        with pytest.raises(DomainError) as info:
+            loss_grid(delta, cavity, params)
+        assert str(info.value).startswith("the resonant pair count is inf: ")
+        assert key in str(info.value)
+
     def test_loss_point_bundle(self):
         point = loss_point(DELTA_350, make_cavity(), RB85, "approx")
         assert point.phase == point.omega_tilde * point.times.t_resonant
