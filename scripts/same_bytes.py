@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 51 runs below, twice
+    python3 scripts/same_bytes.py REV          # the 52 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -54,6 +54,8 @@ CONFIGS = {
     "decay_free.json": {"species": {"gamma_a_mhz": 0.0}},
     "decay_free_micro.json": {"species": {"gamma_a_mhz": 0.0},
                               "coupling": {"mode": "microscopic"}},
+    "slow_decay_micro.json": {"species": {"gamma_a_mhz": 0.01},
+                              "coupling": {"mode": "microscopic"}},
     "zero_length.json": {"cavity": {"length_cm": 0}},
     "anchored_blue_ref.json": {"coupling": {"delta_ref_mhz": 100}},
     "tiny_lambda.json": {"species": {"lambda_nm": 1e-320}},
@@ -85,8 +87,8 @@ OUTPUT = "out.csv"
 #: out-of-window and refused scans, a refused validate config, refused
 #: dynamics steps and step counts, refused reference detunings, species
 #: values, coupling references, cavity values, a scan bound and a p_excite
-#: column beyond the float range, precision 17, the decay-free limit and
-#: output files
+#: column beyond the float range, precision 17, the decay-free limit, a
+#: validate whose series runs past 10 000 terms and output files
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -115,6 +117,8 @@ RUNS = [
     ("validate-micro", ["--config", "micro.json", "validate"]),
     ("validate-analytic", ["--config", "analytic.json", "validate"]),
     ("validate-decay-free", ["--config", "decay_free.json", "validate"]),
+    ("validate-slow-decay-micro", ["--config", "slow_decay_micro.json",
+                                   "validate"]),
     ("scan-decay-free", ["--config", "decay_free.json", "scan"]),
     ("dynamics-decay-free", ["--config", "decay_free.json", "dynamics",
                              "--delta-mhz", "-350"]),

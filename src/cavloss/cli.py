@@ -461,18 +461,16 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
                  u_dd=value, hbar_delta=target)
 
     def escape_offset():
-        # compare the potential parts: the omega_a offsets cancel exactly
-        # in algebra but would swamp the 1e-12 target in floating point
         omega_tilde = cavity_mod.coupling(
             delta_samples, cav, params).omega_tilde
         geometry = potential_mod.resonance_geometry(delta_samples,
                                                     omega_tilde, params)
-        shift = (potential_mod.u_dd(geometry.r_escape, params)
-                 - potential_mod.u_dd(geometry.r_condon, params)) / HBAR
-        _require(np.abs(shift + omega_tilde) <= 1.0e-12 * omega_tilde,
-                 "U_dd(R_E) - U_dd(R_C) = -hbar*omega_tilde",
-                 delta_mhz=delta_samples / TWO_PI_MHZ, shift=shift,
-                 omega_tilde=omega_tilde)
+        value = potential_mod.u_dd(geometry.r_escape, params)
+        target = HBAR * (delta_samples - omega_tilde)
+        _require(np.abs(value - target) <= 1.0e-12 * np.abs(target),
+                 "U_dd(R_E) = hbar*(delta - omega_tilde)",
+                 delta_mhz=delta_samples / TWO_PI_MHZ, u_dd=value,
+                 target=target, omega_tilde=omega_tilde)
 
     def condon_monotonic():
         radii = potential_mod.condon_radius(by_size, params)
@@ -533,18 +531,21 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
         omega_tilde = cavity_mod.coupling(delta_mid, cav, params).omega_tilde
         gamma = params.gamma_mol
         t_end, dt = dynamics_mod.default_run(omega_tilde, gamma)
+        # at most ten of the fastest cycles, so the RK4 error stays small
+        t_end = min(t_end, 10 * dynamics_mod.STEPS_PER_CYCLE
+                    * dynamics_mod.max_stable_dt(omega_tilde, gamma))
         times, states = dynamics_mod.integrate_grid(
             dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_end, dt)
         p_e, p_g, p_v = states[:, :3].T
         analytic = dynamics_mod.p_omega_analytic(times, omega_tilde, gamma)
         _require(np.abs(p_e - analytic) <= 1.0e-8, "p_e = analytic to 1e-8",
-                 t_s=times, p_e=p_e, analytic=analytic)
+                 t_s=times, p_e=p_e, analytic=analytic, t_end_s=t_end)
         trace = p_e + p_g + p_v
         _require(np.abs(trace - 1.0) <= 1.0e-10, "trace = 1 to 1e-10",
-                 t_s=times, trace=trace)
+                 t_s=times, trace=trace, t_end_s=t_end)
         coherence = np.hypot(states[:, 5::2], states[:, 6::2]).max(axis=1)
         _require(coherence <= 1.0e-12, "decoupled coherences stay 0",
-                 t_s=times, coherence=coherence)
+                 t_s=times, coherence=coherence, t_end_s=t_end)
 
     def regime_continuity():
         gamma = params.gamma_mol if params.gamma_mol > 0.0 else 1.0

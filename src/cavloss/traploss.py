@@ -23,7 +23,7 @@ independently colliding pairs.  Scanning the detuning sweeps the phase
 omega_tilde*t_c through several half-cycles, which is what imprints
 minima and maxima on L_c while L_o stays smooth.
 
-:func:`loss_series` sums the series term by term, the check on the
+:func:`loss_series` sums the series by doubling, the check on the
 closed form.  Like every loss function here it is elementwise over
 arrays; it returns each element's sum and the number of terms it took.
 
@@ -62,7 +62,6 @@ P_MODELS: dict[str, PModel] = {
     "approx": p_omega_approx,
 }
 
-SERIES_MAX_TERMS = 10_000
 SERIES_REL_CUTOFF = 1.0e-15
 
 
@@ -108,10 +107,11 @@ def loss_series(times: CollisionTimes, omega_tilde, gamma: float,
     """Multiple-passage loss by direct summation; returns (values, terms).
 
     Elementwise when the times and omega_tilde are arrays.  The
-    per-passage factors form a geometric series; each element stops once
-    its term falls to 0 or below SERIES_REL_CUTOFF of its partial sum,
-    or after SERIES_MAX_TERMS terms.  DivergenceError names the ratio of
-    the first element that never stops.
+    per-passage factors form a geometric series with ratio q, summed by
+    doubling, S_2n = S_n + q^n*S_n, until the block an element would add
+    is 0 or below SERIES_REL_CUTOFF of its sum; ``terms`` is a power of
+    two, reached within about 60 doublings for any q < 1.
+    DivergenceError names the ratio of the first element with q >= 1.
     """
     p = _resolve_p_model(p_model)
     ratio = as_grid(
@@ -122,19 +122,18 @@ def loss_series(times: CollisionTimes, omega_tilde, gamma: float,
         raise DivergenceError(
             "multiple-passage sum diverges: lossless passage with full "
             f"revival (ratio={float(ratio[diverging][0])!r})")
-    term = as_grid(single_passage_loss(times, omega_tilde, gamma, p))
-    total = np.zeros(term.shape)
-    terms = np.zeros(term.shape, dtype=int)
-    live = np.ones(term.shape, dtype=bool)
-    for _ in range(SERIES_MAX_TERMS):
-        # a stopped element's term is 0, so its sum and count stay put
-        total += term
-        terms += live
-        term *= ratio
-        live &= (term >= SERIES_REL_CUTOFF * total) & (term > 0.0)
+    total = as_grid(single_passage_loss(times, omega_tilde, gamma, p))
+    terms = np.ones(total.shape, dtype=int)
+    live = np.ones(total.shape, dtype=bool)
+    power = ratio   # q^terms
+    while True:
+        block = power * total
+        live &= (block >= SERIES_REL_CUTOFF * total) & (block > 0.0)
         if not live.any():
             break
-        term *= live
+        np.add(total, block, out=total, where=live)
+        terms <<= live
+        power = power * power
     return (like(total, times.t_resonant, omega_tilde),
             like(terms, times.t_resonant, omega_tilde))
 

@@ -21,6 +21,7 @@ from cavloss import (CavityConfig, DomainError, HumanUnitsConfig,
                      loss_series, p_omega_analytic, p_omega_approx,
                      resolve_params, resonance_geometry, single_passage_loss,
                      total_time)
+from cavloss.cli import build_run_config, cmd_validate
 from cavloss.dynamics import _branch
 from oracles import TWO_PI_MHZ
 
@@ -161,6 +162,28 @@ def test_loss_identities(case):
         decay = loss_closed_form(point.times, point.omega_tilde, gamma,
                                  lambda t, _w, g: math.exp(-g * t))
         assert abs(decay - point.loss_free) <= 1.0e-12
+
+
+@st.composite
+def validate_documents(draw):
+    gamma_a_mhz = draw(log_uniform(0.01, 20.0))
+    return {"species": {"gamma_a_mhz": gamma_a_mhz},
+            "coupling": {
+                "mode": draw(st.sampled_from(["anchored", "microscopic"])),
+                "omega_tilde_ref_mhz": draw(log_uniform(0.05 * gamma_a_mhz,
+                                                        400.0))},
+            "scan": {"p_model": draw(st.sampled_from(["approx",
+                                                      "analytic"]))}}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(validate_documents())
+@example({"coupling": {"mode": "microscopic"},
+          "species": {"gamma_a_mhz": 0.01}})
+def test_validate_passes_on_valid_configs(document):
+    # a FAIL is a defect of the program, never of a valid config
+    report, status = cmd_validate(build_run_config(document))
+    assert status == 0, report
 
 
 def test_overdamped_example_takes_the_hyperbolic_branch():

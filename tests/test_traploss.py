@@ -172,7 +172,9 @@ class TestSeriesAndClosedForm:
 
     @pytest.mark.parametrize("p_model", ["approx", "analytic"])
     def test_grid_matches_per_point_reference(self, p_model):
-        # validate's 50-point grid, summed point by point in math
+        # validate's 50-point grid, summed point by point in math; the
+        # reference sums past its default cutoff so that its own truncation
+        # stays below the 1e-15 tolerance
         deltas = np.linspace(-1000.0, -350.0, 50) * TWO_PI_MHZ
         grid = scan_grid(deltas, make_cavity(), RB85, p_model)
         values, terms = loss_series(grid.times, grid.omega_tilde, GAMMA,
@@ -180,11 +182,35 @@ class TestSeriesAndClosedForm:
         kernel = traploss.P_MODELS[p_model]
         for i, delta in enumerate(grid.delta.tolist()):
             point = loss_point(delta, make_cavity(), RB85, p_model)
-            value, count = loss_series_per_point(point.times,
-                                                 point.omega_tilde, GAMMA,
-                                                 kernel)
+            args = point.times, point.omega_tilde, GAMMA, kernel
+            value, _ = loss_series_per_point(*args, cutoff=1.0e-17)
             assert abs(values[i] - value) <= 1.0e-15 * value, i
-            assert terms[i] == count, i
+            # doubling stops within one doubling of the reference's count
+            count = loss_series_per_point(*args)[1]
+            assert terms[i] & (terms[i] - 1) == 0, i
+            assert count <= terms[i] <= 2 * count, i
+
+    def test_slow_decay_sums_past_ten_thousand_terms(self):
+        # validate's grid for a 10 kHz atomic linewidth, microscopic coupling
+        params = resolve_params(HumanUnitsConfig(gamma_a_mhz=0.01))
+        deltas = np.linspace(-1000.0, -350.0, 50) * TWO_PI_MHZ
+        grid = scan_grid(deltas, make_cavity("microscopic"), params)
+        values, terms = loss_series(grid.times, grid.omega_tilde,
+                                    params.gamma_mol, "approx")
+        assert np.all(np.abs(values - grid.loss_cavity) <= 1.0e-12)
+        assert np.all(terms > 10_000)
+
+    def test_ratio_just_below_one_stops(self):
+        # a constant kernel and a vanishing decay rate put the ratio at the
+        # largest double below 1, where the sum is l_1/(1 - q)
+        q = float(np.nextafter(1.0, 0.0))
+        kernel = lambda t, _w, _g: np.full(np.shape(t), q)
+        times = synthetic_times(1.0, 1.0)
+        value, terms = loss_series(times, 1.0, 1.0e-300, kernel)
+        first = single_passage_loss(times, 1.0, 1.0e-300, kernel)
+        assert math.isfinite(value) and terms <= 2**60
+        assert value == pytest.approx(first / (1.0 - q), rel=1.0e-7,
+                                      abs=0.0)
 
     def test_closed_form_requires_decay(self):
         times = synthetic_times(2.0e-9, 1.0e-9)
