@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 52 runs below, twice
+    python3 scripts/same_bytes.py REV          # the 53 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -61,6 +61,7 @@ CONFIGS = {
     "tiny_lambda.json": {"species": {"lambda_nm": 1e-320}},
     "tiny_gamma.json": {"species": {"gamma_a_mhz": 1e-320}},
     "huge_c3.json": {"species": {"c3_erg_ang3": 1e300}},
+    "huge_mass.json": {"species": {"mass_amu": 1e300}},
     "huge_delta_ref.json": {"coupling": {"delta_ref_mhz": -1e308}},
     "huge_omega_ref.json": {"coupling": {"omega_tilde_ref_mhz": 1e308}},
     "micro_huge_delta_ref.json": {"coupling": {"mode": "microscopic",
@@ -87,8 +88,9 @@ OUTPUT = "out.csv"
 #: out-of-window and refused scans, a refused validate config, refused
 #: dynamics steps and step counts, refused reference detunings, species
 #: values, coupling references, cavity values, a scan bound and a p_excite
-#: column beyond the float range, precision 17, the decay-free limit, a
-#: validate whose series runs past 10 000 terms and output files
+#: column beyond the float range, an in-fall time beyond it, precision 17,
+#: the decay-free limit, a validate whose series sums 2^14 to 2^15 terms
+#: and output files
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -149,6 +151,8 @@ RUNS = [
                              "--delta-mhz", "-350"]),
     ("dynamics-over-cap", ["dynamics", "--delta-mhz", "-350",
                            "--t-max-ns", "1e6"]),
+    ("times-huge-mass", ["--config", "huge_mass.json", "times",
+                         "--delta-mhz", "-350"]),
     ("scan-slow-p-excite", ["--config", "slow_p_excite.json", "scan"]),
     ("constants-long-cavity", ["--config", "long_cavity.json", "constants"]),
     ("scan-short-cavity", ["--config", "short_cavity.json", "scan"]),

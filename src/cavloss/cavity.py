@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class CavityConfig:
                         f"anchored mode, got {value!r} rad/s")
 
 
-@dataclass(frozen=True)
-class CouplingPoint:
+class CouplingPoint(NamedTuple):
     """Coupling quantities, as floats or as one array each."""
 
     delta: float          # rad/s

@@ -9,12 +9,13 @@ Commands
 
 Configuration is a JSON document whose sections are the fields of
 :class:`RunConfig`: ``species`` (:class:`~cavloss.constants.HumanUnitsConfig`),
-``cavity``, ``coupling``, ``scan`` and ``output``.  Those frozen section
-dataclasses are the schema: each field gives a key, its type, its
-default (the shipped Rb-85 preset) and, for a string, its allowed
-choices.  :func:`build_run_config` checks a document against them in one
-pass, and each command-line flag overrides the ``section.key`` named by
-its argparse ``dest``.  No environment variables are consulted.
+``cavity``, ``coupling``, ``scan`` and ``output``.  Those section records
+(named tuples, and the species dataclass) are the schema: each field
+gives a key, its type and its default (the shipped Rb-85 preset), and
+``_CHOICES`` the allowed values of a string key.  :func:`build_run_config`
+checks a document against them in one pass, and each command-line flag
+overrides the ``section.key`` named by its argparse ``dest``.  No
+environment variables are consulted.
 
 All numeric CSV fields are written in scientific notation at the
 configured precision; identical configs produce byte-identical output.
@@ -30,30 +31,25 @@ import functools
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, field, fields
-from typing import Iterable, Iterator, Optional, get_args, get_type_hints
+from typing import (Iterable, Iterator, NamedTuple, Optional, get_args,
+                    get_type_hints)
 
 import numpy as np
 
 from . import cavity as cavity_mod
 from . import dynamics as dynamics_mod
 from . import kinematics as kinematics_mod
-from . import potential as potential_mod
 from . import traploss as traploss_mod
-from .constants import (HBAR, HumanUnitsConfig, PhysicalParams,
-                        resolve_params, to_human_units)
+from .constants import HBAR, TWO_PI_MHZ, HumanUnitsConfig, resolve_params
 from .csvtext import csv_pieces, write_csv
 from .errors import CavlossError, ConfigError, DomainError, StepSizeError
 from .grid import float_range
-
-TWO_PI_MHZ = 2.0 * math.pi * 1.0e6   # rad/s per MHz
 
 #: largest scan grid accepted, in points
 MAX_SCAN_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class CavitySection:
+class CavitySection(NamedTuple):
     """The ``cavity`` config section: resonator and gas."""
 
     length_cm: float = 1.0
@@ -61,19 +57,16 @@ class CavitySection:
     density_cm3: float = 4.0e13
 
 
-@dataclass(frozen=True)
-class CouplingSection:
+class CouplingSection(NamedTuple):
     """The ``coupling`` config section: the collective coupling model."""
 
-    mode: str = field(default="anchored",
-                      metadata={"choices": cavity_mod.COUPLING_MODES})
+    mode: str = "anchored"
     omega_tilde_ref_mhz: float = 200.0
     delta_ref_mhz: float = -350.0
     v_inf_cm_s: float = 12.0
 
 
-@dataclass(frozen=True)
-class ScanSection:
+class ScanSection(NamedTuple):
     """The ``scan`` config section: detuning grid and survival kernel.
 
     The default grid spans the model's validity window.
@@ -82,37 +75,37 @@ class ScanSection:
     from_mhz: float = traploss_mod.DEFAULT_WINDOW_MHZ[0]
     to_mhz: float = traploss_mod.DEFAULT_WINDOW_MHZ[1]
     points: int = 200
-    p_model: str = field(default="approx",
-                         metadata={"choices": traploss_mod.P_MODELS})
+    p_model: str = "approx"
     allow_out_of_window: bool = False
     include_p_excite: bool = False
 
 
-@dataclass(frozen=True)
-class OutputSection:
+class OutputSection(NamedTuple):
     """The ``output`` config section: destination and digits."""
 
     path: Optional[str] = None   # None writes to stdout
     precision: int = 12          # significant digits, 6..17
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration, one frozen dataclass per section."""
+class RunConfig(NamedTuple):
+    """Validated run configuration, one immutable record per section."""
 
-    species: HumanUnitsConfig = field(default_factory=HumanUnitsConfig)
-    cavity: CavitySection = field(default_factory=CavitySection)
-    coupling: CouplingSection = field(default_factory=CouplingSection)
-    scan: ScanSection = field(default_factory=ScanSection)
-    output: OutputSection = field(default_factory=OutputSection)
+    species: HumanUnitsConfig = HumanUnitsConfig()
+    cavity: CavitySection = CavitySection()
+    coupling: CouplingSection = CouplingSection()
+    scan: ScanSection = ScanSection()
+    output: OutputSection = OutputSection()
 
 
-#: section name -> its dataclass, read once from RunConfig
-_SECTIONS = {section.name: section.default_factory
-             for section in fields(RunConfig)}
+#: section name -> its record class, read once from RunConfig
+_SECTIONS = get_type_hints(RunConfig)
 
-#: section name -> {key: declared type}
+#: section name -> {key: declared type}, in field order
 _TYPES = {name: get_type_hints(section) for name, section in _SECTIONS.items()}
+
+#: (section, key) -> the allowed values of a string field
+_CHOICES = {("coupling", "mode"): cavity_mod.COUPLING_MODES,
+            ("scan", "p_model"): traploss_mod.P_MODELS}
 
 
 def _classified(hint) -> tuple:
@@ -123,9 +116,8 @@ def _classified(hint) -> tuple:
 
 #: (section, key) -> (type, nullable, choices) of every config field, in
 #: schema order; the type is bool, int, float or str
-_FIELDS = {(name, key.name): (*_classified(_TYPES[name][key.name]),
-                              key.metadata.get("choices"))
-           for name, section in _SECTIONS.items() for key in fields(section)}
+_FIELDS = {(name, key): (*_classified(hint), _CHOICES.get((name, key)))
+           for name, hints in _TYPES.items() for key, hint in hints.items()}
 
 
 def _checked(name: str, value, kind: type, nullable: bool, choices):
@@ -406,224 +398,6 @@ def cmd_scan(cfg: RunConfig) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# validate
-
-
-def _require(ok, claim: str, **samples) -> None:
-    """Raise AssertionError naming the first sample where ``ok`` is False.
-
-    Each keyword is an array of sample values (or one value for all)
-    reported at that index.  Every validate check fails through this or
-    through a refusal it meets, never an ``assert``, so ``python -O`` keeps
-    the verdicts.
-    """
-    ok = np.asarray(ok)
-    if ok.all():
-        return
-    index = int(np.flatnonzero(~ok)[0])
-    values = ", ".join(
-        f"{name} = {np.broadcast_to(value, ok.shape).flat[index].item()!r}"
-        for name, value in samples.items())
-    raise AssertionError(f"{claim} fails at sample {index}: {values}")
-
-
-def _validation_checks(cfg: RunConfig) -> list[tuple[str, object]]:
-    """Build the named invariant checks; each is a zero-arg callable."""
-    params = resolve_params(cfg.species, allow_zero_gamma=True)
-    cav = cavity_config(cfg)
-    rng = np.random.default_rng(20250101)
-    delta_samples = -rng.uniform(350.0, 1000.0, size=50) * TWO_PI_MHZ
-    by_size = np.sort(delta_samples)[::-1]   # |delta| ascending
-    delta_mid = 0.5 * (cfg.scan.from_mhz + cfg.scan.to_mhz) * TWO_PI_MHZ
-
-    def resolve_strict():
-        back = to_human_units(resolve_params(cfg.species))
-        for key in fields(cfg.species):
-            want, got = getattr(cfg.species, key.name), getattr(back, key.name)
-            if want is None or got is None or (want == 0.0 and got == 0.0):
-                continue   # the trap depth given in the other unit, or zero
-            _require(abs(got - want) <= 1.0e-12 * abs(want),
-                     f"{key.name} round-trip", given=want, resolved=got)
-
-    def resolve_deterministic():
-        once, again = (np.array(astuple(resolve_params(
-            cfg.species, allow_zero_gamma=True))) for _ in range(2))
-        _require(once == again, "two resolutions agree",
-                 field=[key.name for key in fields(PhysicalParams)],
-                 once=once, again=again)
-
-    def condon_condition():
-        r_c = potential_mod.condon_radius(delta_samples, params)
-        value = potential_mod.u_dd(r_c, params)
-        target = HBAR * delta_samples
-        _require(np.abs(value - target) <= 1.0e-12 * np.abs(target),
-                 "U_dd(R_C) = hbar*delta", delta_mhz=delta_samples / TWO_PI_MHZ,
-                 u_dd=value, hbar_delta=target)
-
-    def escape_offset():
-        omega_tilde = cavity_mod.coupling(
-            delta_samples, cav, params).omega_tilde
-        geometry = potential_mod.resonance_geometry(delta_samples,
-                                                    omega_tilde, params)
-        value = potential_mod.u_dd(geometry.r_escape, params)
-        target = HBAR * (delta_samples - omega_tilde)
-        _require(np.abs(value - target) <= 1.0e-12 * np.abs(target),
-                 "U_dd(R_E) = hbar*(delta - omega_tilde)",
-                 delta_mhz=delta_samples / TWO_PI_MHZ, u_dd=value,
-                 target=target, omega_tilde=omega_tilde)
-
-    def condon_monotonic():
-        radii = potential_mod.condon_radius(by_size, params)
-        _require(radii[:-1] > radii[1:], "R_C falls as |delta| grows",
-                 delta_mhz=by_size[:-1] / TWO_PI_MHZ, r_c=radii[:-1],
-                 next_r_c=radii[1:])
-
-    def g0_normalization():
-        full = kinematics_mod.fraction_f(-1.0, 1.0e30)
-        _require(abs(full - 1.0) <= 1.0e-9, "f(r->0) = 1", f=full)
-
-    def f_monotonic_in_coupling():
-        omegas = np.linspace(0.0, 4.0 * abs(delta_mid), 20)
-        values = kinematics_mod.fraction_f(delta_mid, omegas)
-        _require((0.0 <= values) & (values <= 1.0), "0 <= f <= 1",
-                 omega_tilde=omegas, f=values)
-        _require(values[:-1] < values[1:], "f rises with omega_tilde",
-                 omega_tilde=omegas[:-1], f=values[:-1], next_f=values[1:])
-
-    def t0_monotonic():
-        times = kinematics_mod.total_time(by_size, params)
-        _require(times[:-1] > times[1:], "t0 falls as |delta| grows",
-                 delta_mhz=by_size[:-1] / TWO_PI_MHZ, t0=times[:-1],
-                 next_t0=times[1:])
-
-    def phase_single_cycle():
-        # exceeding one cycle is expected near the window edge, so only
-        # the phase itself is checked
-        omega_tilde = cavity_mod.coupling(
-            delta_samples, cav, params).omega_tilde
-        t_c = (kinematics_mod.total_time(delta_samples, params)
-               * kinematics_mod.fraction_f(delta_samples, omega_tilde))
-        phase = omega_tilde * t_c
-        _require(np.isfinite(phase) & (phase > 0.0),
-                 "finite phase omega_tilde*t_c > 0", phase=phase,
-                 delta_mhz=delta_samples / TWO_PI_MHZ)
-
-    def coupling_identity():
-        point = cavity_mod.coupling(delta_samples, cav, params)
-        omega_tilde = point.omega_tilde
-        delta_mhz = delta_samples / TWO_PI_MHZ
-        if cfg.coupling.mode == "microscopic":
-            collective = point.n_pairs * point.omega_single**2
-            _require(np.abs(omega_tilde**2 - collective)
-                     <= 1.0e-12 * omega_tilde**2, "omega_tilde^2 = N*Omega^2",
-                     delta_mhz=delta_mhz, omega_tilde=omega_tilde,
-                     n_pairs=point.n_pairs, omega_single=point.omega_single)
-            products = point.n_pairs * delta_samples**2   # N ~ delta^-2
-            claim = "N*delta^2 constant"
-        else:
-            products = omega_tilde * np.abs(delta_samples)
-            claim = "omega_tilde*|delta| constant"
-        ref = products[0]
-        _require(np.abs(products - ref) <= 1.0e-12 * ref, claim,
-                 delta_mhz=delta_mhz, product=products, first_product=ref)
-
-    def dynamics_fidelity():
-        omega_tilde = cavity_mod.coupling(delta_mid, cav, params).omega_tilde
-        gamma = params.gamma_mol
-        t_end, dt = dynamics_mod.default_run(omega_tilde, gamma)
-        # at most ten of the fastest cycles, so the RK4 error stays small
-        t_end = min(t_end, 10 * dynamics_mod.STEPS_PER_CYCLE
-                    * dynamics_mod.max_stable_dt(omega_tilde, gamma))
-        times, states = dynamics_mod.integrate_grid(
-            dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_end, dt)
-        p_e, p_g, p_v = states[:, :3].T
-        analytic = dynamics_mod.p_omega_analytic(times, omega_tilde, gamma)
-        _require(np.abs(p_e - analytic) <= 1.0e-8, "p_e = analytic to 1e-8",
-                 t_s=times, p_e=p_e, analytic=analytic, t_end_s=t_end)
-        trace = p_e + p_g + p_v
-        _require(np.abs(trace - 1.0) <= 1.0e-10, "trace = 1 to 1e-10",
-                 t_s=times, trace=trace, t_end_s=t_end)
-        coherence = np.hypot(states[:, 5::2], states[:, 6::2]).max(axis=1)
-        _require(coherence <= 1.0e-12, "decoupled coherences stay 0",
-                 t_s=times, coherence=coherence, t_end_s=t_end)
-
-    def regime_continuity():
-        gamma = params.gamma_mol if params.gamma_mol > 0.0 else 1.0
-        t_probe = np.array([[0.5], [2.0], [5.0]]) / gamma   # one row each
-        omegas = 0.25 * gamma * (1.0 + np.array([0.0, -1.0e-9, 1.0e-9]))
-        p = dynamics_mod.p_omega_analytic(t_probe, omegas, gamma)
-        jump = np.abs(p[:, 1:] - p[:, :1])   # W = gamma/4 -+ 1e-9 against W
-        _require(jump <= 1.0e-9, "p(t) continuous at W = gamma/4", t=t_probe,
-                 jump=jump)
-
-    def scan_identities():
-        deltas = np.linspace(cfg.scan.from_mhz, cfg.scan.to_mhz,
-                             min(cfg.scan.points, 50)) * TWO_PI_MHZ
-        gamma = params.gamma_mol
-        grid = traploss_mod.scan_grid(deltas, cav, params, cfg.scan.p_model,
-                                      allow_out_of_window=True)
-        times, l_c, l_o = grid.times, grid.loss_cavity, grid.loss_free
-        delta_mhz = grid.delta / TWO_PI_MHZ
-        kernel = traploss_mod.loss_closed_form(
-            times, grid.omega_tilde, gamma, lambda t, _w, g: np.exp(-g * t))
-        _require(np.abs(kernel - l_o) <= 1.0e-12, "exp(-Gamma*t) kernel = L_o",
-                 delta_mhz=delta_mhz, kernel=kernel, loss_free=l_o)
-        envelope = traploss_mod.P_MODELS[cfg.scan.p_model](
-            times.t_resonant, grid.omega_tilde, gamma)
-        _require(l_c <= envelope + 1.0e-15, "L_c <= p(t_c)",
-                 delta_mhz=delta_mhz, loss_cavity=l_c, p_tc=envelope)
-        _require((0.0 <= l_c) & (l_c <= 1.0) & (0.0 <= l_o) & (l_o <= 1.0),
-                 "0 <= L <= 1", delta_mhz=delta_mhz, loss_cavity=l_c,
-                 loss_free=l_o)
-        series, _ = traploss_mod.loss_series(times, grid.omega_tilde, gamma,
-                                             cfg.scan.p_model)
-        _require(np.abs(series - l_c) <= 1.0e-12, "series = closed form",
-                 delta_mhz=delta_mhz, series=series, loss_cavity=l_c)
-
-    def landau_zener_monotonic():
-        omegas = np.linspace(0.0, 2.0e6, 10)
-        probs = cavity_mod.landau_zener(delta_mid, omegas,
-                                        cfg.coupling.v_inf_cm_s, params)
-        _require(probs[:1] == 0.0, "P_LZ(omega_tilde = 0) = 0", p=probs[:1])
-        _require(probs[:-1] <= probs[1:], "P_LZ rises with omega_tilde",
-                 omega_tilde=omegas[:-1], p=probs[:-1], next_p=probs[1:])
-
-    return [
-        ("constants.resolve_round_trip", resolve_strict),
-        ("constants.deterministic", resolve_deterministic),
-        ("potential.condon_condition", condon_condition),
-        ("potential.escape_offset", escape_offset),
-        ("potential.condon_monotonic", condon_monotonic),
-        ("kinematics.g0_normalization", g0_normalization),
-        ("kinematics.f_monotonic_in_coupling", f_monotonic_in_coupling),
-        ("kinematics.t0_monotonic", t0_monotonic),
-        ("kinematics.phase_single_cycle", phase_single_cycle),
-        ("cavity.coupling_identity", coupling_identity),
-        ("cavity.landau_zener_monotonic", landau_zener_monotonic),
-        ("dynamics.fidelity", dynamics_fidelity),
-        ("dynamics.regime_continuity", regime_continuity),
-        ("traploss.scan_identities", scan_identities),
-    ]
-
-
-def cmd_validate(cfg: RunConfig) -> tuple[str, int]:
-    """Run every invariant check; returns (report, exit status)."""
-    lines = []
-    checks = _validation_checks(cfg)
-    for name, check in checks:
-        try:
-            with float_range(name):   # an overflow fails the check
-                check()
-        except Exception as exc:  # report and continue
-            lines.append(f"FAIL {name}: {exc}")
-        else:
-            lines.append(f"PASS {name}")
-    passed = sum(line.startswith("PASS") for line in lines)
-    lines.append(f"{passed}/{len(checks)} checks passed")
-    return "\n".join(lines) + "\n", 0 if passed == len(checks) else 1
-
-
-# ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
 
@@ -749,7 +523,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "scan":
             _emit(cfg, cmd_scan(cfg))
         elif args.command == "validate":
-            report, status = cmd_validate(cfg)
+            from .validate import cmd_validate   # no other command runs it
+            report, status = cmd_validate(cfg, cavity_config(cfg))
             sys.stdout.write(report)
             return status
     except CavlossError as exc:

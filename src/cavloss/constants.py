@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError
 
@@ -30,6 +30,7 @@ AMU_G = 1.66053906660e-24          # g
 KB_ERG = 1.380649e-16              # erg/K
 
 ANG3_CM3 = 1.0e-24                 # cm^3 per Angstrom^3
+TWO_PI_MHZ = 2.0 * math.pi * 1.0e6   # rad/s per MHz
 
 #: Rb-85 atomic mass in amu; a documented default, overridable in config.
 RB85_MASS_AMU = 84.911789738
@@ -51,8 +52,7 @@ class HumanUnitsConfig:
     trap_depth_mhz: Optional[float] = None   # 2*V0/h in MHz
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(NamedTuple):
     """Resolved atomic and potential constants in CGS-Gaussian units.
 
     Immutable after construction; safe to share across threads.

@@ -34,11 +34,9 @@ time bundle of :func:`collision_times`, is elementwise over detunings
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constants import HBAR, PhysicalParams
 from .grid import as_grid, like, red_detuning
@@ -47,8 +45,20 @@ from .potential import ResonanceGeometry, escape_ratio, resonance_geometry
 #: closed-form normalization B(5/6, 1/2)/3 of the in-fall integral
 _G0 = math.gamma(5.0 / 6.0) * math.gamma(0.5) / (3.0 * math.gamma(4.0 / 3.0))
 
-#: 14-node Gauss-Legendre nodes and weights on [0, 1]; 13 nodes leave 2e-15
-_NODES, _WEIGHTS = leggauss(14)
+#: 14-node Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss(14)
+#: to the bit, then mapped to [0, 1]; 13 nodes leave 2e-15
+_NODES = np.array([
+    -0.9862838086968124, -0.9284348836635735, -0.827201315069765,
+    -0.6872929048116855, -0.5152486363581541, -0.31911236892788974,
+    -0.10805494870734367, 0.10805494870734367, 0.31911236892788974,
+    0.5152486363581541, 0.6872929048116855, 0.827201315069765,
+    0.9284348836635735, 0.9862838086968124])
+_WEIGHTS = np.array([
+    0.03511946033175175, 0.08015808715975999, 0.12151857068790331,
+    0.15720316715819363, 0.18553839747793788, 0.20519846372129572,
+    0.21526385346315793, 0.21526385346315793, 0.20519846372129572,
+    0.18553839747793788, 0.15720316715819363, 0.12151857068790331,
+    0.08015808715975999, 0.03511946033175175])
 _NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
 
 #: integrand values per numpy call: a grid of up to 292 points takes all
@@ -56,8 +66,7 @@ _NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
 _BLOCK_ELEMENTS = 4096
 
 
-@dataclass(frozen=True)
-class CollisionTimes:
+class CollisionTimes(NamedTuple):
     """Time scales of a collision, as floats or as one array each.
 
     ``t_total = t_resonant + t_escape_region`` holds exactly whenever
@@ -129,8 +138,9 @@ def fraction_f(delta, omega_tilde):
 def total_time(delta, params: PhysicalParams):
     """In-fall time t0 from R_C to R = 0 (s); scales as |delta|^(-5/6)."""
     grid = red_detuning(delta)
+    # numpy, not math, so that float_range sees an overflow of mu/(2*C3)
     return like(g0_constant()
-                * math.sqrt(params.mu / (2.0 * params.c3))
+                * np.sqrt(np.float64(params.mu) / (2.0 * params.c3))
                 * (params.c3 / (HBAR * np.abs(grid))) ** (5.0 / 6.0), delta)
 
 

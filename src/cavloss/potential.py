@@ -13,7 +13,7 @@ elementwise over detunings and radii (see :mod:`cavloss.grid`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .constants import HBAR, PhysicalParams
 from .grid import as_grid, like, red_detuning, refuse
 
 
-@dataclass(frozen=True)
-class ResonanceGeometry:
+class ResonanceGeometry(NamedTuple):
     """Radii bracketing the resonant region, floats or one array each."""
 
     detuning: float    # rad/s, negative

@@ -38,8 +38,7 @@ one detuning as :func:`loss_point` calls it (see :mod:`cavloss.grid`);
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -65,8 +64,7 @@ P_MODELS: dict[str, PModel] = {
 SERIES_REL_CUTOFF = 1.0e-15
 
 
-@dataclass(frozen=True)
-class LossPoint:
+class LossPoint(NamedTuple):
     """The scan at one detuning as floats, or at a grid as one array each."""
 
     delta: float             # rad/s

@@ -20,7 +20,7 @@ import pytest
 
 import cavloss
 from cavloss import (cavity, cli, constants, dynamics, in_default_window,
-                     kinematics, potential, traploss)
+                     kinematics, potential, traploss, validate)
 from cavloss.cli import TWO_PI_MHZ, RunConfig, main
 from oracles import percent_csv_oracle
 from test_csvtext import exp_dispatch
@@ -476,7 +476,9 @@ class TestConfigHandling:
         text = readme.read_text(encoding="utf-8")
         block = text.split("Configuration schema with defaults:", 1)[1]
         block = block.split("```json", 1)[1].split("```", 1)[0]
-        defaults = dataclasses.asdict(RunConfig())
+        defaults = {name: (dataclasses.asdict(section) if name == "species"
+                           else section._asdict())
+                    for name, section in RunConfig()._asdict().items()}
         del defaults["species"]["trap_depth_mhz"]
         assert json.loads(block) == defaults
 
@@ -663,13 +665,14 @@ class TestValidateCommand:
             assert "species.gamma_a_mhz" in line and "coupling.mode" in line
 
     @pytest.mark.parametrize("module, name, fake, check", [
-        (cli, "to_human_units",
+        (validate, "to_human_units",
          lambda params: dataclasses.replace(constants.to_human_units(params),
                                             lambda_nm=1.0),
          "constants.resolve_round_trip"),
-        (cli, "resolve_params",   # a new mass at every call
-         lambda species, counter=itertools.count(1), **kw: dataclasses.replace(
-             constants.resolve_params(species, **kw), mu=next(counter) * 1e-22),
+        (validate, "resolve_params",   # a new mass at every call
+         lambda species, counter=itertools.count(1), **kw:
+         constants.resolve_params(species, **kw)._replace(
+             mu=next(counter) * 1e-22),
          "constants.deterministic"),
         (kinematics, "g0_constant", lambda: 0.70,
          "kinematics.g0_normalization"),
@@ -877,6 +880,38 @@ def test_cli_import_leaves_out_scipy():
     assert result.stdout.split() == ["cavloss", "numpy"]
 
 
+def test_cli_import_builds_only_what_every_command_needs(tmp_path):
+    # start-up cost: numpy.polynomial and the validate suite stay
+    # unloaded, and the only dataclasses are the two config classes that
+    # callers read with dataclasses.fields
+    src = str(Path(cavloss.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys; import cavloss.cli; "
+             "print(*[name for name in ('numpy.polynomial', "
+             "'cavloss.validate') if name in sys.modules], sep=','); "
+             "print(*sorted({value.__name__ for name, module in "
+             "list(sys.modules.items()) if name.partition('.')[0] == "
+             "'cavloss' for value in vars(module).values() if "
+             "isinstance(value, type) and value.__module__.startswith("
+             "'cavloss') and hasattr(value, '__dataclass_fields__')}))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == ["", "CavityConfig HumanUnitsConfig"]
+    # the suite does not import cli back, so `python -m cavloss.cli validate`
+    # runs cli.py once, as __main__
+    probe = "import sys, cavloss.validate; print('cavloss.cli' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+    # validate still runs from a fresh process, with a config file
+    config = write_config(tmp_path, {"scan": {"p_model": "analytic"}})
+    result = subprocess.run([sys.executable, "-m", "cavloss.cli", "--config",
+                             config, "validate"], env=env,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith("\n14/14 checks passed\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("document, argv, code, name", [
     *(({"species": {"lambda_nm": 1e-320}}, argv, 2, "species.lambda_nm")
@@ -918,6 +953,10 @@ def test_cli_import_leaves_out_scipy():
     ({"scan": {"include_p_excite": True}, "coupling": {"v_inf_cm_s": 1e-320}},
      ["scan"], 2, "error: p_excite at coupling.v_inf_cm_s 1e-320 left the "
                   "floating-point range"),
+    # an in-fall time beyond the float range: times refuses it as scan does
+    *(({"species": {"mass_amu": 1e300}}, argv, 2,
+       "left the floating-point range: overflow encountered")
+      for argv in (["times", "--delta-mhz", "-350"], ["scan"])),
     # cavity values whose products leave the float range
     *((document, argv, 2, name)
       for document, name in (

@@ -73,6 +73,16 @@ class TestBlockedRule:
         assert _infall_integral(r_ratio).tobytes() \
             == node_by_node(r_ratio).tobytes()
 
+    def test_literals_are_numpy_leggauss_bitwise(self):
+        # the rule is written out so that importing it costs no
+        # numpy.polynomial; the literals must be leggauss(14) to the bit
+        from numpy.polynomial.legendre import leggauss
+        nodes, weights = leggauss(14)
+        assert [x.hex() for x in kinematics._NODES.tolist()] \
+            == [x.hex() for x in (0.5 * (nodes + 1.0)).tolist()]
+        assert [w.hex() for w in kinematics._WEIGHTS.tolist()] \
+            == [w.hex() for w in (0.5 * weights).tolist()]
+
     def test_grid_elements_equal_single_points_bitwise(self):
         r_ratio = np.random.default_rng(7).uniform(0.0, 1.0, 300)
         r_ratio[:4] = [0.0, 0.5, math.nextafter(0.5, 0.0), 1.0]

@@ -7,7 +7,6 @@ so the overdamped branches of the analytic kernel are exercised too.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +20,9 @@ from cavloss import (CavityConfig, DomainError, HumanUnitsConfig,
                      loss_series, p_omega_analytic, p_omega_approx,
                      resolve_params, resonance_geometry, single_passage_loss,
                      total_time)
-from cavloss.cli import build_run_config, cmd_validate
+from cavloss.cli import build_run_config, cavity_config
 from cavloss.dynamics import _branch
+from cavloss.validate import cmd_validate
 from oracles import TWO_PI_MHZ
 
 #: each LossPoint quantity, of a record of floats or of arrays
@@ -106,8 +106,8 @@ def test_rows_equal_loss_point_bitwise(case):
         assert loss_grid(delta, cavity, params, p_model) == point
         # the times and radii of one collision_times call, as `cavloss times`
         # writes them
-        alone = replace(point, times=collision_times(delta, point.omega_tilde,
-                                                     params))
+        alone = point._replace(
+            times=collision_times(delta, point.omega_tilde, params))
         for name, of_point in COLUMNS.items():
             column = of_point(grid)[i].hex()
             assert column == of_point(point).hex(), name
@@ -182,7 +182,8 @@ def validate_documents(draw):
           "species": {"gamma_a_mhz": 0.01}})
 def test_validate_passes_on_valid_configs(document):
     # a FAIL is a defect of the program, never of a valid config
-    report, status = cmd_validate(build_run_config(document))
+    cfg = build_run_config(document)
+    report, status = cmd_validate(cfg, cavity_config(cfg))
     assert status == 0, report
 
 
