@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 53 runs below, twice
+    python3 scripts/same_bytes.py REV          # the 57 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -78,6 +78,15 @@ CONFIGS = {
                                "p_model": "analytic",
                                "include_p_excite": True,
                                "allow_out_of_window": True}},
+    "overdamped.json": {"coupling": {"omega_tilde_ref_mhz": 1.0},
+                        "scan": {"p_model": "analytic"}},
+    "near_critical.json": {"coupling": {"omega_tilde_ref_mhz": 3.0},
+                           "scan": {"p_model": "analytic"}},
+    "three_regimes.json": {"species": {"gamma_a_mhz": 1000.0},
+                           "coupling": {"omega_tilde_ref_mhz": 1000.0},
+                           "scan": {"p_model": "analytic"}},
+    "strong_coupling.json": {"coupling": {"omega_tilde_ref_mhz": 5000.0},
+                             "scan": {"allow_out_of_window": True}},
     **{f"p{p}.json": {"output": {"precision": p}} for p in range(6, 17)},
 }
 
@@ -89,8 +98,9 @@ OUTPUT = "out.csv"
 #: dynamics steps and step counts, refused reference detunings, species
 #: values, coupling references, cavity values, a scan bound and a p_excite
 #: column beyond the float range, an in-fall time beyond it, precision 17,
-#: the decay-free limit, a validate whose series sums 2^14 to 2^15 terms
-#: and output files
+#: the decay-free limit, a validate whose series sums 2^14 to 2^15 terms,
+#: analytic scans whose grids take one damping form or mix two or three,
+#: a scan whose escape ratios lie on both sides of 1/2, and output files
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -157,6 +167,10 @@ RUNS = [
     ("constants-long-cavity", ["--config", "long_cavity.json", "constants"]),
     ("scan-short-cavity", ["--config", "short_cavity.json", "scan"]),
     ("scan-dense-micro", ["--config", "dense_micro.json", "scan"]),
+    ("scan-overdamped", ["--config", "overdamped.json", "scan"]),
+    ("scan-near-critical", ["--config", "near_critical.json", "scan"]),
+    ("scan-three-regimes", ["--config", "three_regimes.json", "scan"]),
+    ("scan-strong-coupling", ["--config", "strong_coupling.json", "scan"]),
     ("scan-default-output", ["scan", "--output", OUTPUT]),
     ("scan-20000-output", ["scan", "--points", "20000", "--output", OUTPUT]),
     ("dynamics-output", ["dynamics", "--delta-mhz", "-350",

@@ -215,10 +215,12 @@ def load_config(path: Optional[str],
     if path is None:
         return build_run_config({}, overrides)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        with open(path, "rb") as handle:
+            document = json.loads(handle.read().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     return build_run_config(document, overrides)

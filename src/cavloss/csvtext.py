@@ -49,8 +49,9 @@ in doubt (a few min/max reductions tell) builds no per-cell mask, and
 its rows need no search for ``%`` rows.
 
 A row with any other cell (a tie, NaN, inf, a subnormal, a three-digit
-exponent, an integer outside 0..9) is written by ``%`` and spliced into
-the chunk's text in place of its whole slot.  At 16 or more digits m can
+exponent, an integer outside 0..9) is written by ``%`` over its whole
+slot when it is as long as the slot, and otherwise spliced into the
+chunk's text in place of the slot.  At 16 or more digits m can
 pass 2^52, where n + 1/2 is no longer a double, so every row goes
 through ``%``.
 """
@@ -296,8 +297,8 @@ def _float_words(digits, index, by_column, negative, leads_row: bool,
 def _write_chunk(buf, kinds, row_format, precision, columns, rows: slice):
     """The text of one chunk of rows, written into the start of ``buf``.
 
-    Returns a view of ``buf``, or bytes when ``%`` rows had to be spliced
-    in or sign-slot NULs deleted.
+    Returns a view of ``buf``, or bytes when ``%`` rows longer or shorter
+    than their slots had to be spliced in or sign-slot NULs deleted.
     """
     floats = [column[rows] for column, is_int in zip(columns, kinds)
               if not is_int]
@@ -306,7 +307,7 @@ def _write_chunk(buf, kinds, row_format, precision, columns, rows: slice):
     percent = np.zeros(n_rows, dtype=bool)   # the rows left to `%`
     negative, nul = np.zeros(0, dtype=bool), False
     if floats:
-        by_column = np.stack(floats).astype(float, copy=False)
+        by_column = np.array(floats, dtype=float)
         bits = by_column.view(np.int64)   # negative where the sign bit is
         negative = bits.min(axis=1) < 0
         # a positive cell in a column with a sign slot leaves it NUL
@@ -345,14 +346,18 @@ def _write_chunk(buf, kinds, row_format, precision, columns, rows: slice):
 
     text = memoryview(buf)[:n_rows * row_len]
     fallback = np.flatnonzero(percent)
-    if not (nul or len(fallback)):
-        return text
     parts, done = [], 0
     if len(fallback):   # each `%` row takes the place of its whole slot
         lines = _percent_lines(row_format, columns, fallback + rows.start)
         for i, line in zip(fallback.tolist(), lines):
-            parts += [text[done:i * row_len], line.encode()]
+            line = line.encode()
+            if len(line) == row_len:   # it fits its slot: written in place
+                text[i * row_len:(i + 1) * row_len] = line
+                continue
+            parts += [text[done:i * row_len], line]
             done = (i + 1) * row_len
+    if not (nul or parts):
+        return text
     parts.append(text[done:])
     data = b"".join(parts)
     return data.translate(None, b"\0") if nul else data

@@ -284,10 +284,14 @@ def p_omega_analytic(t, omega_tilde, gamma):
         time, omega = np.broadcast_arrays(time, omega)
         decay = decay.item()
     branch = _branch(time, omega, decay)
+    counts = np.bincount(branch.ravel(), minlength=len(_BRANCHES)).tolist()
+    if branch.size in counts:   # one form for every element: no gather
+        value = _BRANCHES[counts.index(branch.size)](time, omega, decay)
+        return like(value, t, omega_tilde, gamma)
     value = np.empty(time.shape)
     for index, form in enumerate(_BRANCHES):
-        rows = branch == index
-        if rows.any():
+        if counts[index]:
+            rows = branch == index
             value[rows] = form(time[rows], omega[rows],
                                decay[rows] if per_element else decay)
     return like(value, t, omega_tilde, gamma)

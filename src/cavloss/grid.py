@@ -17,14 +17,18 @@ from .errors import DomainError
 
 
 def as_grid(value) -> np.ndarray:
-    """A number or an array of numbers as a float array of >= 1 dimension."""
-    return np.atleast_1d(np.asarray(value, dtype=float))
+    """A number or an array of numbers as a float array of >= 1 dimension,
+    the array itself (no copy) when it already is one."""
+    # not np.array(copy=None, ndmin=1): numpy 1.x refuses copy=None
+    grid = np.asarray(value, dtype=float)
+    return grid if grid.ndim else grid.reshape(1)
 
 
 def like(result, *inputs):
     """``result`` in the form of the inputs: a float unless one is an array."""
-    if any(isinstance(value, np.ndarray) for value in inputs):
-        return result
+    for value in inputs:
+        if isinstance(value, np.ndarray):
+            return result
     return result.item()
 
 

@@ -113,6 +113,10 @@ def _infall_integral(r_ratio):
     """integral_r^1 du/sqrt(u^-3 - 1), elementwise."""
     grid = as_grid(r_ratio)
     tail = grid >= 0.5
+    if grid.ndim == 1 and np.count_nonzero(tail) == len(grid) > 0:
+        # all on the tail, as in the whole default window: no gather or scatter
+        return like(_gauss_legendre(_regular_integrand, np.sqrt(1.0 - grid)),
+                    r_ratio)
     head = ~tail
     value = np.empty_like(grid)
     if tail.any():

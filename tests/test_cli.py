@@ -444,6 +444,22 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("command", [["constants"], ["scan"]])
+    def test_config_not_utf8_exits_2_naming_the_file(self, capsys, tmp_path,
+                                                    command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"species": {"gamma_a_mhz": 6.0}}\xff\n')
+        code, out, err = run(capsys, ["--config", str(path), *command])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file {str(path)!r} is not UTF-8")
+        assert len(err.splitlines()) == 1
+
+    def test_config_read_as_utf8(self, capsys, tmp_path):
+        path = tmp_path / "utf8.json"
+        path.write_text('{"output": {"path": "spectre-é.csv"}}\r\n',
+                        encoding="utf-8")
+        assert cli.load_config(str(path)).output.path == "spectre-é.csv"
+
     def test_non_numeric_value_exits_2(self, capsys, tmp_path):
         config = write_config(tmp_path, {"species": {"lambda_nm": "red"}})
         code, _, err = run(capsys, ["--config", config, "constants"])

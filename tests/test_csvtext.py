@@ -239,6 +239,36 @@ def test_percent_row_longer_or_shorter_than_its_slot(slow, row, column,
     same_pieces_as_oracle(columns, 12)
 
 
+@pytest.mark.parametrize("row", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                 2 * CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("cells, nul", [
+    ({1: 1.0e11 + 0.5}, False),   # an exact tie, as long as its slot
+    # one byte longer in one column, one shorter in the signed column,
+    # whose other cells are negative: its NULs are still deleted
+    ({0: 1.0, 1: 1.0e-100}, True),
+])
+def test_percent_row_as_long_as_its_slot_is_written_in_place(
+        slow, monkeypatch, row, cells, nul):
+    columns = scan_like(2 * CSV_CHUNK_ROWS + 2)[:2]   # no mixed signs
+    for column, value in cells.items():
+        columns[column][row] = value
+    chunks = []
+    write_chunk = csvtext._write_chunk
+
+    def recording(*args):
+        chunks.append(write_chunk(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(csvtext, "_write_chunk", recording)
+    same_pieces_as_oracle(columns, 12)
+    assert slow == ["\n" + "%.11e,%.11e" % tuple(
+        float(cells[row]) for cells in columns)]
+    # only the chunk with a NUL sign slot is copied out of the buffer
+    copied = [not isinstance(chunk, memoryview) for chunk in chunks]
+    assert copied == [nul and index == row // CSV_CHUNK_ROWS
+                      for index in range(len(chunks))]
+
+
 def near_tie_lines(columns, precision):
     """The ``%`` lines of the rows with a cell whose exact mantissa, in
     [10**(p-1), 10**p), lies within m * 2**-50 of a half-integer."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavloss import (EXCITED_STATE, DomainError, StepSizeError,
+from cavloss import (EXCITED_STATE, DomainError, StepSizeError, dynamics,
                      integrate_grid, max_stable_dt, p_omega_analytic,
                      p_omega_approx)
 from cavloss.dynamics import (MAX_STEPS, STEPS_PER_CYCLE, default_run,
@@ -302,6 +302,29 @@ class TestClosedForm:
                                               gamma.tolist())]
             assert kernel(1.0e-9, 1.0e7, gamma).tolist() == [
                 kernel(1.0e-9, 1.0e7, g) for g in gamma.tolist()]
+
+    @pytest.mark.parametrize("scalar", [None, "t", "omega", "gamma"])
+    def test_one_form_grids_equal_the_mixed_grid_bitwise(self, scalar):
+        # a grid in one damping form is evaluated whole, a mixed one form by
+        # form on its rows; each form's rows must get the same bits either way
+        rng = np.random.default_rng(41)
+        t = rng.uniform(0.0, 2.0e-7, 400)
+        omega = GAMMA_MOL * rng.choice([0.0, 0.02, 0.1, 0.24, 0.26, 3.0], 400)
+        gamma = np.full(400, GAMMA_MOL)
+        args = {"t": t, "omega": omega, "gamma": gamma}
+        if scalar is not None:
+            args[scalar] = float(args[scalar][0])
+        mixed = p_omega_analytic(args["t"], args["omega"], args["gamma"])
+        t, omega, gamma = np.broadcast_arrays(args["t"], args["omega"],
+                                              args["gamma"])
+        branch = dynamics._branch(t, omega, gamma)
+        assert scalar in ("t", "omega") or len(set(branch.tolist())) == 4
+        for form in set(branch.tolist()):
+            rows = branch == form
+            alone = p_omega_analytic(t[rows], omega[rows],
+                                     gamma[rows] if scalar != "gamma"
+                                     else args["gamma"])
+            assert alone.tobytes() == mixed[rows].tobytes()
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
