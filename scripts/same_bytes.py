@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 57 runs below, twice
+    python3 scripts/same_bytes.py REV          # the 63 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -61,6 +61,8 @@ CONFIGS = {
     "tiny_lambda.json": {"species": {"lambda_nm": 1e-320}},
     "tiny_gamma.json": {"species": {"gamma_a_mhz": 1e-320}},
     "huge_c3.json": {"species": {"c3_erg_ang3": 1e300}},
+    "huge_gamma.json": {"species": {"gamma_a_mhz": 1e300}},
+    "huge_trap_depth.json": {"species": {"trap_depth_mk": 1e300}},
     "huge_mass.json": {"species": {"mass_amu": 1e300}},
     "huge_delta_ref.json": {"coupling": {"delta_ref_mhz": -1e308}},
     "huge_omega_ref.json": {"coupling": {"omega_tilde_ref_mhz": 1e308}},
@@ -100,7 +102,9 @@ OUTPUT = "out.csv"
 #: column beyond the float range, an in-fall time beyond it, precision 17,
 #: the decay-free limit, a validate whose series sums 2^14 to 2^15 terms,
 #: analytic scans whose grids take one damping form or mix two or three,
-#: a scan whose escape ratios lie on both sides of 1/2, and output files
+#: a scan whose escape ratios lie on both sides of 1/2, output files, and
+#: constants and dynamics runs whose builtin floats divide by zero, overflow
+#: with an error or overflow to inf without one
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -177,6 +181,18 @@ RUNS = [
                          "--output", OUTPUT]),
     ("dynamics-decay-free-output", ["--config", "decay_free.json", "dynamics",
                                     "--delta-mhz", "-350", "--output", OUTPUT]),
+    ("constants-micro-tiny-gamma", ["--config", "tiny_gamma.json",
+                                    "constants", "--coupling", "microscopic"]),
+    ("dynamics-huge-gamma", ["--config", "huge_gamma.json", "dynamics",
+                             "--delta-mhz", "-350"]),
+    ("dynamics-micro-huge-c3", ["--config", "huge_c3.json", "dynamics",
+                                "--delta-mhz", "-350", "--coupling",
+                                "microscopic"]),
+    ("constants-micro-huge-gamma", ["--config", "huge_gamma.json",
+                                    "constants", "--coupling", "microscopic"]),
+    ("constants-huge-trap-depth", ["--config", "huge_trap_depth.json",
+                                   "constants"]),
+    ("constants-huge-gamma", ["--config", "huge_gamma.json", "constants"]),
 ]
 
 #: the runs --all adds: a 5 000-point scan and a dynamics run at every

@@ -41,7 +41,7 @@ from . import dynamics as dynamics_mod
 from . import kinematics as kinematics_mod
 from . import traploss as traploss_mod
 from .constants import HBAR, TWO_PI_MHZ, HumanUnitsConfig, resolve_params
-from .csvtext import csv_pieces, write_csv
+from .csvtext import csv_pieces
 from .errors import CavlossError, ConfigError, DomainError, StepSizeError
 from .grid import float_range
 
@@ -241,6 +241,7 @@ def cavity_config(cfg: RunConfig) -> cavity_mod.CavityConfig:
 # commands
 
 
+@float_range("the constants")
 def cmd_constants(cfg: RunConfig) -> str:
     """Key=value report of every resolved quantity."""
     params = resolve_params(cfg.species)
@@ -279,6 +280,10 @@ def cmd_constants(cfg: RunConfig) -> str:
         point = cavity_mod.coupling(cav.delta_ref, cav, params)
         lines.append(f"n_pairs_at_delta_ref={point.n_pairs!r}")
         lines.append(f"omega_tilde_at_delta_ref_mhz={point.omega_tilde / TWO_PI_MHZ!r}")
+    for line in lines:   # a builtin float overflows to inf without raising
+        key, value = line.split("=")
+        if value in ("inf", "-inf", "nan"):
+            raise DomainError(f"{key} left the floating-point range")
     return "\n".join(lines) + "\n"
 
 
@@ -301,14 +306,15 @@ def cmd_times(cfg: RunConfig, delta_mhz: float) -> str:
            times.geometry.r_escape * 1.0e8, times.t_total,
            times.frac_resonant, times.t_resonant, times.t_escape_region,
            phase / math.pi)
-    return write_csv(TIMES_HEADER, [np.atleast_1d(value) for value in row],
-                     cfg.output.precision)
+    columns = [np.atleast_1d(value) for value in row]
+    return "".join(csv_pieces(TIMES_HEADER, columns, cfg.output.precision))
 
 
 DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
                    "abs_err", "trace"]
 
 
+@float_range("the dynamics run")
 def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
                  t_max_ns: Optional[float] = None,
                  dt_ps: Optional[float] = None) -> Iterator[str]:
@@ -334,8 +340,7 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     params = resolve_params(cfg.species, allow_zero_gamma=True)
     cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
-    with float_range("the collective coupling"):
-        omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
+    omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
     gamma = params.gamma_mol
     dt_max = dynamics_mod.max_stable_dt(omega_tilde, gamma)
     if dt_s is not None and dt_s > dt_max:

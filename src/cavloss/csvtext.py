@@ -1,11 +1,11 @@
 """Byte-exact CSV text of numeric columns, formatted in numpy.
 
-:func:`write_csv` writes every float cell as ``"%.{p-1}e" % value`` and
-every integer or boolean cell as ``"%d" % value``, byte for byte, without
-running ``%`` on each cell.  :func:`csv_pieces` hands the same text out
-chunk by chunk, each chunk written into one uint8 buffer that the next
-chunk reuses and decoded on its own, so a caller can send it to a file
-or pipe without holding the whole text; :func:`write_csv` joins it.
+:func:`csv_pieces` writes every float cell as ``"%.{p-1}e" % value``
+and every integer or boolean cell as ``"%d" % value``, byte for byte,
+without running ``%`` on each cell.  It hands the text out chunk by
+chunk, each chunk written into one uint8 buffer that the next chunk
+reuses and decoded on its own, so a caller can send it to a file or pipe
+without holding the whole text.
 
 The rows are taken in chunks of :data:`CSV_CHUNK_ROWS`, and each chunk
 is written straight into one fixed row layout.  A row is its cells, each
@@ -125,10 +125,12 @@ def _scale_table(precision: int) -> np.ndarray:
 
 def csv_pieces(header: list[str], columns: list,
                precision: int) -> Iterator[str]:
-    """The text of :func:`write_csv` in pieces, one at a time.
+    """The header line, then one line per row of the columns, in pieces.
 
-    The pieces are the header, the rows of each chunk of
-    :data:`CSV_CHUNK_ROWS` and the final newline.
+    Float columns are written in scientific notation with ``precision``
+    significant digits, integer and boolean columns as ``%d``.  The pieces
+    are the header, the rows of each chunk of :data:`CSV_CHUNK_ROWS` and
+    the final newline, handed out one at a time.
     """
     columns = [np.asarray(column) for column in columns]
     kinds = tuple(column.dtype.kind in "biu" for column in columns)
@@ -150,15 +152,6 @@ def csv_pieces(header: list[str], columns: list,
             yield str(_write_chunk(buf, kinds, row_format, precision,
                                    columns, rows), "utf-8")
     yield "\n"
-
-
-def write_csv(header: list[str], columns: list, precision: int) -> str:
-    """The header line, then one line per row of the equal-length columns.
-
-    Float columns are written in scientific notation with ``precision``
-    significant digits, integer and boolean columns as ``%d``.
-    """
-    return "".join(csv_pieces(header, columns, precision))
 
 
 def _percent_lines(row_format: str, columns: list, rows) -> list[str]:
@@ -195,8 +188,8 @@ def _mantissa(ax: np.ndarray, index: np.ndarray, precision: int):
     """m = |x| * 10**(p-1-e) by exact powers of ten, and its tie guard.
 
     ``index`` is e + _E0.  Only the factors that differ from 1 somewhere in
-    the chunk are applied, since x * 1 and x / 1 are exact, and the guard
-    is None where it is 0 throughout.
+    the chunk are applied, since x * 1 and x / 1 are exact, so m is ``ax``
+    itself when none is; the guard is None where it is 0 throughout.
     """
     k_low = precision - 1 + _E0 - index.max()
     k_high = precision - 1 + _E0 - index.min()
@@ -209,8 +202,6 @@ def _mantissa(ax: np.ndarray, index: np.ndarray, precision: int):
         if used:
             scaled = factor.take(index, mode="clip")
             m = apply(m, scaled, out=scaled)
-    if m is ax:
-        m = ax.copy()
     if k_low >= -_EXACT and k_high <= _EXACT:
         return m, None
     guard = g.take(index, mode="clip")

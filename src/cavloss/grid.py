@@ -52,12 +52,13 @@ def red_detuning(delta) -> np.ndarray:
 def float_range(what: str):
     """Raise DomainError where numpy would write inf or NaN inside the block.
 
-    An overflow, a division by zero or an invalid operation stops the
-    block with a message saying that ``what`` left the floating-point range.
+    An overflow, a division by zero or an invalid operation, in numpy or in
+    builtin floats, stops the block with a message saying that ``what``
+    left the floating-point range.  It serves as a decorator too.
     """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
-    except FloatingPointError as exc:
-        raise DomainError(
-            f"{what} left the floating-point range: {exc}") from None
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(   # an OverflowError's args are (errno, text)
+            f"{what} left the floating-point range: {exc.args[-1]}") from None

@@ -99,7 +99,7 @@ def _gauss_legendre(integrand, upper: np.ndarray) -> np.ndarray:
     # with one node per block: a matmul or an axis sum would reorder the
     # additions and move the last bit, and a grid row would then differ
     # from the same detuning computed alone.
-    step = max(1, _BLOCK_ELEMENTS // len(upper))
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(upper)))
     total = 0.0
     for start in range(0, len(_NODES), step):
         nodes = slice(start, start + step)
@@ -112,21 +112,14 @@ def _gauss_legendre(integrand, upper: np.ndarray) -> np.ndarray:
 def _infall_integral(r_ratio):
     """integral_r^1 du/sqrt(u^-3 - 1), elementwise."""
     grid = as_grid(r_ratio)
-    tail = grid >= 0.5
-    if grid.ndim == 1 and np.count_nonzero(tail) == len(grid) > 0:
-        # all on the tail, as in the whole default window: no gather or scatter
-        return like(_gauss_legendre(_regular_integrand, np.sqrt(1.0 - grid)),
-                    r_ratio)
-    head = ~tail
-    value = np.empty_like(grid)
-    if tail.any():
-        value[tail] = _gauss_legendre(_regular_integrand,
-                                      np.sqrt(1.0 - grid[tail]))
-    if head.any():
+    r = grid.ravel()
+    # the tail form is finite on all of [0, 1]; r < 1/2 takes the head form
+    value = _gauss_legendre(_regular_integrand, np.sqrt(1.0 - r))
+    head = r < 0.5
+    if np.count_nonzero(head):
         # _G0, not g0_constant(), so that validate catches a replaced accessor
-        value[head] = _G0 - _gauss_legendre(_head_integrand,
-                                            np.sqrt(grid[head]))
-    return like(value, r_ratio)
+        value[head] = _G0 - _gauss_legendre(_head_integrand, np.sqrt(r[head]))
+    return like(value.reshape(grid.shape), r_ratio)
 
 
 def g0_constant() -> float:

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .cavity import CavityConfig, atomic_dipole, coupling
-from .constants import PhysicalParams
+from .constants import TWO_PI_MHZ, PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError
 from .grid import as_grid, float_range, like, refuse
@@ -227,7 +227,7 @@ def scan_grid(deltas: Sequence[float], cavity: CavityConfig,
             raise ConfigError(
                 f"scan detunings must be negative, got {delta!r}")
         raise ConfigError(
-            f"detuning {delta / (2.0e6 * math.pi):.6g} MHz is outside the "
+            f"detuning {delta / TWO_PI_MHZ:.6g} MHz is outside the "
             f"validity window {DEFAULT_WINDOW_MHZ} MHz; set "
             f"scan.allow_out_of_window (--allow-out-of-window) to override")
     return loss_grid(np.sort(grid), cavity, params, p_model)

@@ -50,7 +50,8 @@ def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig
     """Build the named invariant checks; each is a zero-arg callable."""
     params = resolve_params(cfg.species, allow_zero_gamma=True)
     rng = np.random.default_rng(20250101)
-    delta_samples = -rng.uniform(350.0, 1000.0, size=50) * TWO_PI_MHZ
+    low, high = traploss_mod.DEFAULT_WINDOW_MHZ
+    delta_samples = -rng.uniform(-high, -low, size=50) * TWO_PI_MHZ
     by_size = np.sort(delta_samples)[::-1]   # |delta| ascending
     delta_mid = 0.5 * (cfg.scan.from_mhz + cfg.scan.to_mhz) * TWO_PI_MHZ
 

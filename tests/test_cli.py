@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cavloss
 from cavloss import (cavity, cli, constants, dynamics, in_default_window,
@@ -813,9 +815,8 @@ def test_csv_matches_percent_oracle(capsys, monkeypatch, tmp_path, document,
         tables.append(header)
         return percent_csv_oracle(header, columns, precision)
 
-    # the commands write CSV through these two names; patching both makes
-    # the second run write every row by `%`
-    monkeypatch.setattr(cli, "write_csv", oracle)
+    # the commands write CSV through this one name; patching it makes the
+    # second run write every row by `%`
     monkeypatch.setattr(cli, "csv_pieces",
                         lambda *table: [oracle(*table)])
     assert run(capsys, ["--config", config] + argv) == fast
@@ -1012,6 +1013,62 @@ def test_tiny_decay_rate_keeps_the_times_output(capsys, tmp_path):
     default = capsys.readouterr().out
     assert main(["--config", config] + argv) == 0
     assert capsys.readouterr() == (default, "")
+
+
+#: the edge values the probe below gives one float key of the schema
+EDGE_VALUES = [1e-320, 1e-300, 1e-30, 1e30, 1e300, 1e308, -1.0, 0.0]
+
+#: the commands the probe runs
+PROBE_COMMANDS = [["constants"], ["times", "--delta-mhz", "-350"],
+                  ["dynamics", "--delta-mhz", "-350"],
+                  ["scan", "--points", "50"], ["validate"]]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(key=st.sampled_from([key for key, (kind, _, _) in cli._FIELDS.items()
+                            if kind is float]),
+       value=st.sampled_from(EDGE_VALUES),
+       mode=st.sampled_from(cavity.COUPLING_MODES),
+       argv=st.sampled_from(PROBE_COMMANDS))
+# a builtin float division by zero: the pair count at a vanishing Gamma,
+# the step count at a vanishing step
+@example(("species", "gamma_a_mhz"), 1e-320, "microscopic", ["constants"])
+@example(("species", "gamma_a_mhz"), 1e-320, "microscopic", ["scan"])
+@example(("species", "c3_erg_ang3"), 1e300, "microscopic",
+         ["dynamics", "--delta-mhz", "-350"])
+# a builtin float power that overflows: the step ceiling at a huge Gamma
+@example(("species", "gamma_a_mhz"), 1e300, "anchored",
+         ["dynamics", "--delta-mhz", "-350"])
+# a numpy overflow or invalid operation outside any guard
+@example(("species", "gamma_a_mhz"), 1e300, "microscopic", ["constants"])
+@example(("species", "gamma_a_mhz"), 1e-300, "microscopic", ["constants"])
+# a builtin float product that overflows to inf without raising
+@example(("species", "trap_depth_mk"), 1e300, "anchored", ["constants"])
+@example(("species", "trap_depth_mhz"), 1e308, "microscopic", ["constants"])
+@example(("species", "gamma_a_mhz"), 1e300, "anchored", ["constants"])
+@example(("species", "c3_erg_ang3"), 1e300, "microscopic", ["constants"])
+def test_edge_values_run_clean_or_exit_2(tmp_path_factory, key, value, mode,
+                                         argv):
+    # every config runs clean, fails validate by its report, or exits 2
+    # with one error line: never a traceback, and never inf or NaN printed
+    section, name = key
+    document = {section: {name: value}}
+    document.setdefault("coupling", {})["mode"] = mode
+    config = write_config(tmp_path_factory.mktemp("probe"), document)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", config] + argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") \
+            and err.count("\n") == 1, err
+    elif code == 1:
+        assert argv == ["validate"] and "FAIL" in out
+    else:
+        assert code == 0
+        cells = {cell.strip() for cell in re.split(r"[,=\n]", out)}
+        assert not cells & {"inf", "-inf", "nan"}, out
 
 
 #: prints numpy's float64 exp kernel to stderr, then runs the CLI

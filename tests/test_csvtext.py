@@ -10,14 +10,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cavloss import cli, csvtext
-from cavloss.csvtext import CSV_CHUNK_ROWS, csv_pieces, write_csv
+from cavloss.csvtext import CSV_CHUNK_ROWS, csv_pieces
 from oracles import percent_csv_oracle
 from test_properties import PROPERTY
 
 
 def same_as_oracle(columns, precision):
     header = [f"c{j}" for j in range(len(columns))]
-    text = write_csv(header, columns, precision)
+    text = "".join(csv_pieces(header, columns, precision))
     assert text == percent_csv_oracle(header, columns, precision)
     assert "\0" not in text
 
@@ -147,7 +147,7 @@ def test_all_fallback_chunk():
 def test_no_rows_is_the_header_line():
     columns = [np.array([]), np.array([])]
     for precision in (12, 17):
-        assert write_csv(["a", "b"], columns, precision) == "a,b\n"
+        assert "".join(csv_pieces(["a", "b"], columns, precision)) == "a,b\n"
         assert list(csv_pieces(["a", "b"], columns, precision)) \
             == ["a,b", "\n"]
 
@@ -185,7 +185,7 @@ def test_near_ties_are_rare(slow):
     header = [f"c{j}" for j in range(6)]
     for precision in (6, 12):
         slow.clear()
-        text = write_csv(header, columns, precision)
+        text = "".join(csv_pieces(header, columns, precision))
         assert text == percent_csv_oracle(header, columns, precision)
         assert len(slow) < 200
 

@@ -84,6 +84,8 @@ class TestBlockedRule:
             == [w.hex() for w in (0.5 * weights).tolist()]
 
     def test_grid_elements_equal_single_points_bitwise(self):
+        # the tail form runs over the whole grid and the head form is
+        # written over r < 1/2, yet each element keeps its one-point bits
         r_ratio = np.random.default_rng(7).uniform(0.0, 1.0, 300)
         r_ratio[:4] = [0.0, 0.5, math.nextafter(0.5, 0.0), 1.0]
         alone = [_infall_integral(r) for r in r_ratio.tolist()]
