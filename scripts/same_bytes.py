@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 63 runs below, twice
+    python3 scripts/same_bytes.py REV          # the 67 runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -68,6 +68,7 @@ CONFIGS = {
     "huge_omega_ref.json": {"coupling": {"omega_tilde_ref_mhz": 1e308}},
     "micro_huge_delta_ref.json": {"coupling": {"mode": "microscopic",
                                                "delta_ref_mhz": -1e308}},
+    "overflowing_from.json": {"scan": {"from_mhz": -1e308}},
     "slow_p_excite.json": {"scan": {"include_p_excite": True},
                            "coupling": {"v_inf_cm_s": 1e-320}},
     "long_cavity.json": {"cavity": {"length_cm": 1e308}},
@@ -97,14 +98,16 @@ OUTPUT = "out.csv"
 
 #: (name, argv) of every run: every command, both kernels and couplings,
 #: out-of-window and refused scans, a refused validate config, refused
-#: dynamics steps and step counts, refused reference detunings, species
-#: values, coupling references, cavity values, a scan bound and a p_excite
-#: column beyond the float range, an in-fall time beyond it, precision 17,
-#: the decay-free limit, a validate whose series sums 2^14 to 2^15 terms,
+#: dynamics steps and step counts, reference detunings refused by every
+#: command, species values, coupling references, cavity values, a scan
+#: bound (in scan and validate) and a p_excite column beyond the float
+#: range, an in-fall time beyond it, precision 17, the decay-free limit,
+#: a validate whose series sums 2^14 to 2^15 terms,
 #: analytic scans whose grids take one damping form or mix two or three,
-#: a scan whose escape ratios lie on both sides of 1/2, output files, and
-#: constants and dynamics runs whose builtin floats divide by zero, overflow
-#: with an error or overflow to inf without one
+#: a scan whose escape ratios lie on both sides of 1/2, output files, an
+#: output path in a missing directory, and constants and dynamics runs
+#: whose builtin floats divide by zero, overflow with an error or overflow
+#: to inf without one
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -193,14 +196,20 @@ RUNS = [
     ("constants-huge-trap-depth", ["--config", "huge_trap_depth.json",
                                    "constants"]),
     ("constants-huge-gamma", ["--config", "huge_gamma.json", "constants"]),
+    ("scan-micro-blue-ref", ["--config", "micro_blue_ref.json", "scan"]),
+    ("times-micro-huge-delta-ref", ["--config", "micro_huge_delta_ref.json",
+                                    "times", "--delta-mhz", "-350"]),
+    ("validate-overflowing-from", ["--config", "overflowing_from.json",
+                                   "validate"]),
+    ("scan-output-missing-dir", ["scan", "--output", "missing/" + OUTPUT]),
 ]
 
 #: the runs --all adds: a 5 000-point scan and a dynamics run at every
 #: precision, and the 10^6-point scan
 MORE_RUNS = [
-    *((f"{command}-p{p}", ["--config", f"p{p}.json", command, *more])
-      for command, more in (("scan", ["--points", "5000"]),
-                            ("dynamics", ["--delta-mhz", "-600"]))
+    *((f"{name}-p{p}", ["--config", f"p{p}.json", *argv])
+      for name, argv in (("scan-5000", ["scan", "--points", "5000"]),
+                         ("dynamics", ["dynamics", "--delta-mhz", "-600"]))
       for p in range(6, 18)),
     ("scan-1e6", ["scan", "--points", "1000000"]),
 ]

@@ -20,7 +20,8 @@ environment variables are consulted.
 All numeric CSV fields are written in scientific notation at the
 configured precision; identical configs produce byte-identical output.
 Diagnostics go to stderr only.  Exit status: 0 on success, 1 for a
-failed validation suite, 2 for configuration or domain errors.
+failed validation suite, 2 for configuration or domain errors and for an
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from . import cavity as cavity_mod
 from . import dynamics as dynamics_mod
 from . import kinematics as kinematics_mod
 from . import traploss as traploss_mod
+from .cavity import CavityConfig
 from .constants import HBAR, TWO_PI_MHZ, HumanUnitsConfig, resolve_params
 from .csvtext import csv_pieces
 from .errors import CavlossError, ConfigError, DomainError, StepSizeError
@@ -186,21 +188,25 @@ def build_run_config(document: Optional[dict] = None,
     if cfg.coupling.v_inf_cm_s <= 0.0:
         raise ConfigError("coupling.v_inf_cm_s must be positive, got "
                           f"{cfg.coupling.v_inf_cm_s!r}")
-    if cfg.coupling.mode == "anchored":   # microscopic: see cmd_constants
-        for key, wanted, sign in (("omega_tilde_ref_mhz", "positive", 1.0),
-                                  ("delta_ref_mhz", "negative", -1.0)):
-            value = getattr(cfg.coupling, key)
-            if not sign * value > 0.0:
-                raise ConfigError(f"coupling.{key} must be {wanted} in "
-                                  f"anchored mode, got {value!r}")
-            if math.isinf(value * TWO_PI_MHZ):
-                raise ConfigError(f"coupling.{key} leaves the floating-point "
-                                  f"range in rad/s, got {value!r}")
+    references = [("delta_ref_mhz", "negative", -1.0)]   # red, in both modes
+    if cfg.coupling.mode == "anchored":   # the microscopic omega~ is computed
+        references.insert(0, ("omega_tilde_ref_mhz",
+                              "positive in anchored mode", 1.0))
+    for key, wanted, sign in references:
+        value = getattr(cfg.coupling, key)
+        if not sign * value > 0.0:
+            raise ConfigError(f"coupling.{key} must be {wanted}, got {value!r}")
+        if math.isinf(value * TWO_PI_MHZ):
+            raise ConfigError(f"coupling.{key} leaves the floating-point "
+                              f"range in rad/s, got {value!r}")
     scan = cfg.scan
     if not scan.from_mhz < scan.to_mhz < 0.0:
         raise ConfigError(
             "scan.from_mhz < scan.to_mhz < 0 required, got "
             f"{scan.from_mhz!r} .. {scan.to_mhz!r}")
+    if not math.isfinite(scan.from_mhz * TWO_PI_MHZ):   # from < to < 0
+        raise ConfigError("scan.from_mhz leaves the floating-point range in "
+                          f"rad/s, got {scan.from_mhz!r}")
     if not 2 <= scan.points <= MAX_SCAN_POINTS:
         raise ConfigError(
             f"scan.points must be in 2..{MAX_SCAN_POINTS}, got {scan.points!r}")
@@ -226,8 +232,8 @@ def load_config(path: Optional[str],
     return build_run_config(document, overrides)
 
 
-def cavity_config(cfg: RunConfig) -> cavity_mod.CavityConfig:
-    return cavity_mod.CavityConfig(
+def cavity_config(cfg: RunConfig) -> CavityConfig:
+    return CavityConfig(
         length=cfg.cavity.length_cm,
         n_atoms_total=cfg.cavity.n_atoms,
         density=cfg.cavity.density_cm3,
@@ -242,18 +248,9 @@ def cavity_config(cfg: RunConfig) -> cavity_mod.CavityConfig:
 
 
 @float_range("the constants")
-def cmd_constants(cfg: RunConfig) -> str:
+def cmd_constants(cfg: RunConfig, cav: CavityConfig) -> str:
     """Key=value report of every resolved quantity."""
     params = resolve_params(cfg.species)
-    cav = cavity_config(cfg)
-    reference = cfg.coupling.delta_ref_mhz
-    if cfg.coupling.mode == "microscopic":   # anchored: see build_run_config
-        if not reference < 0.0:   # the pairs need red light
-            raise ConfigError(
-                f"coupling.delta_ref_mhz must be negative, got {reference!r}")
-        if math.isinf(cav.delta_ref):
-            raise ConfigError("coupling.delta_ref_mhz leaves the floating-point "
-                              f"range in rad/s, got {reference!r}")
     omega_c = params.omega_a + cav.delta_ref
     waist, volume = cavity_mod.mode_geometry(omega_c, cav)
     d_atom = cavity_mod.atomic_dipole(params)
@@ -291,12 +288,11 @@ TIMES_HEADER = ["delta_mhz", "r_condon_ang", "r_escape_ang", "t0_s", "f",
                 "tc_s", "te_s", "phase_over_pi"]
 
 
-def cmd_times(cfg: RunConfig, delta_mhz: float) -> str:
+def cmd_times(cfg: RunConfig, cav: CavityConfig, delta_mhz: float) -> str:
     """One CSV row of collision time scales at the given detuning."""
     if delta_mhz >= 0.0:
         raise DomainError(f"--delta-mhz must be negative, got {delta_mhz!r}")
     params = resolve_params(cfg.species)
-    cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
     with float_range("the collision times"):
         omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
@@ -315,7 +311,7 @@ DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
 
 
 @float_range("the dynamics run")
-def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
+def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, delta_mhz: float,
                  t_max_ns: Optional[float] = None,
                  dt_ps: Optional[float] = None) -> Iterator[str]:
     """CSV time series of the integrated master equation at one detuning.
@@ -338,7 +334,6 @@ def cmd_dynamics(cfg: RunConfig, delta_mhz: float,
     if delta_mhz >= 0.0:
         raise DomainError(f"--delta-mhz must be negative, got {delta_mhz!r}")
     params = resolve_params(cfg.species, allow_zero_gamma=True)
-    cav = cavity_config(cfg)
     delta = delta_mhz * TWO_PI_MHZ
     omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
     gamma = params.gamma_mol
@@ -373,16 +368,13 @@ SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
                "loss_free"]
 
 
-def cmd_scan(cfg: RunConfig) -> Iterator[str]:
+def cmd_scan(cfg: RunConfig, cav: CavityConfig) -> Iterator[str]:
     """CSV of the full detuning scan, as :func:`cmd_dynamics` returns it."""
     params = resolve_params(cfg.species)
     scan = cfg.scan
-    if not math.isfinite(scan.from_mhz * TWO_PI_MHZ):   # from < to < 0
-        raise ConfigError("scan.from_mhz leaves the floating-point range in "
-                          f"rad/s, got {scan.from_mhz!r}")
     grid = traploss_mod.scan_grid(
         np.linspace(scan.from_mhz, scan.to_mhz, scan.points) * TWO_PI_MHZ,
-        cavity_config(cfg), params, scan.p_model,
+        cav, params, scan.p_model,
         allow_out_of_window=scan.allow_out_of_window)
 
     times, geometry = grid.times, grid.times.geometry
@@ -497,12 +489,19 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
             if "." in dest and value is not None}
 
 
-def _emit(cfg: RunConfig, pieces: Iterable[str]) -> None:
-    """Write the text pieces to the ``output.path`` file, or to stdout."""
-    with (open(cfg.output.path, "w", encoding="utf-8", newline="")
-          if cfg.output.path else contextlib.nullcontext(sys.stdout)) as sink:
-        for piece in pieces:
-            sink.write(piece)
+def _emit(path: Optional[str], pieces: Iterable[str]) -> None:
+    """Write the text pieces to the file at ``path``, or to stdout if None;
+    a sink that cannot be opened or written is refused by name."""
+    try:
+        with (open(path, "w", encoding="utf-8", newline="")
+              if path else contextlib.nullcontext(sys.stdout)) as sink:
+            for piece in pieces:
+                sink.write(piece)
+            sink.flush()
+    except OSError as exc:
+        sink_name = f"output.path (--output) {path!r}" if path else "stdout"
+        raise ConfigError(f"cannot write {sink_name}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _window_note(delta_mhz: float) -> None:
@@ -518,21 +517,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         _joined_negatives(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args.config, _flag_overrides(args))
+        cav = cavity_config(cfg)
+        path = cfg.output.path
         if args.command == "constants":
-            _emit(cfg, [cmd_constants(cfg)])
+            _emit(path, [cmd_constants(cfg, cav)])
         elif args.command == "times":
-            _emit(cfg, [cmd_times(cfg, args.delta_mhz)])
+            _emit(path, [cmd_times(cfg, cav, args.delta_mhz)])
             _window_note(args.delta_mhz)
         elif args.command == "dynamics":
-            _emit(cfg, cmd_dynamics(cfg, args.delta_mhz, args.t_max_ns,
-                                    args.dt_ps))
+            _emit(path, cmd_dynamics(cfg, cav, args.delta_mhz, args.t_max_ns,
+                                     args.dt_ps))
             _window_note(args.delta_mhz)
         elif args.command == "scan":
-            _emit(cfg, cmd_scan(cfg))
+            _emit(path, cmd_scan(cfg, cav))
         elif args.command == "validate":
             from .validate import cmd_validate   # no other command runs it
-            report, status = cmd_validate(cfg, cavity_config(cfg))
-            sys.stdout.write(report)
+            report, status = cmd_validate(cfg, cav)
+            _emit(None, [report])   # to stdout whatever output.path says
             return status
     except CavlossError as exc:
         print(f"error: {exc}", file=sys.stderr)

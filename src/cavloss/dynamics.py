@@ -140,10 +140,11 @@ def _rk4_matrix(a: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
-def _powers(m: np.ndarray, count: int) -> np.ndarray:
-    """The stack M^0, M^1, ..., M^(count-1)."""
-    stack = np.empty((count,) + m.shape)
-    stack[0] = np.eye(len(m))
+def _orbit(m: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+    """The stack first, M @ first, ..., M^(count-1) @ first, for one M or a
+    stack of them (with ``first`` stacked alike)."""
+    stack = np.empty((count,) + np.shape(first))
+    stack[0] = first
     for j in range(1, count):
         stack[j] = m @ stack[j - 1]
     return stack
@@ -188,12 +189,8 @@ def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
     # sample k = b*block + j is M^j @ (M^block)^b @ y0
     block = math.isqrt(n_steps) + 1   # block**2 >= n_steps + 1 samples
     count = -(-(n_steps + 1) // block)
-    inner = _powers(step, block)
-    stride = inner[-1] @ step
-    bases = np.empty((count, 9))
-    bases[0] = start
-    for b in range(1, count):
-        bases[b] = stride @ bases[b - 1]
+    inner = _orbit(step, np.eye(9), block)
+    bases = _orbit(inner[-1] @ step, start, count)
     # a contiguous copy of the rows asked for: a strided view runs no faster
     # than all nine
     rows = np.ascontiguousarray(inner[:, list(components)])

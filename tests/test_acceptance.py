@@ -18,7 +18,8 @@ from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      landau_zener, loss_closed_form, loss_no_cavity,
                      loss_point, loss_series, max_stable_dt, p_omega_analytic,
                      pair_count, resolve_params, scan_grid, total_time)
-from cavloss.cli import build_run_config, cmd_constants, cmd_times, main
+from cavloss.cli import (build_run_config, cavity_config, cmd_constants,
+                         cmd_times, main)
 from oracles import TWO_PI_MHZ, g0_oracle
 
 RB85 = resolve_params(HumanUnitsConfig())
@@ -47,7 +48,7 @@ def verdict(name, ok, detail=""):
 
 
 def times_row():
-    text = cmd_times(CONFIG, -350.0)
+    text = cmd_times(CONFIG, cavity_config(CONFIG), -350.0)
     header, values = (line.split(",") for line in text.strip().splitlines())
     return dict(zip(header, map(float, values)))
 
@@ -101,8 +102,9 @@ def test_05_largest_phase():
 
 
 def test_06_single_rabi_and_geometry():
+    cav = cavity_config(CONFIG)
     report = dict(line.split("=", 1)
-                  for line in cmd_constants(CONFIG).strip().splitlines())
+                  for line in cmd_constants(CONFIG, cav).strip().splitlines())
     omega = float(report["omega_single_mhz"])
     waist = float(report["waist_um"])
     volume = float(report["mode_volume_cm3"])

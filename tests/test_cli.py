@@ -4,6 +4,8 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import errno
+import importlib.util
 import inspect
 import io
 import itertools
@@ -90,8 +92,8 @@ class TestConstantsCommand:
         assert run(capsys, ["--config", micro, "constants"]) == (
             2, "", "error: coupling.delta_ref_mhz must be negative, "
                    "got 100.0\n")
-        # the microscopic scan does not count pairs there
-        assert run(capsys, ["--config", micro, "scan", "--points", "3"])[0] == 0
+        # every command refuses it, the microscopic scan too
+        assert run(capsys, ["--config", micro, "scan", "--points", "3"])[0] == 2
 
     def test_missing_field_exits_2_naming_it(self, capsys, tmp_path):
         config = write_config(tmp_path, {"species": {"lambda_nm": None}})
@@ -539,8 +541,7 @@ class TestConfigHandling:
           "scan": {"include_p_excite": True}}, ["scan"],
          "error: coupling.v_inf_cm_s must be positive, got 0.0\n"),
         ({"coupling": {"delta_ref_mhz": 100}}, ["constants"],
-         "error: coupling.delta_ref_mhz must be negative in anchored mode, "
-         "got 100.0\n"),
+         "error: coupling.delta_ref_mhz must be negative, got 100.0\n"),
         ({"coupling": {"omega_tilde_ref_mhz": 0}},
          ["times", "--delta-mhz", "-350"],
          "error: coupling.omega_tilde_ref_mhz must be positive in anchored "
@@ -876,6 +877,50 @@ def test_refused_run_writes_nothing(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "."],
+                         ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize("argv", [["constants"], ["scan"]],
+                         ids=lambda argv: argv[0])
+def test_unwritable_output_path_exits_2_naming_it(capsys, tmp_path,
+                                                  monkeypatch, argv, target):
+    # a missing directory or a directory itself: no file is created
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv + ["--output", target])
+    reason = os.strerror(errno.ENOENT if "/" in target else errno.EISDIR)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: ") and "output.path (--output)" in err
+    assert repr(target) in err and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def cli_child(argv, stdout):
+    """A child running the CLI from this source tree, its stderr piped."""
+    src = str(Path(cavloss.__file__).resolve().parent.parent)
+    return subprocess.Popen([sys.executable, "-m", "cavloss.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_closed_stdout_exits_2_naming_it():
+    # the reader closes the pipe after the first line, or before any write
+    child = cli_child(["scan", "--points", "200000"], subprocess.PIPE)
+    assert child.stdout.readline().startswith("delta_mhz,")
+    child.stdout.close()
+    outcomes = [(child.wait(), child.stderr.read())]
+    child.stderr.close()
+    for command in ("constants", "validate"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        child = cli_child([command], write_end)
+        os.close(write_end)
+        outcomes.append((child.wait(), child.stderr.read()))
+        child.stderr.close()
+    for code, err in outcomes:
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith("error: ") and "stdout" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_export_list_is_the_public_names():
     # a stage deleted from its module must leave the export list too
     public = {name for name, value in vars(cavloss).items()
@@ -1005,6 +1050,28 @@ def test_values_out_of_float_range_are_refused(capsys, tmp_path, document,
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["constants"], ["times", "--delta-mhz", "-350"],
+    ["dynamics", "--delta-mhz", "-350"], ["scan"], ["validate"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("document, key", [
+    ({"coupling": {"mode": "microscopic", "delta_ref_mhz": 100}},
+     "coupling.delta_ref_mhz"),
+    ({"coupling": {"mode": "microscopic", "delta_ref_mhz": -1e308}},
+     "coupling.delta_ref_mhz"),
+    ({"scan": {"from_mhz": -1e308}}, "scan.from_mhz"),
+], ids=["micro-blue-ref", "micro-huge-ref", "huge-from"])
+def test_every_command_refuses_the_same_config(capsys, tmp_path, document,
+                                               key, argv):
+    # a config is valid or not whatever the command that reads it
+    config = write_config(tmp_path, document)
+    assert main(["--config", config] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {key} ")
+
+
+@pytest.mark.filterwarnings("error")
 def test_tiny_decay_rate_keeps_the_times_output(capsys, tmp_path):
     # the pair dipole underflows to 0, which only the scan's n_pairs shows
     config = write_config(tmp_path, {"species": {"gamma_a_mhz": 1e-320}})
@@ -1116,3 +1183,16 @@ def test_scan_holds_under_another_numpy_dispatch(capsys, tmp_path, argv):
     close[:, lc] |= np.abs(got[:, lc] - want[:, lc]) <= 1.0e-15
     for i, name in enumerate(columns):
         assert close[:, i].all(), name
+
+
+def test_byte_gate_runs_are_named_once_and_use_every_config():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "same_bytes.py"
+    spec = importlib.util.spec_from_file_location("same_bytes", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    runs = gate.RUNS + gate.MORE_RUNS
+    names = [name for name, _ in runs]
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []
+    used = {argv[argv.index("--config") + 1] for _, argv in runs
+            if "--config" in argv}
+    assert sorted(set(gate.CONFIGS) - used) == []

@@ -214,6 +214,20 @@ class TestMatrixCore:
                 assert part.tobytes() == np.ascontiguousarray(
                     full[:, list(components)]).tobytes()
 
+    def test_orbit_of_a_stack_is_each_matrix_orbit(self):
+        # row j is M^j @ first, for a vector, a matrix or a stack of them
+        rng = np.random.default_rng(31)
+        stack = rng.normal(size=(3, 9, 9)) / 3.0
+        start = rng.normal(size=9)
+        orbit = dynamics._orbit(stack[0], start, 4)
+        assert orbit[3].tobytes() == (
+            stack[0] @ (stack[0] @ (stack[0] @ start))).tobytes()
+        batch = dynamics._orbit(stack, np.broadcast_to(np.eye(9), stack.shape),
+                                6)
+        for i, m in enumerate(stack):
+            assert batch[:, i].tobytes() == dynamics._orbit(
+                m, np.eye(9), 6).tobytes()
+
     def test_zero_span_returns_the_start_state(self):
         times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
                                        0.0, 1.0e-12)
