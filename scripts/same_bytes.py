@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 scripts/same_bytes.py REV          # the 67 runs below, twice
+    python3 scripts/same_bytes.py REV          # the runs below, twice
     python3 scripts/same_bytes.py REV --all    # plus every precision and 10^6 points
 
 The committed files of REV are exported with ``git archive`` into a
@@ -22,11 +22,13 @@ environment only).
 One line per run and pass gives the sha256 of stdout and of stderr and
 the exit code of the working tree, and whether REV printed the same.  A
 run that names ``--output out.csv`` also gives the sha256 of the file it
-wrote, which should be that of the same run's stdout without the flag.
+wrote, and one more line per pass checks that file against the stdout
+of its twin, the run whose argv is the same without ``--output out.csv``.
 The summary line ends with the kernel that numpy dispatches for float64
 ``exp`` in each pass (for example ``X86_V4`` and ``X86_V3``), read in one
 more such interpreter.  The exit status is 1 when any run differs, and 0
-otherwise.
+otherwise; a file that differs from its twin's stdout counts as a run
+that differs.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ OUTPUT = "out.csv"
 #: command, species values, coupling references, cavity values, a scan
 #: bound (in scan and validate) and a p_excite column beyond the float
 #: range, an in-fall time beyond it, precision 17, the decay-free limit,
-#: a validate whose series sums 2^14 to 2^15 terms,
+#: a validate whose series sums 2^14 to 2^15 terms, validate taking
+#: --coupling and writing to --output,
 #: analytic scans whose grids take one damping form or mix two or three,
 #: a scan whose escape ratios lie on both sides of 1/2, output files, an
 #: output path in a missing directory, and constants and dynamics runs
@@ -202,6 +205,10 @@ RUNS = [
     ("validate-overflowing-from", ["--config", "overflowing_from.json",
                                    "validate"]),
     ("scan-output-missing-dir", ["scan", "--output", "missing/" + OUTPUT]),
+    ("validate-decay-free-micro", ["--config", "decay_free_micro.json",
+                                   "validate"]),
+    ("validate-output", ["validate", "--output", OUTPUT]),
+    ("validate-micro-flag", ["validate", "--coupling", "microscopic"]),
 ]
 
 #: the runs --all adds: a 5 000-point scan and a dynamics run at every
@@ -234,6 +241,18 @@ PASSES = [
     ("default", {}),
     ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}),
 ]
+
+
+def output_twins(runs: list) -> dict:
+    """Name -> twin name of every run that names ``--output out.csv``: the
+    run whose argv is the same without those two words."""
+    by_argv = {tuple(argv): name for name, argv in runs}
+    twins = {}
+    for name, argv in runs:
+        if OUTPUT in argv:
+            at = argv.index(OUTPUT)
+            twins[name] = by_argv[tuple(argv[:at - 1] + argv[at + 1:])]
+    return twins
 
 
 def export(rev: str, into: Path) -> Path:
@@ -282,7 +301,8 @@ def main() -> int:
                              "and the 10^6-point scan")
     args = parser.parse_args()
     runs = RUNS + (MORE_RUNS if args.all else [])
-    differ = 0
+    twins = output_twins(runs)
+    differ = unlike = 0
     with tempfile.TemporaryDirectory() as workdir:
         workdir = Path(workdir)
         configs = workdir / "configs"
@@ -294,18 +314,27 @@ def main() -> int:
         for pass_name, extra in PASSES:
             env = {**ENV, **extra}
             dispatches.append(f"{pass_name} {exp_dispatch(env)}")
+            seen = {}   # name -> the working tree's outcome in this pass
             for name, argv in runs:
                 then = outcome(base, argv, configs, env)
-                now = outcome(ROOT / "src", argv, configs, env)
+                now = seen[name] = outcome(ROOT / "src", argv, configs, env)
                 differ += then != now
                 file = f" file {now[3][:16]}" if now[3] else ""
                 print(f"{pass_name:9s} {name:28s} stdout {now[0][:16]} "
                       f"stderr {now[1][:16]} exit {now[2]}{file}  "
                       f"{'same' if then == now else 'DIFFERS'}", flush=True)
+            for name, twin in twins.items():
+                same = seen[name][3] == seen[twin][0]
+                unlike += not same
+                print(f"{pass_name:9s} {name:28s} file = stdout of {twin}  "
+                      f"{'same' if same else 'DIFFERS'}", flush=True)
     total = len(runs) * len(PASSES)
+    files = len(twins) * len(PASSES)
     print(f"{total - differ}/{total} runs print the same bytes as "
-          f"{args.rev}; numpy float64 exp dispatch: {', '.join(dispatches)}")
-    return 1 if differ else 0
+          f"{args.rev}, {files - unlike}/{files} --output files their "
+          f"twins' stdout; numpy float64 exp dispatch: "
+          f"{', '.join(dispatches)}")
+    return 1 if differ or unlike else 0
 
 
 if __name__ == "__main__":

@@ -17,6 +17,11 @@ checks a document against them in one pass, and each command-line flag
 overrides the ``section.key`` named by its argparse ``dest``.  No
 environment variables are consulted.
 
+:func:`main` sets up every run the same way: the config, the cavity
+record, the ``--delta-mhz`` sign, then the species, of which only
+``dynamics`` admits gamma_a_mhz = 0.  The command checks its own flags,
+and its text goes to ``output.path`` (``--output``) or to stdout.
+
 All numeric CSV fields are written in scientific notation at the
 configured precision; identical configs produce byte-identical output.
 Diagnostics go to stderr only.  Exit status: 0 on success, 1 for a
@@ -42,7 +47,8 @@ from . import dynamics as dynamics_mod
 from . import kinematics as kinematics_mod
 from . import traploss as traploss_mod
 from .cavity import CavityConfig
-from .constants import HBAR, TWO_PI_MHZ, HumanUnitsConfig, resolve_params
+from .constants import (HBAR, TWO_PI_MHZ, HumanUnitsConfig, PhysicalParams,
+                        resolve_params)
 from .csvtext import csv_pieces
 from .errors import CavlossError, ConfigError, DomainError, StepSizeError
 from .grid import float_range
@@ -248,9 +254,9 @@ def cavity_config(cfg: RunConfig) -> CavityConfig:
 
 
 @float_range("the constants")
-def cmd_constants(cfg: RunConfig, cav: CavityConfig) -> str:
+def cmd_constants(cfg: RunConfig, cav: CavityConfig,
+                  params: PhysicalParams) -> str:
     """Key=value report of every resolved quantity."""
-    params = resolve_params(cfg.species)
     omega_c = params.omega_a + cav.delta_ref
     waist, volume = cavity_mod.mode_geometry(omega_c, cav)
     d_atom = cavity_mod.atomic_dipole(params)
@@ -288,11 +294,9 @@ TIMES_HEADER = ["delta_mhz", "r_condon_ang", "r_escape_ang", "t0_s", "f",
                 "tc_s", "te_s", "phase_over_pi"]
 
 
-def cmd_times(cfg: RunConfig, cav: CavityConfig, delta_mhz: float) -> str:
+def cmd_times(cfg: RunConfig, cav: CavityConfig, params: PhysicalParams,
+              delta_mhz: float) -> str:
     """One CSV row of collision time scales at the given detuning."""
-    if delta_mhz >= 0.0:
-        raise DomainError(f"--delta-mhz must be negative, got {delta_mhz!r}")
-    params = resolve_params(cfg.species)
     delta = delta_mhz * TWO_PI_MHZ
     with float_range("the collision times"):
         omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
@@ -311,8 +315,8 @@ DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
 
 
 @float_range("the dynamics run")
-def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, delta_mhz: float,
-                 t_max_ns: Optional[float] = None,
+def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, params: PhysicalParams,
+                 delta_mhz: float, t_max_ns: Optional[float] = None,
                  dt_ps: Optional[float] = None) -> Iterator[str]:
     """CSV time series of the integrated master equation at one detuning.
 
@@ -322,8 +326,8 @@ def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, delta_mhz: float,
     ``t_max_ns`` and ``dt_ps`` are the ``--t-max-ns`` and ``--dt-ps``
     values as given (None for the default run), and each refusal of them
     names the flag and its unit; a run over the step cap names what set
-    its length and step.  gamma_a_mhz = 0 is accepted here (decay-free
-    Rabi oscillation).
+    its length and step.  Only this command admits gamma_a_mhz = 0, the
+    decay-free collective Rabi oscillation.
     """
     if t_max_ns is not None and t_max_ns < 0.0:
         raise DomainError(f"--t-max-ns must be >= 0, got {t_max_ns!r}")
@@ -331,9 +335,6 @@ def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, delta_mhz: float,
     dt_s = dt_ps * 1.0e-12 if dt_ps is not None else None
     if dt_s is not None and not dt_s > 0.0:   # 1e-320 ps underflows to 0 s
         raise DomainError(f"--dt-ps must be positive, got {dt_ps!r}")
-    if delta_mhz >= 0.0:
-        raise DomainError(f"--delta-mhz must be negative, got {delta_mhz!r}")
-    params = resolve_params(cfg.species, allow_zero_gamma=True)
     delta = delta_mhz * TWO_PI_MHZ
     omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
     gamma = params.gamma_mol
@@ -368,9 +369,9 @@ SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
                "loss_free"]
 
 
-def cmd_scan(cfg: RunConfig, cav: CavityConfig) -> Iterator[str]:
+def cmd_scan(cfg: RunConfig, cav: CavityConfig,
+             params: PhysicalParams) -> Iterator[str]:
     """CSV of the full detuning scan, as :func:`cmd_dynamics` returns it."""
-    params = resolve_params(cfg.species)
     scan = cfg.scan
     grid = traploss_mod.scan_grid(
         np.linspace(scan.from_mhz, scan.to_mhz, scan.points) * TWO_PI_MHZ,
@@ -445,24 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON configuration file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a flag that overrides a config value names its section.key as dest
-    def coupling_and_output(p):
-        p.add_argument("--coupling", dest="coupling.mode",
-                       choices=_FIELDS["coupling", "mode"][2])
-        p.add_argument("--output", dest="output.path")
-
-    p_const = sub.add_parser("constants", help="resolved parameter report")
-    coupling_and_output(p_const)
-
+    sub.add_parser("constants", help="resolved parameter report")
     p_times = sub.add_parser("times", help="collision time scales at one detuning")
     p_times.add_argument("--delta-mhz", type=_finite_float, required=True)
-    coupling_and_output(p_times)
 
     p_dyn = sub.add_parser("dynamics", help="master-equation time series")
     p_dyn.add_argument("--delta-mhz", type=_finite_float, required=True)
     p_dyn.add_argument("--t-max-ns", type=_finite_float)
     p_dyn.add_argument("--dt-ps", type=_finite_float)
-    coupling_and_output(p_dyn)
 
     p_scan = sub.add_parser("scan", help="detuning scan of trap-loss probabilities")
     p_scan.add_argument("--from-mhz", dest="scan.from_mhz", type=_finite_float)
@@ -472,9 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=_FIELDS["scan", "p_model"][2])
     p_scan.add_argument("--allow-out-of-window", dest="scan.allow_out_of_window",
                         action="store_true", default=None)
-    coupling_and_output(p_scan)
 
     sub.add_parser("validate", help="run the invariant suite")
+
+    # a flag that overrides a config value names its section.key as dest
+    for command in sub.choices.values():
+        command.add_argument("--coupling", dest="coupling.mode",
+                             choices=_FIELDS["coupling", "mode"][2])
+        command.add_argument("--output", dest="output.path")
     return parser
 
 
@@ -515,30 +511,36 @@ def _window_note(delta_mhz: float) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _main_parser().parse_args(
         _joined_negatives(sys.argv[1:] if argv is None else argv))
+    delta_mhz = getattr(args, "delta_mhz", None)   # times and dynamics
+    status = 0
     try:
         cfg = load_config(args.config, _flag_overrides(args))
         cav = cavity_config(cfg)
-        path = cfg.output.path
+        if delta_mhz is not None and delta_mhz >= 0.0:
+            raise DomainError("--delta-mhz must be negative, got "
+                              f"{delta_mhz!r}")
+        params = resolve_params(cfg.species,
+                                allow_zero_gamma=args.command == "dynamics")
         if args.command == "constants":
-            _emit(path, [cmd_constants(cfg, cav)])
+            pieces = [cmd_constants(cfg, cav, params)]
         elif args.command == "times":
-            _emit(path, [cmd_times(cfg, cav, args.delta_mhz)])
-            _window_note(args.delta_mhz)
+            pieces = [cmd_times(cfg, cav, params, delta_mhz)]
         elif args.command == "dynamics":
-            _emit(path, cmd_dynamics(cfg, cav, args.delta_mhz, args.t_max_ns,
-                                     args.dt_ps))
-            _window_note(args.delta_mhz)
+            pieces = cmd_dynamics(cfg, cav, params, delta_mhz, args.t_max_ns,
+                                  args.dt_ps)
         elif args.command == "scan":
-            _emit(path, cmd_scan(cfg, cav))
-        elif args.command == "validate":
+            pieces = cmd_scan(cfg, cav, params)
+        else:
             from .validate import cmd_validate   # no other command runs it
-            report, status = cmd_validate(cfg, cav)
-            _emit(None, [report])   # to stdout whatever output.path says
-            return status
+            report, status = cmd_validate(cfg, cav, params)
+            pieces = [report]
+        _emit(cfg.output.path, pieces)
+        if delta_mhz is not None:
+            _window_note(delta_mhz)
     except CavlossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -83,8 +83,9 @@ def resolve_params(config: HumanUnitsConfig, *,
                    allow_zero_gamma: bool = False) -> PhysicalParams:
     """Convert lab-unit species input to internal CGS values.
 
-    ``allow_zero_gamma`` admits gamma_a_mhz = 0 for decay-free dynamics
-    runs and self-validation; all else must be finite and > 0, in CGS too.
+    ``allow_zero_gamma`` admits gamma_a_mhz = 0, which only the decay-free
+    master-equation run (``cavloss dynamics``) can use; all else must be
+    finite and > 0, in CGS too.
     """
     lambda_nm = _require_positive("species.lambda_nm", config.lambda_nm)
     gamma_a_mhz = _require_positive("species.gamma_a_mhz", config.gamma_a_mhz,

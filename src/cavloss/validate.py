@@ -45,10 +45,9 @@ def _require(ok, claim: str, **samples) -> None:
     raise AssertionError(f"{claim} fails at sample {index}: {values}")
 
 
-def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig
-                       ) -> list[tuple[str, object]]:
+def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig,
+                       params: PhysicalParams) -> list[tuple[str, object]]:
     """Build the named invariant checks; each is a zero-arg callable."""
-    params = resolve_params(cfg.species, allow_zero_gamma=True)
     rng = np.random.default_rng(20250101)
     low, high = traploss_mod.DEFAULT_WINDOW_MHZ
     delta_samples = -rng.uniform(-high, -low, size=50) * TWO_PI_MHZ
@@ -65,8 +64,8 @@ def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig
                      f"{key.name} round-trip", given=want, resolved=got)
 
     def resolve_deterministic():
-        once, again = (np.array(tuple(resolve_params(
-            cfg.species, allow_zero_gamma=True))) for _ in range(2))
+        once, again = (np.array(tuple(resolve_params(cfg.species)))
+                       for _ in range(2))
         _require(once == again, "two resolutions agree",
                  field=list(PhysicalParams._fields),
                  once=once, again=again)
@@ -167,7 +166,7 @@ def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig
                  t_s=times, coherence=coherence, t_end_s=t_end)
 
     def regime_continuity():
-        gamma = params.gamma_mol if params.gamma_mol > 0.0 else 1.0
+        gamma = params.gamma_mol
         t_probe = np.array([[0.5], [2.0], [5.0]]) / gamma   # one row each
         omegas = 0.25 * gamma * (1.0 + np.array([0.0, -1.0e-9, 1.0e-9]))
         p = dynamics_mod.p_omega_analytic(t_probe, omegas, gamma)
@@ -225,11 +224,11 @@ def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig
     ]
 
 
-def cmd_validate(cfg: RunConfig, cav: cavity_mod.CavityConfig
-                 ) -> tuple[str, int]:
+def cmd_validate(cfg: RunConfig, cav: cavity_mod.CavityConfig,
+                 params: PhysicalParams) -> tuple[str, int]:
     """Run every invariant check; returns (report, exit status)."""
     lines = []
-    checks = _validation_checks(cfg, cav)
+    checks = _validation_checks(cfg, cav, params)
     for name, check in checks:
         try:
             with float_range(name):   # an overflow fails the check

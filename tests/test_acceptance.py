@@ -48,7 +48,7 @@ def verdict(name, ok, detail=""):
 
 
 def times_row():
-    text = cmd_times(CONFIG, cavity_config(CONFIG), -350.0)
+    text = cmd_times(CONFIG, cavity_config(CONFIG), RB85, -350.0)
     header, values = (line.split(",") for line in text.strip().splitlines())
     return dict(zip(header, map(float, values)))
 
@@ -104,7 +104,8 @@ def test_05_largest_phase():
 def test_06_single_rabi_and_geometry():
     cav = cavity_config(CONFIG)
     report = dict(line.split("=", 1)
-                  for line in cmd_constants(CONFIG, cav).strip().splitlines())
+                  for line in cmd_constants(CONFIG, cav, RB85)
+                  .strip().splitlines())
     omega = float(report["omega_single_mhz"])
     waist = float(report["waist_um"])
     volume = float(report["mode_volume_cm3"])

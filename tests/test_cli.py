@@ -656,13 +656,12 @@ class TestValidateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and f"{section}.{key}" in err
 
-    def test_zero_gamma_reports_loss_failures(self, capsys, tmp_path):
+    def test_zero_gamma_refused_before_any_check(self, capsys, tmp_path):
+        # every loss needs a decay: validate refuses the config as scan does
         config = write_config(tmp_path, {"species": {"gamma_a_mhz": 0.0}})
-        code, out, _ = run(capsys, ["--config", config, "validate"])
-        assert code == 1
-        assert "FAIL constants.resolve_round_trip" in out
-        assert "FAIL traploss.scan_identities" in out
-        assert "decay rate must be positive" in out
+        code, out, err = run(capsys, ["--config", config, "validate"])
+        assert (code, out) == (2, "")
+        assert err == "error: species.gamma_a_mhz must be positive, got 0.0\n"
 
     def test_tampered_g0_caught(self, capsys, monkeypatch):
         monkeypatch.setattr(kinematics, "g0_constant", lambda: 0.70)
@@ -670,18 +669,13 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL kinematics.g0_normalization" in out
 
-    def test_decay_free_microscopic_names_the_fields(self, capsys, tmp_path):
+    def test_decay_free_microscopic_refused_naming_gamma(self, capsys,
+                                                         tmp_path):
         config = write_config(tmp_path, {"species": {"gamma_a_mhz": 0.0},
                                          "coupling": {"mode": "microscopic"}})
-        code, out, _ = run(capsys, ["--config", config, "validate"])
-        assert code == 1
-        assert "division" not in out
-        failures = [line for line in out.splitlines()
-                    if line.startswith("FAIL")
-                    and not line.startswith("FAIL constants.")]
-        assert len(failures) == 5
-        for line in failures:
-            assert "species.gamma_a_mhz" in line and "coupling.mode" in line
+        code, out, err = run(capsys, ["--config", config, "validate"])
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: species.gamma_a_mhz ")
 
     @pytest.mark.parametrize("module, name, fake, check", [
         (validate, "to_human_units",
@@ -1060,7 +1054,9 @@ def test_values_out_of_float_range_are_refused(capsys, tmp_path, document,
     ({"coupling": {"mode": "microscopic", "delta_ref_mhz": -1e308}},
      "coupling.delta_ref_mhz"),
     ({"scan": {"from_mhz": -1e308}}, "scan.from_mhz"),
-], ids=["micro-blue-ref", "micro-huge-ref", "huge-from"])
+    ({"species": {"gamma_a_mhz": 0.0}, "coupling": {"mode": "microscopic"}},
+     "species.gamma_a_mhz"),
+], ids=["micro-blue-ref", "micro-huge-ref", "huge-from", "micro-zero-gamma"])
 def test_every_command_refuses_the_same_config(capsys, tmp_path, document,
                                                key, argv):
     # a config is valid or not whatever the command that reads it
@@ -1138,6 +1134,68 @@ def test_edge_values_run_clean_or_exit_2(tmp_path_factory, key, value, mode,
         assert not cells & {"inf", "-inf", "nan"}, out
 
 
+@pytest.mark.parametrize("argv", PROBE_COMMANDS, ids=lambda argv: argv[0])
+def test_every_command_resolves_the_species_once(capsys, monkeypatch, argv):
+    # main sets up the run; only dynamics admits gamma_a_mhz = 0
+    calls = []
+
+    def counted(species, **kwargs):
+        calls.append(kwargs)
+        return constants.resolve_params(species, **kwargs)
+
+    monkeypatch.setattr(cli, "resolve_params", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [{"allow_zero_gamma": argv[0] == "dynamics"}]
+
+
+@pytest.mark.parametrize("argv", PROBE_COMMANDS, ids=lambda argv: argv[0])
+def test_only_dynamics_admits_zero_gamma(capsys, tmp_path, argv):
+    # a decay-free pair still makes the collective Rabi oscillation, but
+    # no loss: every other command refuses it before it computes
+    config = write_config(tmp_path, {"species": {"gamma_a_mhz": 0.0}})
+    code = main(["--config", config] + argv)
+    out, err = capsys.readouterr()
+    if argv[0] == "dynamics":
+        assert (code, err) == (0, "") and out.startswith("t_s,")
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: species.gamma_a_mhz must be positive, got 0.0\n"
+
+
+def test_validate_writes_its_report_where_output_path_points(
+        capsys, monkeypatch, tmp_path):
+    code, report, _ = run(capsys, ["validate"])
+    assert code == 0
+    target = tmp_path / "report.txt"
+    config = write_config(tmp_path, {"output": {"path": str(target)}})
+    sinks = (["validate", "--output", str(target)],
+             ["--config", config, "validate"])
+    for argv in sinks:
+        assert run(capsys, argv) == (0, "", "")
+        assert target.read_bytes() == report.encode()
+        target.unlink()
+    monkeypatch.setattr(kinematics, "g0_constant", lambda: 0.70)
+    for argv in sinks:   # a failed check still exits 1, its report written
+        assert run(capsys, argv) == (1, "", "")
+        assert "FAIL kinematics.g0_normalization: " in target.read_text()
+        target.unlink()
+
+
+def test_validate_coupling_flag_is_the_config_key(capsys, monkeypatch,
+                                                  tmp_path):
+    config = write_config(tmp_path, {"coupling": {"mode": "microscopic"}})
+    flag = ["validate", "--coupling", "microscopic"]
+    key = ["--config", config, "validate"]
+    assert run(capsys, flag) == run(capsys, key)
+    # only the microscopic coupling reads the pair count
+    monkeypatch.setattr(cavity, "pair_count",
+                        lambda delta, cav, params: np.ones(np.shape(delta)))
+    failed = run(capsys, flag)
+    assert failed == run(capsys, key) and failed[0] == 1
+    assert "FAIL cavity.coupling_identity: " in failed[1]
+
+
 #: prints numpy's float64 exp kernel to stderr, then runs the CLI
 DISPATCH_CHILD = (
     "import sys\n"
@@ -1196,3 +1254,9 @@ def test_byte_gate_runs_are_named_once_and_use_every_config():
     used = {argv[argv.index("--config") + 1] for _, argv in runs
             if "--config" in argv}
     assert sorted(set(gate.CONFIGS) - used) == []
+    # every run that writes the output file has a twin without the flag
+    writers = [name for name, argv in runs if gate.OUTPUT in argv]
+    assert sorted(gate.output_twins(runs)) == sorted(writers) != []
+    readme = (path.parent.parent / "README.md").read_text()
+    stated = re.search(r"`scripts/same_bytes\.py` runs (\d+) CLI", readme)
+    assert int(stated.group(1)) == len(gate.RUNS)

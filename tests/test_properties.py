@@ -183,7 +183,8 @@ def validate_documents(draw):
 def test_validate_passes_on_valid_configs(document):
     # a FAIL is a defect of the program, never of a valid config
     cfg = build_run_config(document)
-    report, status = cmd_validate(cfg, cavity_config(cfg))
+    report, status = cmd_validate(cfg, cavity_config(cfg),
+                                  resolve_params(cfg.species))
     assert status == 0, report
 
 
