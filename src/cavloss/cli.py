@@ -347,12 +347,19 @@ def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, params: PhysicalParams,
     t_max_s, dt_s = dynamics_mod.default_run(omega_tilde, gamma, t_max_s, dt_s)
     steps = t_max_s / dt_s
     if steps - 1.0e-9 > dynamics_mod.MAX_STEPS:   # integrate_grid's cap
-        given = [f"{flag} {value!r}" for flag, value
-                 in (("--t-max-ns", t_max_ns), ("--dt-ps", dt_ps))
-                 if value is not None]
-        if t_max_ns is None and gamma > 0.0:   # the default length 5/Gamma_mol
-            given.insert(0, f"species.gamma_a_mhz {cfg.species.gamma_a_mhz!r}")
-        raise DomainError(f"{' with '.join(given)} gives a run of {steps:.6g} "
+        # a default is named by the rate that set it: the default length is
+        # 5/Gamma_mol, or five Rabi cycles without decay, and the default
+        # step follows the faster of the coupling and Gamma_mol
+        coupling = f"the coupling at --delta-mhz {delta_mhz!r}"
+        decay = f"species.gamma_a_mhz {cfg.species.gamma_a_mhz!r}"
+        length = (f"--t-max-ns {t_max_ns!r}" if t_max_ns is not None else
+                  f"the default length set by "
+                  f"{decay if gamma > 0.0 else coupling}")
+        step_by_decay = dt_max == dynamics_mod.max_stable_dt(0.0, gamma)
+        step = (f"--dt-ps {dt_ps!r}" if dt_ps is not None else
+                f"the default step set by "
+                f"{decay if step_by_decay else coupling}")
+        raise DomainError(f"{length} with {step} gives a run of {steps:.6g} "
                           f"steps, over the cap of {dynamics_mod.MAX_STEPS}")
     times, states = dynamics_mod.integrate_grid(
         dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s,

@@ -12,23 +12,26 @@ and the fraction of it spent inside the resonant region R_e < R < R_C
 with g0 = B(5/6, 1/2)/3 = Gamma(5/6) Gamma(1/2) / (3 Gamma(4/3)) = 0.7468342
 the r -> 0 value of the integral, which normalizes f to one.
 
-The integrand has an integrable singularity at u = 1.  For r >= 1/2,
-u = 1 - s^2 removes it exactly,
+The integrand has an integrable singularity at u = 1, and the integral
+is evaluated in two forms, each a fixed polynomial (Trefethen,
+*Approximation Theory and Approximation Practice*, SIAM 2013):
 
-    du / sqrt(u^-3 - 1) = 2*(1 - s^2)^(3/2) / sqrt(3 - 3*s^2 + s^4) ds,
+    r >= 1/2:  sqrt(y) * P(y),              y = 1 - r <= 1/2,
+    r <  1/2:  g0 - r*r*sqrt(r) * Q(r^3),   r^3 < 1/8,
 
-analytic on 0 <= s <= sqrt(1 - r).  For r < 1/2 that range would reach
-the branch point at s = 1, so the integral is g0 minus the head
-integral_0^r, which u = t^2 turns into 2*t^4 / sqrt(1 - t^6) dt on
-0 <= t <= sqrt(r).  Each form takes one fixed 14-node Gauss-Legendre rule
-(Golub & Welsch, Math. Comp. 23, 1969), exact to rounding (~3e-16
-absolute) for every r in [0, 1].  The rule evaluates its integrand on
-blocks of nodes times a whole grid of r, as many nodes per numpy call as
-fit a fixed element budget (all 14 for a short grid, one for a long
-one), and adds the weighted values in node order, so every element gets
-the same bits whatever the grid size.  Every time scale here, and the
-time bundle of :func:`collision_times`, is elementwise over detunings
-(see :mod:`cavloss.grid`).
+where u = 1 - y*t^2 (tail) and u = r*t^2 (head) turn P and Q into
+integrals over 0 <= t <= 1 of functions analytic in y and r^3.  P is
+singular at y = 1 (r = 0) and Q at r = 1, so each form serves the half
+of [0, 1] away from its singularity.  P (degree 15) and Q (degree 9) are
+near-minimax Chebyshev fits within 2e-17 of their functions, written as
+literals by ``scripts/infall_coefficients.py``.  Horner's rule evaluates
+them with ``+``, ``*`` and ``sqrt`` alone, each correctly rounded by
+every numpy kernel, so the result is within ~4e-16 absolute of the
+integral for every r in [0, 1], its bits do not depend on numpy's CPU
+dispatch, and every element of a grid gets the bits of its one-point
+call.  Every time scale here, and the time bundle of
+:func:`collision_times`, is elementwise over detunings (see
+:mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
@@ -45,25 +48,20 @@ from .potential import ResonanceGeometry, escape_ratio, resonance_geometry
 #: closed-form normalization B(5/6, 1/2)/3 of the in-fall integral
 _G0 = math.gamma(5.0 / 6.0) * math.gamma(0.5) / (3.0 * math.gamma(4.0 / 3.0))
 
-#: 14-node Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss(14)
-#: to the bit, then mapped to [0, 1]; 13 nodes leave 2e-15
-_NODES = np.array([
-    -0.9862838086968124, -0.9284348836635735, -0.827201315069765,
-    -0.6872929048116855, -0.5152486363581541, -0.31911236892788974,
-    -0.10805494870734367, 0.10805494870734367, 0.31911236892788974,
-    0.5152486363581541, 0.6872929048116855, 0.827201315069765,
-    0.9284348836635735, 0.9862838086968124])
-_WEIGHTS = np.array([
-    0.03511946033175175, 0.08015808715975999, 0.12151857068790331,
-    0.15720316715819363, 0.18553839747793788, 0.20519846372129572,
-    0.21526385346315793, 0.21526385346315793, 0.20519846372129572,
-    0.18553839747793788, 0.15720316715819363, 0.12151857068790331,
-    0.08015808715975999, 0.03511946033175175])
-_NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
-
-#: integrand values per numpy call: a grid of up to 292 points takes all
-#: 14 nodes in one block, one of more than 2 048 points one node per block
-_BLOCK_ELEMENTS = 4096
+# the two fits of the module docstring, as scripts/infall_coefficients.py
+# prints them
+#: P(y) on 0 <= y <= 0.5, degree 15, highest power first
+_TAIL = (0.001959504401982224, -0.0054750284384157116, 0.007615014469875167,
+         -0.006270436653651016, 0.003675236226316145, -0.0012573093833364226,
+         0.0007425183955978003, 0.0006161029957716316, 0.0014382724881588282,
+         0.0026715683213718727, 0.004373964045112365, 0.005345831143051738,
+         1.3421666711987682e-10, -0.03849001794798751, -0.38490017945973864,
+         1.1547005383792515)
+#: Q(w) on 0 <= w <= 0.125, degree 9, highest power first
+_HEAD = (0.011058697269755882, 0.006006304603631226, 0.009130835819994715,
+         0.010984325392075915, 0.014063613314394026, 0.018857720876936605,
+         0.027173913775378176, 0.04411764705163836, 0.0909090909091182,
+         0.39999999999999997)
 
 
 class CollisionTimes(NamedTuple):
@@ -82,43 +80,28 @@ class CollisionTimes(NamedTuple):
     geometry: Optional[ResonanceGeometry] = None
 
 
-def _regular_integrand(s: np.ndarray) -> np.ndarray:
-    # integrand after u = 1 - s^2; analytic on [0, 1)
-    s2 = s * s
-    return 2.0 * (1.0 - s2) ** 1.5 / np.sqrt(3.0 - 3.0 * s2 + s2 * s2)
-
-
-def _head_integrand(t: np.ndarray) -> np.ndarray:
-    # integrand after u = t^2; analytic on [0, 1)
-    t2 = t * t
-    return 2.0 * t2 * t2 / np.sqrt(1.0 - t2 * t2 * t2)
-
-
-def _gauss_legendre(integrand, upper: np.ndarray) -> np.ndarray:
-    # The weighted values are added one node at a time in node order, as
-    # with one node per block: a matmul or an axis sum would reorder the
-    # additions and move the last bit, and a grid row would then differ
-    # from the same detuning computed alone.
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(upper)))
-    total = 0.0
-    for start in range(0, len(_NODES), step):
-        nodes = slice(start, start + step)
-        for value in (_WEIGHTS[nodes, None]
-                      * integrand(_NODES[nodes, None] * upper)):
-            total = total + value
-    return upper * total
+def _horner(coefficients: tuple, x: np.ndarray) -> np.ndarray:
+    # in place: one pass per operation, and no temporary array after the first
+    total = coefficients[0] * x
+    for c in coefficients[1:-1]:
+        total += c
+        total *= x
+    total += coefficients[-1]
+    return total
 
 
 def _infall_integral(r_ratio):
     """integral_r^1 du/sqrt(u^-3 - 1), elementwise."""
     grid = as_grid(r_ratio)
     r = grid.ravel()
-    # the tail form is finite on all of [0, 1]; r < 1/2 takes the head form
-    value = _gauss_legendre(_regular_integrand, np.sqrt(1.0 - r))
+    y = 1.0 - r
+    value = np.sqrt(y) * _horner(_TAIL, y)
     head = r < 0.5
     if np.count_nonzero(head):
+        r = r[head]
+        r2 = r * r
         # _G0, not g0_constant(), so that validate catches a replaced accessor
-        value[head] = _G0 - _gauss_legendre(_head_integrand, np.sqrt(r[head]))
+        value[head] = _G0 - r2 * np.sqrt(r) * _horner(_HEAD, r2 * r)
     return like(value.reshape(grid.shape), r_ratio)
 
 

@@ -3,11 +3,11 @@
 Everything here is deliberately written from the defining expressions,
 not from the production code paths: the quadrature oracle is composite
 Simpson on the raw transformed integrand, the time-scale oracle chains
-the closed formulas with its own constant literals, the Gauss-Legendre
-reference adds the 14 weighted nodes one call at a time, the damped
-oscillation reference evaluates the textbook form naively, the
-master-equation reference takes RK4 steps one at a time in complex
-arithmetic, and the CSV reference formats every row with ``%``.
+the closed formulas with its own constant literals, the in-fall
+reference takes a 40-node Gauss-Legendre rule of the integral's two
+forms, the damped oscillation reference evaluates the textbook form
+naively, the master-equation reference takes RK4 steps one at a time in
+complex arithmetic, and the CSV reference formats every row with ``%``.
 """
 
 from __future__ import annotations
@@ -48,19 +48,28 @@ def infall_integral_oracle(r_ratio: float, panels: int = 1_000_000) -> float:
                       + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
-def gauss_legendre_oracle(integrand, upper: np.ndarray) -> np.ndarray:
-    """The 14-node Gauss-Legendre rule on [0, upper], one node per call.
+def infall_integral_reference(r_ratio: np.ndarray) -> np.ndarray:
+    """integral_r^1 du/sqrt(u^-3 - 1) by numpy's 40-node Gauss-Legendre rule.
 
-    ``integrand`` is evaluated on ``upper`` times one node at a time, and
-    the weighted values are added in node order; each element sees the
-    operations of the blocked rule in :mod:`cavloss.kinematics`, so the
-    two agree bit for bit.
+    For r >= 1/2 the rule takes 2*(1 - s^2)^(3/2)/sqrt(3 - 3*s^2 + s^4) on
+    0 <= s <= sqrt(1 - r) (u = 1 - s^2); for r < 1/2 it takes
+    B(5/6, 1/2)/3 minus 2*t^4/sqrt(1 - t^6) on 0 <= t <= sqrt(r) (u = t^2).
+    Each form is analytic on its range, and the weighted nodes are summed
+    by a matrix product.
     """
-    nodes, weights = leggauss(14)
-    total = 0.0
-    for x, w in zip((0.5 * (nodes + 1.0)).tolist(), (0.5 * weights).tolist()):
-        total = total + w * integrand(upper * x)
-    return upper * total
+    nodes, weights = leggauss(40)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+
+    def rule(integrand, upper):
+        return upper * (integrand(np.outer(upper, nodes)) @ weights)
+
+    value = rule(lambda s: 2.0 * (1.0 - s * s) ** 1.5
+                 / np.sqrt(3.0 - 3.0 * s * s + s**4), np.sqrt(1.0 - r_ratio))
+    head = r_ratio < 0.5
+    g0 = math.gamma(5.0 / 6.0) * math.gamma(0.5) / (3.0 * math.gamma(4.0 / 3.0))
+    value[head] = g0 - rule(lambda t: 2.0 * t**4 / np.sqrt(1.0 - t**6),
+                            np.sqrt(r_ratio[head]))
+    return value
 
 
 def g0_oracle(panels: int = 1_000_000) -> float:

@@ -285,12 +285,15 @@ class TestDynamicsCommand:
         ("--dt-ps", "1e-320", "--dt-ps must be positive, got 1e-320"),
         ("--dt-ps", "1000", "--dt-ps 1000.0 exceeds the ceiling of about "
                             "25.0028 ps (200 steps per fastest cycle)"),
-        ("--t-max-ns", "1e6", "--t-max-ns 1000000.0 gives a run of "
-                              "3.99955e+08 steps, over the cap of 1000000"),
+        # the default step is set by the coupling at the detuning
+        ("--t-max-ns", "1e6", "--t-max-ns 1000000.0 with the default step "
+                              "set by the coupling at --delta-mhz -350.0 "
+                              "gives a run of 3.99955e+08 steps, over the "
+                              "cap of 1000000"),
         # the default length 5/Gamma_mol is set by the species
-        ("--dt-ps", "1e-6", "species.gamma_a_mhz 6.0 with --dt-ps 1e-06 gives "
-                            "a run of 6.63146e+10 steps, over the cap of "
-                            "1000000"),
+        ("--dt-ps", "1e-6", "the default length set by species.gamma_a_mhz "
+                            "6.0 with --dt-ps 1e-06 gives a run of "
+                            "6.63146e+10 steps, over the cap of 1000000"),
     ])
     def test_refused_flag_is_named_in_its_unit(self, capsys, flag, value,
                                                message):
@@ -303,6 +306,40 @@ class TestDynamicsCommand:
                                       "--t-max-ns", "1e6"])
         assert code == 2 and out == ""
         assert "cap" in err
+
+    @pytest.mark.parametrize("document, argv, message", [
+        # a strong coupling sets the default step, not the decay rate that
+        # sets the default length
+        *((document, [], "the default length set by species.gamma_a_mhz 6.0 "
+                         "with the default step set by the coupling at "
+                         f"--delta-mhz -350.0 gives a run of {steps} steps")
+          for document, steps in (
+              ({"coupling": {"omega_tilde_ref_mhz": 1e30}}, "1.32629e+32"),
+              ({"coupling": {"mode": "microscopic"},
+                "cavity": {"n_atoms": 1e30}}, "6.58815e+14"),
+              ({"coupling": {"mode": "microscopic"},
+                "cavity": {"density_cm3": 1e30}}, "4.65852e+12"),
+              ({"coupling": {"mode": "microscopic"},
+                "cavity": {"length_cm": 1e-30}}, "2.94631e+34"),
+              ({"coupling": {"mode": "microscopic"},
+                "species": {"c3_erg_ang3": 1e30}}, "2.8092e+24"))),
+        # without decay the default length is five Rabi cycles
+        ({"species": {"gamma_a_mhz": 0.0}}, ["--dt-ps", "1e-6"],
+         "the default length set by the coupling at --delta-mhz -350.0 with "
+         "--dt-ps 1e-06 gives a run of 2.5e+10 steps"),
+        # a decay faster than the coupling sets the default step
+        ({"species": {"gamma_a_mhz": 1e6}}, ["--t-max-ns", "1e6"],
+         "--t-max-ns 1000000.0 with the default step set by "
+         "species.gamma_a_mhz 1000000.0 gives a run of 4e+12 steps"),
+    ], ids=["omega-ref", "n-atoms", "density", "length", "c3",
+            "decay-free-length", "decay-step"])
+    def test_step_cap_names_what_set_length_and_step(self, capsys, tmp_path,
+                                                     document, argv, message):
+        config = write_config(tmp_path, document)
+        code, out, err = run(capsys, ["--config", config, "dynamics",
+                                      "--delta-mhz", "-350", *argv])
+        assert (code, out, err) == (
+            2, "", f"error: {message}, over the cap of 1000000\n")
 
     def test_decay_free_microscopic_exits_2(self, capsys, tmp_path):
         # the microscopic pair count scales as 1/Gamma_mol
@@ -1002,8 +1039,9 @@ def test_cli_import_builds_only_what_every_command_needs(tmp_path):
      "floating-point range in rad/s, got -1e+308\n"),
     # the dynamics step cap names what set the run length
     ({"species": {"gamma_a_mhz": 1e-320}}, ["dynamics", "--delta-mhz", "-350"],
-     2, "error: species.gamma_a_mhz 1e-320 gives a run of inf steps, over "
-        "the cap of 1000000\n"),
+     2, "error: the default length set by species.gamma_a_mhz 1e-320 with "
+        "the default step set by the coupling at --delta-mhz -350.0 gives a "
+        "run of inf steps, over the cap of 1000000\n"),
     ({}, ["dynamics", "--delta-mhz", "-350", "--t-max-ns", "1e6"], 2,
      "--t-max-ns 1000000.0"),
     ({"scan": {"include_p_excite": True}, "coupling": {"v_inf_cm_s": 1e-320}},

@@ -1,6 +1,11 @@
 """Kinematics: normalization constant, resonant fraction, in-fall times."""
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +15,7 @@ from cavloss import (DomainError, HumanUnitsConfig, collision_times,
                      total_time)
 from cavloss.kinematics import _infall_integral
 from oracles import (TWO_PI_MHZ, DenseFractionOracle, fraction_oracle,
-                     g0_oracle, gauss_legendre_oracle, infall_integral_oracle,
-                     total_time_oracle)
+                     g0_oracle, infall_integral_reference, total_time_oracle)
 
 RB85 = resolve_params(HumanUnitsConfig())
 
@@ -45,51 +49,91 @@ class TestG0:
         assert abs(_infall_integral(0.5) - below) <= 1.0e-15
 
 
-def node_by_node(r_ratio):
-    """_infall_integral with the rule taken one node per call."""
-    tail = r_ratio >= 0.5
-    value = np.empty_like(r_ratio)
-    value[tail] = gauss_legendre_oracle(kinematics._regular_integrand,
-                                        np.sqrt(1.0 - r_ratio[tail]))
-    value[~tail] = g0_constant() - gauss_legendre_oracle(
-        kinematics._head_integrand, np.sqrt(r_ratio[~tail]))
-    return value
+#: the kernel that numpy dispatches for float64 exp, and the sha256 of the
+#: in-fall integral over 100 000 uniform r in [0, 1)
+DISPATCH_CHILD = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from cavloss.kinematics import _infall_integral\n"
+    "info = np.lib.introspect.opt_func_info(func_name='^exp$', "
+    "signature='float64')\n"
+    "print(*(kernel['current'] for signatures in info.values() "
+    "for kernel in signatures.values()))\n"
+    "r = np.random.default_rng(0).uniform(0.0, 1.0, 100_000)\n"
+    "print(hashlib.sha256(_infall_integral(r).tobytes()).hexdigest())\n")
 
 
-#: grid sizes at the rule's block edges: 14 nodes per block up to
-#: BUDGET // 14 points and 13 just past it; BUDGET // n falls to 0 past
-#: BUDGET, where the rule still takes one node per block
-BUDGET = kinematics._BLOCK_ELEMENTS
-BLOCK_EDGES = [1, 2, 3, BUDGET // 14, BUDGET // 14 + 1,
-               BUDGET - 1, BUDGET, BUDGET + 1, 20_000]
+#: r at the ends of the two forms and at the bottom of the float range
+EDGES = [0.0, 0.5, math.nextafter(0.5, 0.0), 1.0e-300, 1.0]
+
+#: r ranges of the head form, the tail form and both
+RANGES = {"head": (0.0, math.nextafter(0.5, 0.0)), "tail": (0.5, 1.0),
+          "mixed": (0.0, 1.0)}
 
 
-class TestBlockedRule:
-    @pytest.mark.parametrize("size", BLOCK_EDGES)
-    @pytest.mark.parametrize("low, high", [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)],
-                             ids=["head", "tail", "mixed"])
-    def test_equals_node_by_node_bitwise(self, size, low, high):
-        r_ratio = np.random.default_rng(size).uniform(low, high, size)
-        assert _infall_integral(r_ratio).tobytes() \
-            == node_by_node(r_ratio).tobytes()
+def with_edges(size, low=0.0, high=1.0, seed=7):
+    """``size`` uniform r in [low, high], led by the edges that lie there."""
+    r_ratio = np.random.default_rng(seed).uniform(low, high, size)
+    edges = [r for r in EDGES if low <= r <= high][:size]
+    r_ratio[:len(edges)] = edges
+    return r_ratio
 
-    def test_literals_are_numpy_leggauss_bitwise(self):
-        # the rule is written out so that importing it costs no
-        # numpy.polynomial; the literals must be leggauss(14) to the bit
-        from numpy.polynomial.legendre import leggauss
-        nodes, weights = leggauss(14)
-        assert [x.hex() for x in kinematics._NODES.tolist()] \
-            == [x.hex() for x in (0.5 * (nodes + 1.0)).tolist()]
-        assert [w.hex() for w in kinematics._WEIGHTS.tolist()] \
-            == [w.hex() for w in (0.5 * weights).tolist()]
 
-    def test_grid_elements_equal_single_points_bitwise(self):
+class TestPolynomialRule:
+    def test_within_5e16_of_a_40_node_rule(self):
+        # a bound on agreement with that rule, not on the error: just below
+        # r = 1/2 the reference is itself ~7e-16 off, as numpy's leggauss(40)
+        # nodes are not exact to rounding
+        r_ratio = np.concatenate([np.linspace(0.0, 1.0, 200_001),
+                                  with_edges(5)])
+        error = np.abs(_infall_integral(r_ratio)
+                       - infall_integral_reference(r_ratio))
+        assert error.max() <= 5.0e-16
+
+    def test_limits_are_exact(self):
+        assert _infall_integral(0.0) == kinematics._G0
+        assert _infall_integral(1.0e-300) == kinematics._G0
+        assert _infall_integral(1.0) == 0.0
+
+    @pytest.mark.parametrize("size, forms", [
+        *((size, forms) for size in (1, 2, 3, 40, 300, 2048)
+          for forms in RANGES), (20_050, "mixed")])
+    def test_grid_elements_equal_single_points_bitwise(self, size, forms):
         # the tail form runs over the whole grid and the head form is
         # written over r < 1/2, yet each element keeps its one-point bits
-        r_ratio = np.random.default_rng(7).uniform(0.0, 1.0, 300)
-        r_ratio[:4] = [0.0, 0.5, math.nextafter(0.5, 0.0), 1.0]
+        r_ratio = with_edges(size, *RANGES[forms], seed=size)
         alone = [_infall_integral(r) for r in r_ratio.tolist()]
         assert _infall_integral(r_ratio).tobytes() == np.array(alone).tobytes()
+
+    def test_same_bits_under_another_numpy_dispatch(self):
+        # only +, * and sqrt, each correctly rounded by every kernel
+        src = str(Path(kinematics.__file__).resolve().parent.parent)
+        default = dict(os.environ, PYTHONPATH=src)
+        runs = [subprocess.run([sys.executable, "-c", DISPATCH_CHILD],
+                               env=env, capture_output=True, text=True,
+                               check=True).stdout.split("\n")[:2]
+                for env in (default, dict(default, NPY_DISABLE_CPU_FEATURES=
+                                          "AVX512_SPR AVX512_ICL X86_V4"))]
+        (dispatch, digest), (other_dispatch, other_digest) = runs
+        if other_dispatch == dispatch:
+            pytest.skip(f"numpy dispatches float64 exp to {dispatch} with the "
+                        f"AVX-512 kernels off too, so nothing can move")
+        assert other_digest == digest
+
+    def test_numpy_fit_reproduces_the_literals(self):
+        # the float64 fallback of the script that wrote the literals
+        path = Path(__file__).resolve().parent.parent / "scripts" \
+            / "infall_coefficients.py"
+        spec = importlib.util.spec_from_file_location("coefficients", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        for name, _, upper, degree in script.FITS:
+            literal = getattr(kinematics, name)
+            assert len(literal) == degree + 1
+            fit = script.fit_numpy(name, upper, degree)
+            x = np.linspace(0.0, upper, 10_001)
+            assert np.abs(np.polyval(fit, x)
+                          - np.polyval(literal, x)).max() <= 2.0e-15
 
 
 class TestFraction:
