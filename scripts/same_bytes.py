@@ -108,9 +108,9 @@ OUTPUT = "out.csv"
 #: --coupling and writing to --output,
 #: analytic scans whose grids take one damping form or mix two or three,
 #: a scan whose escape ratios lie on both sides of 1/2, output files, an
-#: output path in a missing directory, and constants and dynamics runs
-#: whose builtin floats divide by zero, overflow with an error or overflow
-#: to inf without one
+#: output path in a missing directory, an empty output path, and constants
+#: and dynamics runs whose builtin floats divide by zero, overflow with an
+#: error or overflow to inf without one
 RUNS = [
     ("times-350", ["times", "--delta-mhz", "-350"]),
     ("times-700", ["times", "--delta-mhz", "-700"]),
@@ -205,6 +205,7 @@ RUNS = [
     ("validate-overflowing-from", ["--config", "overflowing_from.json",
                                    "validate"]),
     ("scan-output-missing-dir", ["scan", "--output", "missing/" + OUTPUT]),
+    ("constants-empty-output", ["constants", "--output", ""]),
     ("validate-decay-free-micro", ["--config", "decay_free_micro.json",
                                    "validate"]),
     ("validate-output", ["validate", "--output", OUTPUT]),

@@ -362,9 +362,8 @@ def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, params: PhysicalParams,
         raise DomainError(f"{length} with {step} gives a run of {steps:.6g} "
                           f"steps, over the cap of {dynamics_mod.MAX_STEPS}")
     times, states = dynamics_mod.integrate_grid(
-        dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s,
-        components=(0, 1, 2))
-    p_e, p_g, p_v = states.T
+        dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s)
+    p_e, p_g, p_v = states[:, :3].T
     analytic = dynamics_mod.p_omega_analytic(times, omega_tilde, gamma)
     columns = [times, p_e, analytic, p_g, p_v, np.abs(p_e - analytic),
                p_e + p_g + p_v]
@@ -496,13 +495,14 @@ def _emit(path: Optional[str], pieces: Iterable[str]) -> None:
     """Write the text pieces to the file at ``path``, or to stdout if None;
     a sink that cannot be opened or written is refused by name."""
     try:
-        with (open(path, "w", encoding="utf-8", newline="")
-              if path else contextlib.nullcontext(sys.stdout)) as sink:
+        with (contextlib.nullcontext(sys.stdout) if path is None else
+              open(path, "w", encoding="utf-8", newline="")) as sink:
             for piece in pieces:
                 sink.write(piece)
             sink.flush()
     except OSError as exc:
-        sink_name = f"output.path (--output) {path!r}" if path else "stdout"
+        sink_name = ("stdout" if path is None
+                     else f"output.path (--output) {path!r}")
         raise ConfigError(f"cannot write {sink_name}: "
                           f"{exc.strerror or exc}") from exc
 

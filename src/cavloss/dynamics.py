@@ -32,11 +32,14 @@ alike.  The analytic one computes each damping branch on its own
 elements; its branch index is the only damping classification.  The
 ``dynamics`` CSV takes them over all its samples at once.
 
-The state is the real 9-vector
+Re c_eg, c_ev and c_gv are fed by nothing but themselves (the drive
+i*W*(p_e - p_g) of c_eg is imaginary), so from a start where they are 0,
+such as the excited state, they stay exactly 0 and are left out.  The
+state is the real 4-vector
 
-    y = (p_e, p_g, p_v, Re c_eg, Im c_eg, Re c_ev, Im c_ev, Re c_gv, Im c_gv),
+    y = (p_e, p_g, p_v, Im c_eg),
 
-on which the equations read dy/dt = A*y with a constant 9x9 generator A.
+on which the equations read dy/dt = A*y with a constant 4x4 generator A.
 Numerical integration is classical fixed-step RK4: the system is linear
 with known stiffest rate max(b, G), so adaptivity buys nothing and
 fixed steps keep runs bit-for-bit reproducible.  One RK4 step of size h
@@ -48,10 +51,9 @@ RK4's stability polynomial.  Sample n is M^n*y0.  The samples come from
 blocked powers (Higham, Functions of Matrices, SIAM 2008, ch. 4): with
 a block length B near sqrt(n), the stack M^j for j < B and the block
 starts (M^B)^b*y0 are built by about 2*sqrt(n) small products, and one
-einsum combines them into every sample M^(b*B + j)*y0, computing only
-the components asked for (``dynamics`` prints p_e, p_g and p_v).  The
-method, its step and its fourth order are those of the step-by-step loop;
-only the rounding differs, and no Python loop runs per step.
+einsum combines them into every sample M^(b*B + j)*y0.  The method, its
+step and its fourth order are those of the step-by-step loop; only the
+rounding differs, and no Python loop runs per step.
 """
 
 from __future__ import annotations
@@ -71,24 +73,17 @@ STEPS_PER_CYCLE = 200
 MAX_STEPS = 1_000_000
 
 #: the system prepared in the collective excited state, read-only
-EXCITED_STATE = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+EXCITED_STATE = np.array([1.0, 0.0, 0.0, 0.0])
 EXCITED_STATE.flags.writeable = False
 
 
 def generator(omega_tilde: float, gamma: float) -> np.ndarray:
-    """Real 9x9 generator A: the state y obeys dy/dt = A @ y."""
-    w, g, half_g = omega_tilde, gamma, 0.5 * gamma
-    a = np.zeros((9, 9))
-    a[0, 0], a[0, 4] = -g, -2.0 * w           # p_e
-    a[1, 4] = 2.0 * w                         # p_g
-    a[2, 0] = g                               # p_v
-    a[3, 3] = -half_g                         # Re c_eg
-    a[4, 4], a[4, 0], a[4, 1] = -half_g, w, -w   # Im c_eg
-    a[5, 5], a[5, 8] = -half_g, w             # Re c_ev
-    a[6, 6], a[6, 7] = -half_g, -w            # Im c_ev
-    a[7, 6] = w                               # Re c_gv
-    a[8, 5] = -w                              # Im c_gv
-    return a
+    """Real 4x4 generator A: the state y obeys dy/dt = A @ y."""
+    w, g = omega_tilde, gamma
+    return np.array([[-g, 0.0, 0.0, -2.0 * w],        # p_e
+                     [0.0, 0.0, 0.0, 2.0 * w],        # p_g
+                     [g, 0.0, 0.0, 0.0],              # p_v
+                     [w, -w, 0.0, -0.5 * g]])         # Im c_eg
 
 
 def max_stable_dt(omega_tilde: float, gamma: float) -> float:
@@ -151,23 +146,20 @@ def _orbit(m: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
 
 
 def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
-                   t_end: float, dt: float, *,
-                   components=range(9)) -> tuple[np.ndarray, np.ndarray]:
+                   t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 over [0, t_end] from the state ``initial``.
 
     Returns ``(times, states)`` with ``times = arange(n + 1) * h`` and
-    ``states[k]`` the given ``components`` of the state after k steps, one
-    row per sample.  Each component is the same dot product whichever
-    others are asked for, so ``states`` equals those columns of the full
-    state bit for bit.  The step h is ``dt`` shrunk slightly so an integer
+    ``states[k]`` the state (p_e, p_g, p_v, Im c_eg) after k steps, one
+    row per sample.  The step h is ``dt`` shrunk slightly so an integer
     number n of steps lands exactly on ``t_end``.  A start state other
-    than 9 reals is refused, not cast; so are steps coarser than
+    than 4 reals is refused, not cast; so are steps coarser than
     :func:`max_stable_dt` and a run of more than :data:`MAX_STEPS` steps,
     before anything is allocated.
     """
     start = np.asarray(initial)
-    if start.shape != (9,) or start.dtype.kind not in "fiu":
-        raise DomainError(f"initial state must be 9 reals, got a "
+    if start.shape != (4,) or start.dtype.kind not in "fiu":
+        raise DomainError(f"initial state must be 4 reals, got a "
                           f"{start.dtype} array of shape {start.shape}")
     if not dt > 0.0:   # NaN fails too
         raise DomainError(f"dt must be positive, got {dt!r}")
@@ -189,12 +181,9 @@ def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
     # sample k = b*block + j is M^j @ (M^block)^b @ y0
     block = math.isqrt(n_steps) + 1   # block**2 >= n_steps + 1 samples
     count = -(-(n_steps + 1) // block)
-    inner = _orbit(step, np.eye(9), block)
+    inner = _orbit(step, np.eye(4), block)
     bases = _orbit(inner[-1] @ step, start, count)
-    # a contiguous copy of the rows asked for: a strided view runs no faster
-    # than all nine
-    rows = np.ascontiguousarray(inner[:, list(components)])
-    states = np.einsum("jik,bk->bji", rows, bases).reshape(count * block, -1)
+    states = np.einsum("jik,bk->bji", inner, bases).reshape(count * block, -1)
     return np.arange(n_steps + 1) * h, states[:n_steps + 1]
 
 

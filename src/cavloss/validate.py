@@ -161,9 +161,6 @@ def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig,
         trace = p_e + p_g + p_v
         _require(np.abs(trace - 1.0) <= 1.0e-10, "trace = 1 to 1e-10",
                  t_s=times, trace=trace, t_end_s=t_end)
-        coherence = np.hypot(states[:, 5::2], states[:, 6::2]).max(axis=1)
-        _require(coherence <= 1.0e-12, "decoupled coherences stay 0",
-                 t_s=times, coherence=coherence, t_end_s=t_end)
 
     def regime_continuity():
         gamma = params.gamma_mol

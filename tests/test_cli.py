@@ -35,7 +35,7 @@ def moved_component(row, integrate=dynamics.integrate_grid):
     """A fake integrate_grid: the integrator's states, component ``row`` + 1."""
     def fake(*args, **kwargs):
         times, states = integrate(*args, **kwargs)
-        return times, states + np.eye(9)[row]
+        return times, states + np.eye(4)[row]
     return fake
 
 
@@ -734,8 +734,6 @@ class TestValidateCommand:
          "dynamics.fidelity: p_e = analytic"),
         (dynamics, "integrate_grid", moved_component(2),   # p_v, not p_e
          "dynamics.fidelity: trace = 1"),
-        (dynamics, "integrate_grid", moved_component(5),   # Re c_ev
-         "dynamics.fidelity: decoupled coherences stay 0"),
         (dynamics, "p_omega_analytic",   # a step at W = gamma/4
          lambda t, omega, gamma: (np.asarray(omega) > gamma / 4.0)
          + 0.0 * np.asarray(t),
@@ -908,20 +906,29 @@ def test_refused_run_writes_nothing(capsys, tmp_path, argv):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("target", ["missing/out.csv", "."],
-                         ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/out.csv", errno.ENOENT), (".", errno.EISDIR), ("", errno.ENOENT),
+], ids=["missing-dir", "a-dir", "empty"])
+@pytest.mark.parametrize("spelling", ["flag", "config"])
 @pytest.mark.parametrize("argv", [["constants"], ["scan"]],
                          ids=lambda argv: argv[0])
 def test_unwritable_output_path_exits_2_naming_it(capsys, tmp_path,
-                                                  monkeypatch, argv, target):
-    # a missing directory or a directory itself: no file is created
+                                                  monkeypatch, argv, target,
+                                                  reason, spelling):
+    # a missing directory, a directory itself or an empty path, which is a
+    # path like any other and not stdout: no file is created
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, argv + ["--output", target])
-    reason = os.strerror(errno.ENOENT if "/" in target else errno.EISDIR)
+    if spelling == "flag":
+        argv = argv + ["--output", target]
+    else:
+        argv = ["--config", write_config(
+            tmp_path, {"output": {"path": target}})] + argv
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, argv)
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert err.startswith("error: ") and "output.path (--output)" in err
-    assert repr(target) in err and reason in err
-    assert list(tmp_path.iterdir()) == []
+    assert repr(target) in err and os.strerror(reason) in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def cli_child(argv, stdout):

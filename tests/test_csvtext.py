@@ -385,8 +385,8 @@ def exp_dispatch() -> str:
      {"X86_V4": {6: 0, 12: 26, 14: 1657}, "X86_V3": {6: 0, 12: 26, 14: 1647},
       "baseline(X86_V2)": {6: 0, 12: 26, 14: 1647}}),
     (["dynamics", "--delta-mhz=-600"],
-     {"X86_V4": {6: 0, 12: 9, 14: 1557}, "X86_V3": {6: 0, 12: 8, 14: 1571},
-      "baseline(X86_V2)": {6: 0, 12: 8, 14: 1571}}),
+     {"X86_V4": {6: 0, 12: 8, 14: 1531}, "X86_V3": {6: 0, 12: 8, 14: 1527},
+      "baseline(X86_V2)": {6: 0, 12: 8, 14: 1527}}),
 ])
 def test_percent_rows_of_the_commands_are_pinned(slow, tmp_path, capsys, argv,
                                                   percent_rows):

@@ -15,9 +15,8 @@ from oracles import TWO_PI_MHZ, p_underdamped_reference, rk4_master_oracle
 OMEGA_200 = 200.0 * TWO_PI_MHZ
 GAMMA_MOL = 2.0 * math.pi * 12.0e6
 
-#: a start state with every coherence non-zero: p_e, p_g, p_v, then the
-#: real and imaginary parts of c_eg, c_ev and c_gv
-MIXED_STATE = np.array([0.5, 0.3, 0.2, 0.2, -0.1, -0.15, 0.05, 0.1, 0.25])
+#: a start state with every component non-zero: p_e, p_g, p_v, Im c_eg
+MIXED_STATE = np.array([0.5, 0.3, 0.2, -0.1])
 
 
 def closed_form_gap(run, omega, gamma):
@@ -32,24 +31,21 @@ class TestMasterRhs:
         assert d[0] == -GAMMA_MOL                     # p_e
         assert d[1] == 0.0                            # p_g
         assert d[2] == GAMMA_MOL                      # p_v
-        assert d[3] == 0.0 and d[4] == OMEGA_200      # c_eg = i*OMEGA_200
-        assert d[5] == 0.0 and d[6] == 0.0            # c_ev
-        assert d[7] == 0.0 and d[8] == 0.0            # c_gv
+        assert d[3] == OMEGA_200                      # c_eg = i*OMEGA_200
 
     def test_decoupled_decay(self):
-        state = np.array([0.3, 0.5, 0.2, 0.1, 0.2, 0.0, 0.05, 0.02, 0.0])
+        state = np.array([0.3, 0.5, 0.2, 0.2])
         d = generator(0.0, GAMMA_MOL) @ state
         assert d[0] == -GAMMA_MOL * state[0]
         assert d[1] == 0.0
         assert d[2] == GAMMA_MOL * state[0]
-        assert d[3:7].tolist() == (-0.5 * GAMMA_MOL * state[3:7]).tolist()
-        assert d[7] == 0.0 and d[8] == 0.0
+        assert d[3] == -0.5 * GAMMA_MOL * state[3]
 
     def test_trace_of_derivative_vanishes(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             state = np.concatenate([rng.dirichlet((1.0, 1.0, 1.0)),
-                                    rng.normal(size=6)])
+                                    rng.normal(size=1)])
             d = generator(OMEGA_200, GAMMA_MOL) @ state
             assert abs(d[:3].sum()) <= 1.0e-12 * GAMMA_MOL
 
@@ -92,20 +88,16 @@ class TestIntegrator:
             states = run[1]
             trace = states[:, :3].sum(axis=1)
             assert np.max(np.abs(trace - 1.0)) <= 1.0e-10
-            # |c_ev| and |c_gv|
-            assert np.max(np.hypot(states[:, 5::2],
-                                   states[:, 6::2])) <= 1.0e-12
 
     def test_coherence_block_stays_rank_one(self):
         # the (E,G) block evolves as a pure amplitude pair, so
-        # |c_eg|^2 = p_e*p_g exactly; the trajectory sits on the
-        # positivity boundary within integrator error
+        # (Im c_eg)^2 = |c_eg|^2 = p_e*p_g exactly; the trajectory sits on
+        # the positivity boundary within integrator error
         dt = max_stable_dt(OMEGA_200, GAMMA_MOL) / 8.0
         _, states = integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
                                    3.0 / GAMMA_MOL, dt)
-        for p_e, p_g, _, eg_re, eg_im in states[:, :5].tolist():
-            assert abs(complex(eg_re, eg_im)) ** 2 == pytest.approx(
-                p_e * p_g, abs=1.0e-8)
+        for p_e, p_g, _, eg_im in states.tolist():
+            assert eg_im**2 == pytest.approx(p_e * p_g, abs=1.0e-8)
 
     def test_fourth_order_convergence(self):
         gamma, omega, t_end = 1.0, 2.0, 4.0
@@ -140,31 +132,37 @@ class TestIntegrator:
             integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
                            (MAX_STEPS + 1) * 1.0e-12, 1.0e-12)
 
-    def test_initial_state_must_be_nine_reals(self):
+    def test_initial_state_must_be_four_reals(self):
         # a complex start would lose its imaginary parts with only a warning
-        for initial in (MIXED_STATE[:3], MIXED_STATE.reshape(9, 1),
-                        MIXED_STATE.astype(complex)):
+        for initial in (MIXED_STATE[:3], MIXED_STATE.reshape(4, 1),
+                        MIXED_STATE.astype(complex), np.zeros(9)):
             with pytest.raises(DomainError, match="initial state"):
                 integrate_grid(initial, OMEGA_200, GAMMA_MOL, 1.0e-9, 1.0e-12)
 
     def test_excited_state_is_read_only(self):
         with pytest.raises(ValueError):
             EXCITED_STATE[1] = 1.0
-        assert EXCITED_STATE.tolist() == [1.0] + [0.0] * 8
+        assert EXCITED_STATE.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+#: the columns of the oracle's rows that the 4-vector holds: p_e, p_g, p_v
+#: and Im c_eg, then those it leaves out: Re c_eg, c_ev and c_gv
+KEPT, LEFT_OUT = [0, 1, 2, 4], [3, 5, 6, 7, 8]
 
 
 def _agrees_with_oracle(initial, omega, gamma, t_end, dt):
-    """The matrix core against the step-by-step oracle, within 1e-12."""
+    """The matrix core against the step-by-step oracle, within 1e-12;
+    returns the core's states and the oracle's rows."""
     times, states = integrate_grid(initial, omega, gamma, t_end, dt)
     n_steps = max(1, math.ceil(t_end / dt - 1.0e-9)) if t_end > 0.0 else 0
-    coherences = map(complex, initial[3::2], initial[4::2])
     oracle_times, oracle_states = rk4_master_oracle(
-        (*initial[:3], *coherences), omega, gamma, t_end, n_steps)
-    assert states.shape == (n_steps + 1, 9)
+        (*initial[:3], 1j * initial[3], 0j, 0j), omega, gamma, t_end,
+        n_steps)
+    assert states.shape == (n_steps + 1, 4)
     assert times.tolist() == oracle_times
-    worst = np.max(np.abs(states - oracle_states))
+    worst = np.max(np.abs(states - oracle_states[:, KEPT]))
     assert worst <= 1.0e-12, (omega, gamma, t_end, dt, worst)
-    return states
+    return states, oracle_states
 
 
 class TestMatrixCore:
@@ -177,7 +175,7 @@ class TestMatrixCore:
             dt = max_stable_dt(omega, gamma) / rng.uniform(1.0, 10.0)
             t_end = dt * rng.uniform(0.5, 1200.0)
             initial = np.concatenate([rng.dirichlet((1.0, 1.0, 1.0)),
-                                      0.2 * rng.normal(size=6)])
+                                      0.2 * rng.normal(size=1)])
             _agrees_with_oracle(initial, omega, gamma, t_end, dt)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 15, 16, 17, 24, 25, 99])
@@ -202,31 +200,29 @@ class TestMatrixCore:
         (OMEGA_200, GAMMA_MOL), (0.25 * GAMMA_MOL, GAMMA_MOL),
         (0.05 * GAMMA_MOL, GAMMA_MOL), (OMEGA_200, 0.0),
     ], ids=["underdamped", "critical", "overdamped", "decay-free"])
-    def test_components_are_columns_of_the_full_state(self, omega, gamma):
-        t_end, dt = default_run(omega, gamma)
-        for initial in (EXCITED_STATE, MIXED_STATE):
-            times, full = integrate_grid(initial, omega, gamma, t_end, dt)
-            for components in ((0, 1, 2), (4,), (8, 0, 3)):
-                part_times, part = integrate_grid(
-                    initial, omega, gamma, t_end, dt, components=components)
-                assert part_times.tobytes() == times.tobytes()
-                assert part.shape == (len(times), len(components))
-                assert part.tobytes() == np.ascontiguousarray(
-                    full[:, list(components)]).tobytes()
+    def test_reduction_is_exact(self, omega, gamma):
+        # from |e>, |g>, mixed populations and MIXED_STATE, the six complex
+        # equations keep what the 4-vector leaves out at exactly 0
+        dt = max_stable_dt(omega, gamma) / 4.0
+        for initial in ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                        [0.5, 0.3, 0.2, 0.0], MIXED_STATE):
+            _, oracle_states = _agrees_with_oracle(
+                np.array(initial), omega, gamma, 777.3 * dt, dt)
+            assert not oracle_states[:, LEFT_OUT].any()
 
     def test_orbit_of_a_stack_is_each_matrix_orbit(self):
         # row j is M^j @ first, for a vector, a matrix or a stack of them
         rng = np.random.default_rng(31)
-        stack = rng.normal(size=(3, 9, 9)) / 3.0
-        start = rng.normal(size=9)
+        stack = rng.normal(size=(3, 4, 4)) / 3.0
+        start = rng.normal(size=4)
         orbit = dynamics._orbit(stack[0], start, 4)
         assert orbit[3].tobytes() == (
             stack[0] @ (stack[0] @ (stack[0] @ start))).tobytes()
-        batch = dynamics._orbit(stack, np.broadcast_to(np.eye(9), stack.shape),
+        batch = dynamics._orbit(stack, np.broadcast_to(np.eye(4), stack.shape),
                                 6)
         for i, m in enumerate(stack):
             assert batch[:, i].tobytes() == dynamics._orbit(
-                m, np.eye(9), 6).tobytes()
+                m, np.eye(4), 6).tobytes()
 
     def test_zero_span_returns_the_start_state(self):
         times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
@@ -237,8 +233,8 @@ class TestMatrixCore:
 
     def test_one_step(self):
         dt = max_stable_dt(OMEGA_200, GAMMA_MOL)
-        states = _agrees_with_oracle(MIXED_STATE, OMEGA_200, GAMMA_MOL,
-                                     dt, dt)
+        states, _ = _agrees_with_oracle(MIXED_STATE, OMEGA_200, GAMMA_MOL,
+                                        dt, dt)
         assert len(states) == 2
 
 

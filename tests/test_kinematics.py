@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +80,27 @@ def with_edges(size, low=0.0, high=1.0, seed=7):
     return r_ratio
 
 
+#: the in-fall integral to 30 digits at r exactly the double nearest each
+#: key, from mpmath.quad at 40 digits on the tail form
+INFALL_30_DIGITS = {
+    0.3: "0.726993578974260911681690320881",
+    0.45: "0.691319680987440379691559754792",
+    0.4815: "0.680756209959768439957672986733",
+    0.4999: "0.674020346804954395587605231986",
+    0.5005: "0.673793412553531619850617747609",
+}
+
+
 class TestPolynomialRule:
-    def test_within_5e16_of_a_40_node_rule(self):
-        # a bound on agreement with that rule, not on the error: just below
-        # r = 1/2 the reference is itself ~7e-16 off, as numpy's leggauss(40)
-        # nodes are not exact to rounding
+    def test_reference_within_4e16_of_30_digit_values(self):
+        # worst 3.7e-16, at r = 0.45; Decimal holds the literals exactly
+        r_ratio = np.array(list(INFALL_30_DIGITS))
+        for r, value in zip(r_ratio.tolist(),
+                            infall_integral_reference(r_ratio).tolist()):
+            error = Decimal(value) - Decimal(INFALL_30_DIGITS[r])
+            assert abs(error) <= Decimal("4e-16"), (r, error)
+
+    def test_within_5e16_of_the_reference(self):
         r_ratio = np.concatenate([np.linspace(0.0, 1.0, 200_001),
                                   with_edges(5)])
         error = np.abs(_infall_integral(r_ratio)
