@@ -71,6 +71,7 @@ CONFIGS = {
     "micro_huge_delta_ref.json": {"coupling": {"mode": "microscopic",
                                                "delta_ref_mhz": -1e308}},
     "overflowing_from.json": {"scan": {"from_mhz": -1e308}},
+    "oow.json": {"scan": {"from_mhz": -1500.0}},
     "slow_p_excite.json": {"scan": {"include_p_excite": True},
                            "coupling": {"v_inf_cm_s": 1e-320}},
     "long_cavity.json": {"cavity": {"length_cm": 1e308}},
@@ -99,7 +100,8 @@ CONFIGS = {
 OUTPUT = "out.csv"
 
 #: (name, argv) of every run: every command, both kernels and couplings,
-#: out-of-window and refused scans, a refused validate config, refused
+#: out-of-window scans, scans refused at either end of the window, a
+#: validate over a grid beyond the window, a refused validate config, refused
 #: dynamics steps and step counts, reference detunings refused by every
 #: command, species values, coupling references, cavity values, a scan
 #: bound (in scan and validate) and a p_excite column beyond the float
@@ -129,6 +131,7 @@ RUNS = [
     ("scan-p17", ["--config", "p17.json", "scan"]),
     ("scan-wide-p17", ["--config", "wide_p17.json", "scan"]),
     ("scan-refused-oow", ["scan", "--from-mhz", "-1500"]),
+    ("scan-refused-oow-top", ["scan", "--to-mhz", "-300"]),
     ("scan-bad-choice", ["scan", "--p-model", "exact"]),
     ("scan-help", ["scan", "--help"]),
     ("constants", ["constants"]),
@@ -210,6 +213,7 @@ RUNS = [
                                    "validate"]),
     ("validate-output", ["validate", "--output", OUTPUT]),
     ("validate-micro-flag", ["validate", "--coupling", "microscopic"]),
+    ("validate-oow", ["--config", "oow.json", "validate"]),
 ]
 
 #: the runs --all adds: a 5 000-point scan and a dynamics run at every

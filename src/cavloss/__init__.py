@@ -22,7 +22,7 @@ from .potential import (ResonanceGeometry, condon_radius, escape_ratio,
                         potential_slope, resonance_geometry, u_dd)
 from .traploss import (DEFAULT_WINDOW_MHZ, LossPoint, P_MODELS,
                        in_default_window, loss_closed_form, loss_grid,
-                       loss_no_cavity, loss_point, loss_series, scan_grid,
+                       loss_no_cavity, loss_point, loss_series,
                        single_passage_loss)
 
 __version__ = "0.1.0"
@@ -38,6 +38,6 @@ __all__ = [
     "loss_no_cavity", "loss_point", "loss_series", "max_stable_dt",
     "mode_geometry", "molecular_dipole", "p_omega_analytic", "p_omega_approx",
     "pair_count", "potential_slope", "resolve_params", "resonance_geometry",
-    "scan_grid", "single_passage_loss", "single_rabi", "to_human_units",
-    "total_time", "u_dd",
+    "single_passage_loss", "single_rabi", "to_human_units", "total_time",
+    "u_dd",
 ]

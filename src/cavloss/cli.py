@@ -377,12 +377,20 @@ SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
 
 def cmd_scan(cfg: RunConfig, cav: CavityConfig,
              params: PhysicalParams) -> Iterator[str]:
-    """CSV of the full detuning scan, as :func:`cmd_dynamics` returns it."""
+    """CSV of the full detuning scan, as :func:`cmd_dynamics` returns it.
+
+    Unless scan.allow_out_of_window is set, a grid that leaves the validity
+    window is refused before any compute, naming its first such detuning.
+    """
     scan = cfg.scan
-    grid = traploss_mod.scan_grid(
-        np.linspace(scan.from_mhz, scan.to_mhz, scan.points) * TWO_PI_MHZ,
-        cav, params, scan.p_model,
-        allow_out_of_window=scan.allow_out_of_window)
+    deltas = np.linspace(scan.from_mhz, scan.to_mhz, scan.points) * TWO_PI_MHZ
+    inside = traploss_mod.in_default_window(deltas)
+    if not (scan.allow_out_of_window or inside.all()):
+        raise ConfigError(
+            f"detuning {deltas[~inside][0] / TWO_PI_MHZ:.6g} MHz is outside "
+            f"the validity window {traploss_mod.DEFAULT_WINDOW_MHZ} MHz; set "
+            f"scan.allow_out_of_window (--allow-out-of-window) to override")
+    grid = traploss_mod.loss_grid(deltas, cav, params, scan.p_model)
 
     times, geometry = grid.times, grid.times.geometry
     header = list(SCAN_HEADER)
@@ -399,7 +407,7 @@ def cmd_scan(cfg: RunConfig, cav: CavityConfig,
                 grid.delta, grid.omega_tilde, cfg.coupling.v_inf_cm_s, params))
     if scan.allow_out_of_window:
         header.append("in_window")
-        columns.append(traploss_mod.in_default_window(grid.delta))
+        columns.append(inside)
     return csv_pieces(header, columns, cfg.output.precision)
 
 

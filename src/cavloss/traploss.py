@@ -31,19 +31,18 @@ arrays; it returns each element's sum and the number of terms it took.
 (:func:`~cavloss.cavity.coupling`) -> radii and times
 (:func:`~cavloss.kinematics.collision_times`) -> kernel -> losses, as one
 :class:`LossPoint` of arrays over an array of detunings, or of floats at
-one detuning as :func:`loss_point` calls it (see :mod:`cavloss.grid`);
-:func:`scan_grid` is that chain over a checked scan grid.
+one detuning as :func:`loss_point` calls it (see :mod:`cavloss.grid`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .cavity import CavityConfig, atomic_dipole, coupling
-from .constants import TWO_PI_MHZ, PhysicalParams
+from .constants import PhysicalParams
 from .dynamics import p_omega_analytic, p_omega_approx
 from .errors import ConfigError, DivergenceError
 from .grid import as_grid, float_range, like, refuse
@@ -203,31 +202,3 @@ def in_default_window(delta):
     lo = 2.0 * math.pi * DEFAULT_WINDOW_MHZ[0] * 1.0e6
     hi = 2.0 * math.pi * DEFAULT_WINDOW_MHZ[1] * 1.0e6
     return (lo * (1.0 + 1.0e-12) <= delta) & (delta <= hi * (1.0 - 1.0e-12))
-
-
-def scan_grid(deltas: Sequence[float], cavity: CavityConfig,
-              params: PhysicalParams,
-              p_model: Union[str, PModel] = "approx", *,
-              allow_out_of_window: bool = False) -> LossPoint:
-    """The loss over a detuning grid as columns, ordered by ascending delta.
-
-    Detunings outside the default window are rejected unless
-    ``allow_out_of_window`` is set; the error names the first offending
-    detuning in input order.
-    """
-    if len(deltas) < 2:
-        raise ConfigError(f"scan needs at least 2 points, got {len(deltas)}")
-    grid = np.asarray(deltas, dtype=float)
-    bad = grid >= 0.0
-    if not allow_out_of_window:
-        bad |= ~in_default_window(grid)
-    if bad.any():
-        delta = float(grid[bad][0])
-        if delta >= 0.0:
-            raise ConfigError(
-                f"scan detunings must be negative, got {delta!r}")
-        raise ConfigError(
-            f"detuning {delta / TWO_PI_MHZ:.6g} MHz is outside the "
-            f"validity window {DEFAULT_WINDOW_MHZ} MHz; set "
-            f"scan.allow_out_of_window (--allow-out-of-window) to override")
-    return loss_grid(np.sort(grid), cavity, params, p_model)

@@ -175,8 +175,7 @@ def _validation_checks(cfg: RunConfig, cav: cavity_mod.CavityConfig,
         deltas = np.linspace(cfg.scan.from_mhz, cfg.scan.to_mhz,
                              min(cfg.scan.points, 50)) * TWO_PI_MHZ
         gamma = params.gamma_mol
-        grid = traploss_mod.scan_grid(deltas, cav, params, cfg.scan.p_model,
-                                      allow_out_of_window=True)
+        grid = traploss_mod.loss_grid(deltas, cav, params, cfg.scan.p_model)
         times, l_c, l_o = grid.times, grid.loss_cavity, grid.loss_free
         delta_mhz = grid.delta / TWO_PI_MHZ
         kernel = traploss_mod.loss_closed_form(

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ import cavloss
 from cavloss import (cavity, cli, constants, dynamics, in_default_window,
                      kinematics, potential, traploss, validate)
 from cavloss.cli import TWO_PI_MHZ, RunConfig, main
+import oracles
 from oracles import percent_csv_oracle
 from test_csvtext import exp_dispatch
 
@@ -384,6 +386,27 @@ class TestScanCommand:
         assert code == 2 and out == ""
         assert "window" in err
 
+    def test_window_refusal_names_the_detuning(self, capsys, tmp_path):
+        target = tmp_path / "scan.csv"
+        for sink in ([], ["--output", str(target)]):
+            code, out, err = run(capsys, ["scan", "--from-mhz", "-1200",
+                                          *sink])
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: detuning -1200 MHz is outside the validity window "
+                "(-1000.0, -350.0) MHz; set scan.allow_out_of_window "
+                "(--allow-out-of-window) to override\n")
+        assert not target.exists()
+
+    def test_window_refusal_names_the_first_offender(self, capsys):
+        # the first point above -350 MHz is interior, not the grid's end
+        code, out, err = run(capsys, ["scan", "--to-mhz", "-300"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: detuning -349.246 MHz is outside the validity window "
+            "(-1000.0, -350.0) MHz; set scan.allow_out_of_window "
+            "(--allow-out-of-window) to override\n")
+
     def test_out_of_window_tagging(self, capsys):
         code, out, _ = run(capsys, ["scan", "--points", "10",
                                     "--from-mhz", "-1500",
@@ -588,6 +611,8 @@ class TestConfigHandling:
          "error: config section 'scan' must be an object\n"),
         ({}, ["times", "--delta-mhz", "abc"],
          "argument --delta-mhz: expected a finite number, got 'abc'"),
+        ({"scan": {"points": 1}}, ["scan"],
+         "error: scan.points must be in 2..1000000, got 1\n"),
     ])
     def test_non_finite_or_non_integral_exits_2(self, capsys, tmp_path,
                                                 document, argv, name):
@@ -1305,3 +1330,29 @@ def test_byte_gate_runs_are_named_once_and_use_every_config():
     readme = (path.parent.parent / "README.md").read_text()
     stated = re.search(r"`scripts/same_bytes\.py` runs (\d+) CLI", readme)
     assert int(stated.group(1)) == len(gate.RUNS)
+
+
+def test_benchmark_gate_passes_the_cli_output(capsys):
+    # the benchmark gate recomputes sampled rows through loss_point,
+    # loss_series (two values) and loss_closed_form (a callable kernel): a
+    # changed signature fails every sampled row, a renamed function is
+    # skipped
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "gate.py"
+    spec = importlib.util.spec_from_file_location("gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    gate = module.Gate(cavloss, oracles, seed=0, sample_rows=4)
+    for document, flags in [
+            ({}, []),
+            ({"scan": {"p_model": "analytic"}}, ["--p-model", "analytic"]),
+            ({"coupling": {"mode": "microscopic"}},
+             ["--coupling", "microscopic"])]:
+        code, out, err = run(capsys, ["scan", *flags])
+        assert (code, err) == (0, "")
+        assert gate.check_scan(document, out) == [], flags
+    code, out, err = run(capsys, ["dynamics", "--delta-mhz", "-600"])
+    assert (code, err) == (0, "")
+    call = SimpleNamespace(config={}, args=["--delta-mhz", "-600"],
+                           delta_mhz=-600.0)
+    assert gate.check_dynamics(call, out) == []
+    assert gate.skipped == set()

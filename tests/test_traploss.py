@@ -8,10 +8,9 @@ import pytest
 
 from cavloss import (CavityConfig, CollisionTimes, ConfigError,
                      DivergenceError, DomainError, HumanUnitsConfig,
-                     collision_times, in_default_window, loss_closed_form,
-                     loss_grid, loss_no_cavity, loss_point, loss_series,
-                     p_omega_approx, resolve_params, scan_grid,
-                     single_passage_loss, traploss)
+                     collision_times, loss_closed_form, loss_grid,
+                     loss_no_cavity, loss_point, loss_series, p_omega_approx,
+                     resolve_params, single_passage_loss, traploss)
 from oracles import (TWO_PI_MHZ, DenseFractionOracle, loss_series_per_point,
                      loss_series_reference)
 
@@ -55,7 +54,7 @@ def decay_kernel(t, _omega, gamma):
 @pytest.fixture(scope="module")
 def default_grid():
     deltas = [m * TWO_PI_MHZ for m in np.linspace(-1000.0, -350.0, 200)]
-    return scan_grid(deltas, make_cavity(), RB85, "approx")
+    return loss_grid(deltas, make_cavity(), RB85, "approx")
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +175,7 @@ class TestSeriesAndClosedForm:
         # reference sums past its default cutoff so that its own truncation
         # stays below the 1e-15 tolerance
         deltas = np.linspace(-1000.0, -350.0, 50) * TWO_PI_MHZ
-        grid = scan_grid(deltas, make_cavity(), RB85, p_model)
+        grid = loss_grid(deltas, make_cavity(), RB85, p_model)
         values, terms = loss_series(grid.times, grid.omega_tilde, GAMMA,
                                     p_model)
         kernel = traploss.P_MODELS[p_model]
@@ -194,7 +193,7 @@ class TestSeriesAndClosedForm:
         # validate's grid for a 10 kHz atomic linewidth, microscopic coupling
         params = resolve_params(HumanUnitsConfig(gamma_a_mhz=0.01))
         deltas = np.linspace(-1000.0, -350.0, 50) * TWO_PI_MHZ
-        grid = scan_grid(deltas, make_cavity("microscopic"), params)
+        grid = loss_grid(deltas, make_cavity("microscopic"), params)
         values, terms = loss_series(grid.times, grid.omega_tilde,
                                     params.gamma_mol, "approx")
         assert np.all(np.abs(values - grid.loss_cavity) <= 1.0e-12)
@@ -387,18 +386,6 @@ class TestScan:
                                 GAMMA, "approx")
         assert np.all(np.abs(series - default_grid.loss_cavity) <= 1.0e-12)
 
-    def test_window_gate(self):
-        good = [-900.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ]
-        scan_grid(good, make_cavity(), RB85, "approx")
-        outside = [-1200.0 * TWO_PI_MHZ, -400.0 * TWO_PI_MHZ]
-        with pytest.raises(ConfigError, match="window"):
-            scan_grid(outside, make_cavity(), RB85, "approx")
-        grid = scan_grid(outside, make_cavity(), RB85, "approx",
-                         allow_out_of_window=True)
-        assert len(grid.delta) == 2
-        assert not in_default_window(outside[0])
-        assert in_default_window(outside[1])
-
     @pytest.mark.parametrize("mode", ["anchored", "microscopic"])
     def test_detuning_sign_refused_by_the_chain(self, mode):
         message = "red detuning required, got delta=1.0"
@@ -407,28 +394,6 @@ class TestScan:
         with pytest.raises(DomainError) as point:
             loss_point(1.0, make_cavity(mode), RB85)
         assert str(grid.value) == str(point.value) == message
-
-    def test_errors_name_the_first_offender(self):
-        mhz = [-400.0, -1200.0, 5.0, -2000.0]
-        with pytest.raises(ConfigError) as info:
-            scan_grid([m * TWO_PI_MHZ for m in mhz], make_cavity(), RB85)
-        assert str(info.value) == (
-            "detuning -1200 MHz is outside the validity window "
-            "(-1000.0, -350.0) MHz; set scan.allow_out_of_window "
-            "(--allow-out-of-window) to override")
-        deltas = [-400.0 * TWO_PI_MHZ, 5.0, -1200.0 * TWO_PI_MHZ, 7.0]
-        for allow in (False, True):
-            with pytest.raises(ConfigError) as info:
-                scan_grid(deltas, make_cavity(), RB85,
-                          allow_out_of_window=allow)
-            assert str(info.value) == "scan detunings must be negative, got 5.0"
-
-    def test_rejects_degenerate_grids(self):
-        with pytest.raises(ConfigError):
-            scan_grid([-400.0 * TWO_PI_MHZ], make_cavity(), RB85, "approx")
-        with pytest.raises(ConfigError):
-            scan_grid([-400.0 * TWO_PI_MHZ, 1.0], make_cavity(), RB85,
-                      "approx", allow_out_of_window=True)
 
     @pytest.mark.parametrize("species, length, above_transition, key", [
         # the pair dipole underflows to 0
@@ -464,7 +429,7 @@ class TestScan:
 
         monkeypatch.setattr(traploss, "collision_times", recorded)
         deltas = np.linspace(-900.0, -400.0, 7) * TWO_PI_MHZ
-        grid = scan_grid(deltas, make_cavity(), RB85)
+        grid = loss_grid(deltas, make_cavity(), RB85)
         assert len(returned) == 1 and grid.times is returned[0]
         assert grid.times.t_resonant.shape == (7,)
 
