@@ -109,6 +109,8 @@ OUTPUT = "out.csv"
 #: a validate whose series sums 2^14 to 2^15 terms, validate taking
 #: --coupling and writing to --output,
 #: analytic scans whose grids take one damping form or mix two or three,
+#: dynamics runs whose analytic column mixes the two hyperbolic forms or
+#: is critical, with every sample in the sinc series,
 #: a scan whose escape ratios lie on both sides of 1/2, output files, an
 #: output path in a missing directory, an empty output path, and constants
 #: and dynamics runs whose builtin floats divide by zero, overflow with an
@@ -147,6 +149,10 @@ RUNS = [
     ("scan-decay-free", ["--config", "decay_free.json", "scan"]),
     ("dynamics-decay-free", ["--config", "decay_free.json", "dynamics",
                              "--delta-mhz", "-350"]),
+    ("dynamics-overdamped", ["--config", "overdamped.json", "dynamics",
+                             "--delta-mhz", "-350"]),
+    ("dynamics-near-critical", ["--config", "near_critical.json", "dynamics",
+                                "--delta-mhz", "-350"]),
     ("dynamics-decay-free-micro", ["--config", "decay_free_micro.json",
                                    "dynamics", "--delta-mhz", "-350"]),
     ("validate-zero-length", ["--config", "zero_length.json", "validate"]),

@@ -38,12 +38,13 @@ has two digits.  +-0 is written directly.
 Each chunk runs only the passes its cells need, decided from its own
 values: x * 1 and x / 1 are exact, so leaving out a factor that is 1 for
 every cell changes no bit.  From the least and greatest k = p-1-e of the
-chunk, the multiply by 10^min(k, 22) runs only when some k > 0, the
-divide only when some k < 0, the second multiply only when some k > 22,
-the second divide only when some k < -22, and the tie guard only when
-some |k| > 22.  At the default 12 digits a scan's cells have k in 6..20,
-so one multiply and no guard; a ``dynamics`` run's reach k = 26, so a
-second multiply and the guard.  Likewise a chunk whose cells are all
+chunk, the multiply by 10^min(k, 22) runs only when some k > 0 and the
+divide only when some k < 0.  The second factor and the tie guard run
+only on the cells with |k| > 22, found when the chunk has any.  At the
+default 12 digits a scan's cells have k in 6..20, so one multiply and no
+guard; a ``dynamics`` run's reach k = 26 in its ``abs_err`` cells and
+first ``t_s`` cells, which alone take the second multiply and the guard.
+Likewise a chunk whose cells are all
 finite and nonzero, all in [10^(p-1), 10^p) on the first try and none
 in doubt (a few min/max reductions tell) builds no per-cell mask, and
 its rows need no search for ``%`` rows.
@@ -187,26 +188,30 @@ def _layout(kinds: tuple, signed: tuple, precision: int):
 def _mantissa(ax: np.ndarray, index: np.ndarray, precision: int):
     """m = |x| * 10**(p-1-e) by exact powers of ten, and its tie guard.
 
-    ``index`` is e + _E0.  Only the factors that differ from 1 somewhere in
-    the chunk are applied, since x * 1 and x / 1 are exact, so m is ``ax``
-    itself when none is; the guard is None where it is 0 throughout.
+    ``index`` is e + _E0.  The first factor is applied to the whole chunk
+    when it differs from 1 somewhere in it, since x * 1 and x / 1 are
+    exact, so m is ``ax`` itself when it does not; the second factor and
+    the guard only to the cells with |p-1-e| > 22.  Returns m, the flat
+    positions of those cells and their guards, (None, None) for none.
     """
     k_low = precision - 1 + _E0 - index.max()
     k_high = precision - 1 + _E0 - index.min()
     a, b, c, d, g = _scale_table(precision)
     m = ax
     for factor, used, apply in ((a, k_high > 0, np.multiply),
-                                (b, k_low < 0, np.divide),
-                                (c, k_high > _EXACT, np.multiply),
-                                (d, k_low < -_EXACT, np.divide)):
+                                (b, k_low < 0, np.divide)):
         if used:
             scaled = factor.take(index, mode="clip")
             m = apply(m, scaled, out=scaled)
     if k_low >= -_EXACT and k_high <= _EXACT:
-        return m, None
-    guard = g.take(index, mode="clip")
-    guard *= m
-    return m, guard
+        return m, None, None
+    # k > 22 below this index, k < -22 above it
+    top = precision - 1 + _E0 - _EXACT
+    wide = np.flatnonzero((index < top) | (index > top + 2 * _EXACT))
+    at = index.take(wide)
+    twice = m.take(wide) * c.take(at, mode="clip") / d.take(at, mode="clip")
+    np.put(m, wide, twice)
+    return m, wide, twice * g.take(at, mode="clip")
 
 
 def _float_cells(x: np.ndarray, precision: int):
@@ -224,21 +229,21 @@ def _float_cells(x: np.ndarray, precision: int):
         np.copyto(ax, 1.0, where=~regular)
     index = np.floor(np.log10(ax)).astype(np.intp)
     index += _E0
-    m, guard = _mantissa(ax, index, precision)
+    m, wide, guard = _mantissa(ax, index, precision)
     in_range = None
     if m.min() < lo or m.max() >= hi:   # log10 was one off
         index += (m >= hi).astype(np.intp) - (m < lo)
-        m, guard = _mantissa(ax, index, precision)
+        m, wide, guard = _mantissa(ax, index, precision)
         in_range = (m >= lo) & (m < hi)
     digits = np.rint(m)
     # |m - rint(m)| = 1/2 - |frac(m) - 1/2|, both exact below 2**52
     off = np.abs(np.subtract(m, digits, out=m), out=m)
-    if guard is None:
-        sure = None if off.max() < 0.5 else off < 0.5
-    else:
-        sure = np.subtract(0.5, off, out=off) > guard
-        if sure.all():
-            sure = None
+    sure = None if off.max() < 0.5 else off < 0.5
+    if wide is not None:
+        doubt = wide[0.5 - off.take(wide) <= guard]
+        if len(doubt):
+            sure = off < 0.5
+            np.put(sure, doubt, False)
     accept = None
     for mask in (regular, in_range, sure):
         if mask is not None:

@@ -28,8 +28,9 @@ analytic in b^2, so the value crosses the boundary continuously and no
 
 The two survival kernels are elementwise over grids (see
 :mod:`cavloss.grid`) and refuse a negative time, coupling or decay rate
-alike.  The analytic one computes each damping branch on its own
-elements; its branch index is the only damping classification.  The
+alike.  The analytic one takes one pair of rates in that pair's damping
+form over all the times at once (a hyperbolic pair split at b*t = 1),
+and rates given per element form by form, each on its own elements.  The
 ``dynamics`` CSV takes them over all its samples at once.
 
 Re c_eg, c_ev and c_gv are fed by nothing but themselves (the drive
@@ -51,9 +52,10 @@ RK4's stability polynomial.  Sample n is M^n*y0.  The samples come from
 blocked powers (Higham, Functions of Matrices, SIAM 2008, ch. 4): with
 a block length B near sqrt(n), the stack M^j for j < B and the block
 starts (M^B)^b*y0 are built by about 2*sqrt(n) small products, and one
-einsum combines them into every sample M^(b*B + j)*y0.  The method, its
-step and its fourth order are those of the step-by-step loop; only the
-rounding differs, and no Python loop runs per step.
+matrix product, of the block starts with the stacked rows of every M^j,
+gives every sample M^(b*B + j)*y0.  The method, its step and its fourth
+order are those of the step-by-step loop; only the rounding differs, and
+no Python loop runs per step.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def _orbit(m: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
     stack = np.empty((count,) + np.shape(first))
     stack[0] = first
     for j in range(1, count):
-        stack[j] = m @ stack[j - 1]
+        np.matmul(m, stack[j - 1], out=stack[j])
     return stack
 
 
@@ -183,24 +185,29 @@ def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
     count = -(-(n_steps + 1) // block)
     inner = _orbit(step, np.eye(4), block)
     bases = _orbit(inner[-1] @ step, start, count)
-    states = np.einsum("jik,bk->bji", inner, bases).reshape(count * block, -1)
+    # row b of the product is inner[j] @ bases[b] for every j in turn
+    states = (bases @ inner.reshape(block * 4, 4).T).reshape(-1, 4)
     return np.arange(n_steps + 1) * h, states[:n_steps + 1]
 
 
 def _sinc(x):
-    # sin(x)/x, analytic through x = 0
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
+    # sin(x)/x, analytic through x = 0: its series where |x| < 1e-4
     small = np.abs(x) < 1.0e-4
-    return np.where(small, series, np.sin(x) / np.where(small, 1.0, x))
+    value = np.sin(x) / np.where(small, 1.0, x)
+    if small.any():
+        x2 = np.square(x[small])
+        value[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
+    return value
 
 
 def _sinhc(x):
-    # sinh(x)/x, analytic through x = 0
-    x2 = x * x
-    series = 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
+    # sinh(x)/x, analytic through x = 0: its series where |x| < 1e-4
     small = np.abs(x) < 1.0e-4
-    return np.where(small, series, np.sinh(x) / np.where(small, 1.0, x))
+    value = np.sinh(x) / np.where(small, 1.0, x)
+    if small.any():
+        x2 = np.square(x[small])
+        value[small] = 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
+    return value
 
 
 def _decoupled(t, omega_tilde, gamma):
@@ -255,6 +262,26 @@ def _kernel_arguments(t, omega_tilde, gamma):
     return time, omega, decay
 
 
+def _pair_form(t, omega_tilde, gamma):
+    """p(t) of one pair of rates over all of ``t``, in the form that
+    :func:`_branch` gives each element: classified once, not per element,
+    but for a hyperbolic pair's split at b*t = 1."""
+    if omega_tilde == 0.0:
+        return _decoupled(t, omega_tilde, gamma)
+    beta_sq = omega_tilde**2 - (0.25 * gamma)**2
+    if not beta_sq < 0.0:
+        return _oscillating(t, omega_tilde, gamma)
+    far = np.sqrt(-beta_sq) * t > 1.0
+    if not far.any():
+        return _hyperbolic_near(t, omega_tilde, gamma)
+    if far.all():
+        return _hyperbolic_far(t, omega_tilde, gamma)
+    value = np.empty(t.shape)
+    value[~far] = _hyperbolic_near(t[~far], omega_tilde, gamma)
+    value[far] = _hyperbolic_far(t[far], omega_tilde, gamma)
+    return value
+
+
 def p_omega_analytic(t, omega_tilde, gamma):
     """Closed-form excited-state survival probability p(t).
 
@@ -263,6 +290,10 @@ def p_omega_analytic(t, omega_tilde, gamma):
     three arguments.
     """
     time, omega, decay = _kernel_arguments(t, omega_tilde, gamma)
+    if omega.size == decay.size == 1:   # one pair: no rates per element
+        time = np.broadcast_arrays(time, omega)[0]   # with omega's dimensions
+        value = _pair_form(time, omega.reshape(1), decay.item())
+        return like(value, t, omega_tilde, gamma)
     per_element = decay.size > 1
     if per_element:
         time, omega, decay = np.broadcast_arrays(time, omega, decay)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavloss import cli, csvtext
@@ -280,8 +280,10 @@ def near_tie_lines(columns, precision):
         with np.errstate(divide="ignore"):
             e = np.floor(np.log10(ax))
         for shift in (-1, 0, 1):   # log10 may be one off
+            # m is off by up to m * 2**-52 where 10**(p-1-e) is not a double
             m = ax * 10.0 ** (precision - 1 - e + shift)
-            for i in np.flatnonzero(np.abs(m - np.floor(m) - 0.5) < 1.0e-3):
+            for i in np.flatnonzero(np.abs(m - np.floor(m) - 0.5)
+                                    < np.maximum(1.0e-3, m * 2.0**-48)):
                 exact = Fraction(float(ax[i])) \
                     * Fraction(10) ** int(precision - 1 - e[i] + shift)
                 if lo <= exact < hi and abs(exact - math.floor(exact)
@@ -343,6 +345,40 @@ def test_one_column_scaled_twice_beside_single_scaled_ones(slow, tiny, huge):
     assert set(slow) <= near_tie_lines(columns, 12)
 
 
+def twice_scaled(rng, rows, precision, side):
+    """Cells with k = p-1-e in 23..44 (side 1, tiny) or -44..-23 (side -1,
+    huge), a quarter of them decimal ties d.dd...5 and a quarter O(1)."""
+    exponents = precision - 1 - side * rng.integers(23, 45, rows)
+    column = rng.uniform(1.0, 10.0, rows) * 10.0 ** exponents.astype(float)
+    ties = np.flatnonzero(rng.random(rows) < 0.25)
+    column[ties] = [float(f"{n[0]}.{n[1:]}5e{e}") for n, e in zip(
+        rng.integers(10**(precision - 1), 10**precision, len(ties)).astype(str),
+        exponents[ties].tolist())]
+    plain = rng.random(rows) < 0.25
+    column[plain] = rng.uniform(0.1, 10.0, plain.sum())
+    return column * rng.choice([-1.0, 1.0], rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(precision=st.integers(6, 15),
+       rows=st.sampled_from([CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                             CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1]),
+       sides=st.sampled_from([(1,), (-1,), (1, -1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_second_scaling_only_on_the_cells_that_need_it(slow, precision, rows,
+                                                        sides, seed):
+    # the cells with |k| > 22 sit among O(1) ones, in their own columns and
+    # scattered in them: each must get its second scaling and tie guard
+    rng = np.random.default_rng(seed)
+    columns = [rng.uniform(0.1, 10.0, rows), -rng.uniform(0.1, 10.0, rows)]
+    for side in sides:
+        columns.insert(1, twice_scaled(rng, rows, precision, side))
+    slow.clear()
+    same_as_oracle(columns, precision)
+    assert set(slow) <= near_tie_lines(columns, precision)
+
+
 @pytest.mark.parametrize("precision", [6, 12])
 @pytest.mark.parametrize("side", [1, -1])
 @pytest.mark.parametrize("once_first", [True, False])
@@ -385,8 +421,8 @@ def exp_dispatch() -> str:
      {"X86_V4": {6: 0, 12: 26, 14: 1657}, "X86_V3": {6: 0, 12: 26, 14: 1647},
       "baseline(X86_V2)": {6: 0, 12: 26, 14: 1647}}),
     (["dynamics", "--delta-mhz=-600"],
-     {"X86_V4": {6: 0, 12: 8, 14: 1531}, "X86_V3": {6: 0, 12: 8, 14: 1527},
-      "baseline(X86_V2)": {6: 0, 12: 8, 14: 1527}}),
+     {"X86_V4": {6: 0, 12: 9, 14: 1562}, "X86_V3": {6: 0, 12: 9, 14: 1562},
+      "baseline(X86_V2)": {6: 0, 12: 9, 14: 1562}}),
 ])
 def test_percent_rows_of_the_commands_are_pinned(slow, tmp_path, capsys, argv,
                                                   percent_rows):

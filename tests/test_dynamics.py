@@ -336,6 +336,34 @@ class TestClosedForm:
                                      else args["gamma"])
             assert alone.tobytes() == mixed[rows].tobytes()
 
+    @pytest.mark.parametrize("omega, gamma, forms", [
+        (0.0, GAMMA_MOL, {0}),
+        (3.0 * GAMMA_MOL, GAMMA_MOL, {1}),
+        (OMEGA_200, 0.0, {1}),
+        (0.25 * GAMMA_MOL, GAMMA_MOL, {1}),   # every x is 0: all series
+        (0.05 * GAMMA_MOL, GAMMA_MOL, {2, 3}),
+    ], ids=["decoupled", "oscillating", "decay-free", "critical",
+            "hyperbolic"])
+    def test_one_pair_equals_the_per_element_path_bitwise(self, omega, gamma,
+                                                          forms):
+        # one pair of rates takes its form over all the times at once, rates
+        # given per element are classified element by element
+        rate = math.sqrt(abs(omega**2 - (0.25 * gamma)**2)) or gamma
+        # t = 0, x = rate*t in the sinc series (< 1e-4) and on both sides of 1
+        t = np.concatenate([[0.0], np.geomspace(1.0e-7, 40.0, 400) / rate])
+        for times in (t, t[t * rate <= 1.0], t[t * rate > 1.0]):
+            n = times.size
+            omegas, gammas = np.full(n, omega), np.full(n, gamma)
+            branch = set(dynamics._branch(times, omegas, gammas).tolist())
+            assert branch == forms if times is t else branch <= forms
+            per_element = p_omega_analytic(times, omegas, gammas).tobytes()
+            for pair in ((omega, gamma), (np.array([omega]), np.array([gamma])),
+                         (np.array([[omega]]), gamma)):
+                value = p_omega_analytic(times, *pair)
+                assert value.shape == np.broadcast_shapes(times.shape,
+                                                          np.shape(pair[0]))
+                assert value.tobytes() == per_element
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             p_omega_analytic(-1.0, OMEGA_200, GAMMA_MOL)

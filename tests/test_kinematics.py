@@ -122,6 +122,16 @@ class TestPolynomialRule:
         alone = [_infall_integral(r) for r in r_ratio.tolist()]
         assert _infall_integral(r_ratio).tobytes() == np.array(alone).tobytes()
 
+    def test_float_form_equals_the_grid_form_bitwise(self):
+        # a one-element grid is summed in builtin floats, a longer one in numpy
+        r_ratio = with_edges(20_050, seed=75)
+        grid = _infall_integral(r_ratio)
+        floats = [kinematics._infall_point(r) for r in r_ratio.tolist()]
+        assert grid.tobytes() == np.array(floats).tobytes()
+        for shape in ((1,), (1, 1)):
+            one = _infall_integral(r_ratio[:1].reshape(shape))
+            assert one.shape == shape and one.tobytes() == grid[:1].tobytes()
+
     def test_same_bits_under_another_numpy_dispatch(self):
         # only +, * and sqrt, each correctly rounded by every kernel
         src = str(Path(kinematics.__file__).resolve().parent.parent)
