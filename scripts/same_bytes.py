@@ -93,6 +93,8 @@ CONFIGS = {
                            "scan": {"p_model": "analytic"}},
     "strong_coupling.json": {"coupling": {"omega_tilde_ref_mhz": 5000.0},
                              "scan": {"allow_out_of_window": True}},
+    "pow_not_square.json": {"species": {"gamma_a_mhz": 5.217},
+                            "coupling": {"omega_tilde_ref_mhz": 2.5}},
     **{f"p{p}.json": {"output": {"precision": p}} for p in range(6, 17)},
 }
 
@@ -110,7 +112,9 @@ OUTPUT = "out.csv"
 #: --coupling and writing to --output,
 #: analytic scans whose grids take one damping form or mix two or three,
 #: dynamics runs whose analytic column mixes the two hyperbolic forms or
-#: is critical, with every sample in the sinc series,
+#: is critical, with every sample in the sinc series, an analytic scan
+#: and a dynamics run at a decay rate whose libm pow((G/4), 2) is not
+#: (G/4)*(G/4),
 #: a scan whose escape ratios lie on both sides of 1/2, output files, an
 #: output path in a missing directory, an empty output path, and constants
 #: and dynamics runs whose builtin floats divide by zero, overflow with an
@@ -190,6 +194,10 @@ RUNS = [
     ("scan-near-critical", ["--config", "near_critical.json", "scan"]),
     ("scan-three-regimes", ["--config", "three_regimes.json", "scan"]),
     ("scan-strong-coupling", ["--config", "strong_coupling.json", "scan"]),
+    ("scan-pow-not-square", ["--config", "pow_not_square.json", "scan",
+                             "--p-model", "analytic"]),
+    ("dynamics-pow-not-square", ["--config", "pow_not_square.json",
+                                 "dynamics", "--delta-mhz", "-350"]),
     ("scan-default-output", ["scan", "--output", OUTPUT]),
     ("scan-20000-output", ["scan", "--points", "20000", "--output", OUTPUT]),
     ("dynamics-output", ["dynamics", "--delta-mhz", "-350",

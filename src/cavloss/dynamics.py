@@ -28,10 +28,13 @@ analytic in b^2, so the value crosses the boundary continuously and no
 
 The two survival kernels are elementwise over grids (see
 :mod:`cavloss.grid`) and refuse a negative time, coupling or decay rate
-alike.  The analytic one takes one pair of rates in that pair's damping
-form over all the times at once (a hyperbolic pair split at b*t = 1),
-and rates given per element form by form, each on its own elements.  The
-``dynamics`` CSV takes them over all its samples at once.
+alike.  The analytic one classifies each pair of rates, not each sample,
+into its damping form, whatever the layout of the arguments: a grid whose
+pairs share one form takes it whole, a mixed grid takes each form on its
+own elements, and the hyperbolic form splits its times at b*t = 1 inside
+itself.  The rates stay arrays throughout, so every square is numpy's and
+a float call equals the same element of any grid bit for bit.  The
+``dynamics`` CSV takes one pair over all its samples at once.
 
 Re c_eg, c_ev and c_gv are fed by nothing but themselves (the drive
 i*W*(p_e - p_g) of c_eg is imaginary), so from a start where they are 0,
@@ -221,35 +224,48 @@ def _oscillating(t, omega_tilde, gamma):
     return np.exp(-0.5 * gamma * t) * bracket**2
 
 
-def _hyperbolic_near(t, omega_tilde, gamma):
+def _hyperbolic(t, omega_tilde, gamma):
+    # cosh and sinhc while b*t <= 1; beyond, the exp(-gamma*t/4) prefactor
+    # is folded into the exponentials so cosh - sinh never cancels
+    # catastrophically.  Times on both sides take each side on its own.
     quarter = 0.25 * gamma
-    x = np.sqrt(-(omega_tilde**2 - quarter**2)) * t
-    bracket = np.cosh(x) - quarter * t * _sinhc(x)
-    return np.exp(-0.5 * gamma * t) * bracket**2
-
-
-def _hyperbolic_far(t, omega_tilde, gamma):
-    # fold the exp(-gamma*t/4) prefactor into the exponentials so
-    # cosh - sinh never cancels catastrophically
-    quarter = 0.25 * gamma
-    b = np.sqrt(-(omega_tilde**2 - quarter**2))
+    b = np.sqrt(quarter**2 - omega_tilde**2)
     x = b * t
-    a = quarter / b
-    w = 0.5 * ((1.0 - a) * np.exp(x - quarter * t)
-               + (1.0 + a) * np.exp(-x - quarter * t))
-    return w * w
+    far = x > 1.0
+    beyond = np.count_nonzero(far)   # faster than far.any() on small grids
+    if not beyond:
+        bracket = np.cosh(x) - quarter * t * _sinhc(x)
+        return np.exp(-0.5 * gamma * t) * bracket**2
+    if beyond == far.size:
+        a = quarter / b
+        w = 0.5 * ((1.0 - a) * np.exp(x - quarter * t)
+                   + (1.0 + a) * np.exp(-x - quarter * t))
+        return w * w
+    value = np.empty(x.shape)
+    for side in (~far, far):
+        value[side] = _hyperbolic(*_at(side, t, omega_tilde, gamma))
+    return value
 
 
-#: the forms of p(t), indexed by :func:`_branch`
-_BRANCHES = (_decoupled, _oscillating, _hyperbolic_near, _hyperbolic_far)
+#: the forms of p(t), indexed by :func:`_form`
+_FORMS = (_decoupled, _oscillating, _hyperbolic)
 
 
-def _branch(t, omega_tilde, gamma):
-    """Index into _BRANCHES: no coupling, W >= G/4, else b*t <= 1 or beyond."""
-    beta_sq = omega_tilde**2 - (0.25 * gamma)**2
-    hyperbolic = beta_sq < 0.0
-    far = hyperbolic & (np.sqrt(np.abs(beta_sq)) * t > 1.0)
-    return (omega_tilde != 0.0) * (1 + hyperbolic + far)
+def _form(omega_tilde, gamma):
+    """Index into _FORMS of each pair of rates: no coupling, W >= G/4, else
+    hyperbolic."""
+    hyperbolic = omega_tilde**2 < (0.25 * gamma)**2
+    return (omega_tilde != 0.0) * (1 + hyperbolic)
+
+
+def _at(rows, *arrays):
+    """Each array, broadcast over the grid, at the elements ``rows``; an
+    array of one element, shared by every row, is passed whole, as one
+    dimension."""
+    return [array.reshape(1) if array.size == 1 else
+            (array if array.shape == rows.shape
+             else np.broadcast_to(array, rows.shape))[rows]
+            for array in arrays]
 
 
 def _kernel_arguments(t, omega_tilde, gamma):
@@ -262,26 +278,6 @@ def _kernel_arguments(t, omega_tilde, gamma):
     return time, omega, decay
 
 
-def _pair_form(t, omega_tilde, gamma):
-    """p(t) of one pair of rates over all of ``t``, in the form that
-    :func:`_branch` gives each element: classified once, not per element,
-    but for a hyperbolic pair's split at b*t = 1."""
-    if omega_tilde == 0.0:
-        return _decoupled(t, omega_tilde, gamma)
-    beta_sq = omega_tilde**2 - (0.25 * gamma)**2
-    if not beta_sq < 0.0:
-        return _oscillating(t, omega_tilde, gamma)
-    far = np.sqrt(-beta_sq) * t > 1.0
-    if not far.any():
-        return _hyperbolic_near(t, omega_tilde, gamma)
-    if far.all():
-        return _hyperbolic_far(t, omega_tilde, gamma)
-    value = np.empty(t.shape)
-    value[~far] = _hyperbolic_near(t[~far], omega_tilde, gamma)
-    value[far] = _hyperbolic_far(t[far], omega_tilde, gamma)
-    return value
-
-
 def p_omega_analytic(t, omega_tilde, gamma):
     """Closed-form excited-state survival probability p(t).
 
@@ -290,27 +286,21 @@ def p_omega_analytic(t, omega_tilde, gamma):
     three arguments.
     """
     time, omega, decay = _kernel_arguments(t, omega_tilde, gamma)
-    if omega.size == decay.size == 1:   # one pair: no rates per element
-        time = np.broadcast_arrays(time, omega)[0]   # with omega's dimensions
-        value = _pair_form(time, omega.reshape(1), decay.item())
+    shape = np.broadcast(time, omega, decay).shape
+    if time.shape != shape:   # a time for every element of the result
+        time = np.broadcast_to(time, shape)
+    form = _form(omega, decay)
+    counts = np.bincount(form.ravel(), minlength=len(_FORMS)).tolist()
+    if form.size in counts:   # one form for every pair: no gather
+        value = _FORMS[counts.index(form.size)](time, omega, decay)
         return like(value, t, omega_tilde, gamma)
-    per_element = decay.size > 1
-    if per_element:
-        time, omega, decay = np.broadcast_arrays(time, omega, decay)
-    else:   # one rate for every element stays a scalar: no copy per branch
-        time, omega = np.broadcast_arrays(time, omega)
-        decay = decay.item()
-    branch = _branch(time, omega, decay)
-    counts = np.bincount(branch.ravel(), minlength=len(_BRANCHES)).tolist()
-    if branch.size in counts:   # one form for every element: no gather
-        value = _BRANCHES[counts.index(branch.size)](time, omega, decay)
-        return like(value, t, omega_tilde, gamma)
-    value = np.empty(time.shape)
-    for index, form in enumerate(_BRANCHES):
+    if form.shape != shape:
+        form = np.broadcast_to(form, shape)
+    value = np.empty(shape)
+    for index, evaluate in enumerate(_FORMS):
         if counts[index]:
-            rows = branch == index
-            value[rows] = form(time[rows], omega[rows],
-                               decay[rows] if per_element else decay)
+            rows = form == index
+            value[rows] = evaluate(*_at(rows, time, omega, decay))
     return like(value, t, omega_tilde, gamma)
 
 

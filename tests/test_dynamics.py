@@ -19,6 +19,15 @@ GAMMA_MOL = 2.0 * math.pi * 12.0e6
 MIXED_STATE = np.array([0.5, 0.3, 0.2, -0.1])
 
 
+def damping_index(t, omega, gamma):
+    """Each element's form of p(t): 0 decoupled, 1 oscillating, 2 hyperbolic
+    with b*t <= 1, 3 hyperbolic beyond; the rates' class plus b*t > 1."""
+    t, omega, gamma = np.broadcast_arrays(t, omega, gamma)
+    form = dynamics._form(omega, gamma)
+    b = np.sqrt(np.abs(omega**2 - (0.25 * gamma)**2))
+    return form + ((form == 2) & (b * t > 1.0))
+
+
 def closed_form_gap(run, omega, gamma):
     """Largest |p_e - p(t)| over a run, the kernel taken on all its times."""
     times, states = run
@@ -327,7 +336,7 @@ class TestClosedForm:
         mixed = p_omega_analytic(args["t"], args["omega"], args["gamma"])
         t, omega, gamma = np.broadcast_arrays(args["t"], args["omega"],
                                               args["gamma"])
-        branch = dynamics._branch(t, omega, gamma)
+        branch = damping_index(t, omega, gamma)
         assert scalar in ("t", "omega") or len(set(branch.tolist())) == 4
         for form in set(branch.tolist()):
             rows = branch == form
@@ -342,27 +351,40 @@ class TestClosedForm:
         (OMEGA_200, 0.0, {1}),
         (0.25 * GAMMA_MOL, GAMMA_MOL, {1}),   # every x is 0: all series
         (0.05 * GAMMA_MOL, GAMMA_MOL, {2, 3}),
+        # libm pow(G/4, 2) is not numpy's (G/4)*(G/4) for this rate
+        (0.1 * 473901359.1895744, 473901359.1895744, {2, 3}),
     ], ids=["decoupled", "oscillating", "decay-free", "critical",
-            "hyperbolic"])
+            "hyperbolic", "pow-is-not-square"])
     def test_one_pair_equals_the_per_element_path_bitwise(self, omega, gamma,
                                                           forms):
-        # one pair of rates takes its form over all the times at once, rates
-        # given per element are classified element by element
+        # every layout of the rates takes each element's form on the same
+        # arithmetic: floats, one-element arrays, one rate over an array,
+        # rates per element and a 2-D broadcast give the same bits
         rate = math.sqrt(abs(omega**2 - (0.25 * gamma)**2)) or gamma
-        # t = 0, x = rate*t in the sinc series (< 1e-4) and on both sides of 1
-        t = np.concatenate([[0.0], np.geomspace(1.0e-7, 40.0, 400) / rate])
+        # t = 0, x = rate*t in the sinc series (< 1e-4) and on both sides of
+        # 1, and t = 2/gamma
+        t = np.concatenate([[0.0], np.geomspace(1.0e-7, 40.0, 400) / rate,
+                            [2.0 / (gamma or rate)]])
         for times in (t, t[t * rate <= 1.0], t[t * rate > 1.0]):
             n = times.size
             omegas, gammas = np.full(n, omega), np.full(n, gamma)
-            branch = set(dynamics._branch(times, omegas, gammas).tolist())
+            branch = set(damping_index(times, omegas, gammas).tolist())
             assert branch == forms if times is t else branch <= forms
             per_element = p_omega_analytic(times, omegas, gammas).tobytes()
             for pair in ((omega, gamma), (np.array([omega]), np.array([gamma])),
-                         (np.array([[omega]]), gamma)):
+                         (np.array([[omega]]), gamma), (omegas, gamma)):
                 value = p_omega_analytic(times, *pair)
                 assert value.shape == np.broadcast_shapes(times.shape,
                                                           np.shape(pair[0]))
                 assert value.tobytes() == per_element
+            grid = p_omega_analytic(times[:, None], np.full(3, omega), gamma)
+            assert grid.shape == (n, 3)
+            assert grid.T.tobytes() == 3 * per_element
+        # one time, one decay rate and three couplings: three elements
+        value = p_omega_analytic(float(t[-1]), np.full(3, omega), gamma)
+        assert value.shape == (3,)
+        assert value.tobytes() == 3 * p_omega_analytic(t[-1:], omega,
+                                                       gamma).tobytes()
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -21,7 +21,7 @@ from cavloss import (CavityConfig, DomainError, HumanUnitsConfig,
                      resolve_params, resonance_geometry, single_passage_loss,
                      total_time)
 from cavloss.cli import build_run_config, cavity_config
-from cavloss.dynamics import _branch
+from cavloss.dynamics import _form
 from cavloss.validate import cmd_validate
 from oracles import TWO_PI_MHZ
 
@@ -189,9 +189,13 @@ def test_validate_passes_on_valid_configs(document):
 
 
 def test_overdamped_example_takes_the_hyperbolic_branch():
+    # index 2 of (decoupled, oscillating, hyperbolic b*t <= 1, beyond)
     params, _, _, _, grid = run_case(OVERDAMPED)
+    omega, gamma = grid.omega_tilde, params.gamma_mol
+    form = _form(omega, gamma)
+    b = np.sqrt(np.abs(omega**2 - (0.25 * gamma)**2))
     for t in (grid.times.t_resonant, 2.0 * grid.times.t_resonant):
-        assert np.all(_branch(t, grid.omega_tilde, params.gamma_mol) == 2)
+        assert np.all(form + ((form == 2) & (b * t > 1.0)) == 2)
 
 
 def assert_scalar_calls_match(kernel, t, omega, gamma):
