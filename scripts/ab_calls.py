@@ -8,13 +8,15 @@ A sizing aid: both versions run in one process, so the host's drift hits
 both alike and a few percent show in a minute.  It does not replace the
 paired ``benchmarks/run.py`` runs, which start a fresh interpreter per run.
 
-The package ``src/cavloss`` of REV is exported with ``git archive`` into a
-temporary directory as ``cavloss_rev``; it uses only relative imports, so
-it loads beside the working tree's ``cavloss``.  The calls are those of
-``benchmarks/workloads.py`` for the workload and seed, with their config
-files written to that directory.  Each round runs every call once into
-each version's ``cli.main``, the two in turn, flipping which goes first
-from one call to the next.  Stdout is captured in memory.
+The committed files of REV are exported with ``git archive``, as
+``scripts/same_bytes.py`` does, into a temporary directory, and REV's
+package ``src/cavloss`` is moved there to ``cavloss_rev``; it uses only
+relative imports, so it loads beside the working tree's ``cavloss``.
+The calls are those of ``benchmarks/workloads.py`` for the workload and
+seed, with their config files written to that directory.  Each round
+runs every call once into each version's ``cli.main``, the two in turn,
+flipping which goes first from one call to the next.  Stdout is
+captured in memory.
 
 Printed: each version's median per-call time with its quartiles, the
 median over calls of the ratio of the working tree's time to REV's, and
@@ -28,26 +30,12 @@ import contextlib
 import importlib
 import io
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def export_package(rev: str, directory: Path) -> None:
-    """Write REV's ``src/cavloss`` to ``directory/cavloss_rev``."""
-    archive = subprocess.run(["git", "archive", rev, "src/cavloss"],
-                             cwd=ROOT, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        for member in tar.getmembers():
-            if member.isfile():
-                target = directory / "cavloss_rev" / Path(member.name).name
-                target.parent.mkdir(exist_ok=True)
-                target.write_bytes(tar.extractfile(member).read())
+from same_bytes import ROOT, export
 
 
 def timed(main, argv: list) -> tuple[float, str]:
@@ -81,7 +69,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
-        export_package(args.rev, directory)
+        tree = export(args.rev, directory / "rev")
+        (tree / "src" / "cavloss").rename(directory / "cavloss_rev")
         sys.path.insert(0, name)
         mains = {"rev": importlib.import_module("cavloss_rev.cli").main,
                  "tree": importlib.import_module("cavloss.cli").main}

@@ -383,18 +383,19 @@ def cmd_scan(cfg: RunConfig, cav: CavityConfig,
     window is refused before any compute, naming its first such detuning.
     """
     scan = cfg.scan
-    deltas = np.linspace(scan.from_mhz, scan.to_mhz, scan.points) * TWO_PI_MHZ
+    delta_mhz = np.linspace(scan.from_mhz, scan.to_mhz, scan.points)
+    deltas = delta_mhz * TWO_PI_MHZ
     inside = traploss_mod.in_default_window(deltas)
     if not (scan.allow_out_of_window or inside.all()):
         raise ConfigError(
-            f"detuning {deltas[~inside][0] / TWO_PI_MHZ:.6g} MHz is outside "
+            f"detuning {delta_mhz[~inside][0]:.6g} MHz is outside "
             f"the validity window {traploss_mod.DEFAULT_WINDOW_MHZ} MHz; set "
             f"scan.allow_out_of_window (--allow-out-of-window) to override")
     grid = traploss_mod.loss_grid(deltas, cav, params, scan.p_model)
 
     times, geometry = grid.times, grid.times.geometry
     header = list(SCAN_HEADER)
-    columns = [grid.delta / TWO_PI_MHZ, grid.omega_tilde / TWO_PI_MHZ,
+    columns = [delta_mhz, grid.omega_tilde / TWO_PI_MHZ,
                grid.n_pairs, geometry.r_condon * 1.0e8,
                geometry.r_escape * 1.0e8, times.t_total, times.frac_resonant,
                times.t_resonant, times.t_escape_region, grid.phase / math.pi,

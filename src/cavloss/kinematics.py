@@ -26,12 +26,9 @@ of [0, 1] away from its singularity.  P (degree 15) and Q (degree 9) are
 near-minimax Chebyshev fits within 2e-17 of their functions, written as
 literals by ``scripts/infall_coefficients.py``.  Horner's rule evaluates
 them with ``+``, ``*`` and ``sqrt`` alone, each correctly rounded by
-every numpy kernel and by builtin floats, so the result is within ~4e-16
-absolute of the integral for every r in [0, 1] and its bits do not
-depend on numpy's CPU dispatch.  A one-element grid is evaluated in
-builtin floats, which costs a tenth of numpy's calls on one element, and
-every element of a grid gets the bits of its one-point call.  Every time
-scale here, and the time bundle of
+every numpy kernel, so the result is within ~4e-16 absolute of the
+integral for every r in [0, 1] and its bits do not depend on numpy's CPU
+dispatch.  Every time scale here, and the time bundle of
 :func:`collision_times`, is elementwise over detunings (see
 :mod:`cavloss.grid`).
 """
@@ -83,8 +80,7 @@ class CollisionTimes(NamedTuple):
 
 
 def _horner(coefficients: tuple, x):
-    # in place on an array: one pass per operation, and no temporary array
-    # after the first; a builtin float takes the same operations
+    # in place: one pass per operation, and no temporary array after the first
     total = coefficients[0] * x
     for c in coefficients[1:-1]:
         total += c
@@ -93,21 +89,9 @@ def _horner(coefficients: tuple, x):
     return total
 
 
-def _infall_point(r: float) -> float:
-    """The in-fall integral at one r in [0, 1] in builtin floats, with the
-    operations of a grid element, so its bits."""
-    if r < 0.5:
-        r2 = r * r
-        return _G0 - r2 * math.sqrt(r) * _horner(_HEAD, r2 * r)
-    y = 1.0 - r
-    return math.sqrt(y) * _horner(_TAIL, y)
-
-
 def _infall_integral(r_ratio):
     """integral_r^1 du/sqrt(u^-3 - 1), elementwise."""
     grid = as_grid(r_ratio)
-    if grid.size == 1:   # numpy's cost per call on one element exceeds the sum
-        return like(np.full(grid.shape, _infall_point(grid.item())), r_ratio)
     r = grid.ravel()
     y = 1.0 - r
     value = np.sqrt(y) * _horner(_TAIL, y)

@@ -367,6 +367,17 @@ class TestScanCommand:
         assert deltas[0] == pytest.approx(-1000.0)
         assert deltas[-1] == pytest.approx(-350.0)
 
+    def test_contract_prints_the_requested_grid_at_17_digits(self, capsys,
+                                                             tmp_path):
+        # the MHz grid itself, not a round trip of it through rad/s
+        config = write_config(tmp_path, {"output": {"precision": 17}})
+        code, out, err = run(capsys, ["--config", config, "scan"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows[0]["delta_mhz"] == "-1.0000000000000000e+03"
+        printed = [float(r["delta_mhz"]) for r in rows]
+        assert printed == np.linspace(-1000.0, -350.0, 200).tolist()
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         argv = ["scan", "--points", "40"]
         _, first, _ = run(capsys, argv)

@@ -117,17 +117,12 @@ class TestPolynomialRule:
           for forms in RANGES), (20_050, "mixed")])
     def test_grid_elements_equal_single_points_bitwise(self, size, forms):
         # the tail form runs over the whole grid and the head form is
-        # written over r < 1/2, yet each element keeps its one-point bits
+        # written over r < 1/2, yet each element keeps its one-point bits,
+        # and a one-element grid keeps its shape
         r_ratio = with_edges(size, *RANGES[forms], seed=size)
-        alone = [_infall_integral(r) for r in r_ratio.tolist()]
-        assert _infall_integral(r_ratio).tobytes() == np.array(alone).tobytes()
-
-    def test_float_form_equals_the_grid_form_bitwise(self):
-        # a one-element grid is summed in builtin floats, a longer one in numpy
-        r_ratio = with_edges(20_050, seed=75)
         grid = _infall_integral(r_ratio)
-        floats = [kinematics._infall_point(r) for r in r_ratio.tolist()]
-        assert grid.tobytes() == np.array(floats).tobytes()
+        alone = [_infall_integral(r) for r in r_ratio.tolist()]
+        assert grid.tobytes() == np.array(alone).tobytes()
         for shape in ((1,), (1, 1)):
             one = _infall_integral(r_ratio[:1].reshape(shape))
             assert one.shape == shape and one.tobytes() == grid[:1].tobytes()
