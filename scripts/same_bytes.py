@@ -102,7 +102,8 @@ CONFIGS = {
 OUTPUT = "out.csv"
 
 #: (name, argv) of every run: every command, both kernels and couplings,
-#: out-of-window scans, scans refused at either end of the window, a
+#: out-of-window scans, scans refused at either end of the window, a scan
+#: refused and a times run noted just past its lower edge, a
 #: validate over a grid beyond the window, a refused validate config, refused
 #: dynamics steps and step counts, reference detunings refused by every
 #: command, species values, coupling references, cavity values, a scan
@@ -138,6 +139,8 @@ RUNS = [
     ("scan-wide-p17", ["--config", "wide_p17.json", "scan"]),
     ("scan-refused-oow", ["scan", "--from-mhz", "-1500"]),
     ("scan-refused-oow-top", ["scan", "--to-mhz", "-300"]),
+    ("scan-window-edge", ["scan", "--from-mhz", "-1000.0000000000001"]),
+    ("times-window-edge", ["times", "--delta-mhz", "-1000.0000001"]),
     ("scan-bad-choice", ["scan", "--p-model", "exact"]),
     ("scan-help", ["scan", "--help"]),
     ("constants", ["constants"]),

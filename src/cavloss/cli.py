@@ -259,39 +259,34 @@ def cmd_constants(cfg: RunConfig, cav: CavityConfig,
     """Key=value report of every resolved quantity."""
     omega_c = params.omega_a + cav.delta_ref
     waist, volume = cavity_mod.mode_geometry(omega_c, cav)
-    d_atom = cavity_mod.atomic_dipole(params)
     omega_single = cavity_mod.single_rabi(omega_c, cav, params)
-    lines = [
-        f"omega_a_rad_s={params.omega_a!r}",
-        f"gamma_a_rad_s={params.gamma_a!r}",
-        f"gamma_mol_rad_s={params.gamma_mol!r}",
-        f"mass_atom_g={params.mass_atom!r}",
-        f"mu_g={params.mu!r}",
-        f"c3_erg_cm3={params.c3!r}",
-        f"trap_depth_erg={params.trap_depth!r}",
-        f"trap_resonant_omega_tilde_mhz="
-        f"{2.0 * params.trap_depth / HBAR / TWO_PI_MHZ!r}",
-        f"waist_um={waist * 1.0e4!r}",
-        f"mode_volume_cm3={volume!r}",
-        f"dipole_atomic_esu_cm={d_atom!r}",
-        f"dipole_molecular_esu_cm={cavity_mod.molecular_dipole(params)!r}",
-        f"field_per_photon_cgs={cavity_mod.field_per_photon(omega_c, volume)!r}",
-        f"omega_single_mhz={omega_single / TWO_PI_MHZ!r}",
-        f"coupling_mode={cfg.coupling.mode}",
-    ]
+    report = {
+        "omega_a_rad_s": params.omega_a,
+        "gamma_a_rad_s": params.gamma_a,
+        "gamma_mol_rad_s": params.gamma_mol,
+        "mass_atom_g": params.mass_atom,
+        "mu_g": params.mu,
+        "c3_erg_cm3": params.c3,
+        "trap_depth_erg": params.trap_depth,
+        "trap_resonant_omega_tilde_mhz":
+            2.0 * params.trap_depth / HBAR / TWO_PI_MHZ,
+        "waist_um": waist * 1.0e4,
+        "mode_volume_cm3": volume,
+        "dipole_atomic_esu_cm": cavity_mod.atomic_dipole(params),
+        "dipole_molecular_esu_cm": cavity_mod.molecular_dipole(params),
+        "field_per_photon_cgs": cavity_mod.field_per_photon(omega_c, volume),
+        "omega_single_mhz": omega_single / TWO_PI_MHZ,
+        "coupling_mode": cfg.coupling.mode,
+    }
     if cfg.coupling.mode == "microscopic":
         point = cavity_mod.coupling(cav.delta_ref, cav, params)
-        lines.append(f"n_pairs_at_delta_ref={point.n_pairs!r}")
-        lines.append(f"omega_tilde_at_delta_ref_mhz={point.omega_tilde / TWO_PI_MHZ!r}")
-    for line in lines:   # a builtin float overflows to inf without raising
-        key, value = line.split("=")
-        if value in ("inf", "-inf", "nan"):
+        report["n_pairs_at_delta_ref"] = point.n_pairs
+        report["omega_tilde_at_delta_ref_mhz"] = point.omega_tilde / TWO_PI_MHZ
+    for key, value in report.items():   # a builtin float overflows silently
+        if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{key} left the floating-point range")
-    return "\n".join(lines) + "\n"
-
-
-TIMES_HEADER = ["delta_mhz", "r_condon_ang", "r_escape_ang", "t0_s", "f",
-                "tc_s", "te_s", "phase_over_pi"]
+    # a builtin float's str is its repr
+    return "".join(f"{key}={value}\n" for key, value in report.items())
 
 
 def cmd_times(cfg: RunConfig, cav: CavityConfig, params: PhysicalParams,
@@ -302,16 +297,13 @@ def cmd_times(cfg: RunConfig, cav: CavityConfig, params: PhysicalParams,
         omega_tilde = cavity_mod.coupling(delta, cav, params).omega_tilde
         times = kinematics_mod.collision_times(delta, omega_tilde, params)
         phase = omega_tilde * times.t_resonant
-    row = (delta_mhz, times.geometry.r_condon * 1.0e8,
-           times.geometry.r_escape * 1.0e8, times.t_total,
-           times.frac_resonant, times.t_resonant, times.t_escape_region,
-           phase / math.pi)
-    columns = [np.atleast_1d(value) for value in row]
-    return "".join(csv_pieces(TIMES_HEADER, columns, cfg.output.precision))
-
-
-DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
-                   "abs_err", "trace"]
+    columns = {"delta_mhz": delta_mhz,
+               "r_condon_ang": times.geometry.r_condon * 1.0e8,
+               "r_escape_ang": times.geometry.r_escape * 1.0e8,
+               "t0_s": times.t_total, "f": times.frac_resonant,
+               "tc_s": times.t_resonant, "te_s": times.t_escape_region,
+               "phase_over_pi": phase / math.pi}
+    return "".join(csv_pieces(columns, cfg.output.precision))
 
 
 @float_range("the dynamics run")
@@ -365,14 +357,10 @@ def cmd_dynamics(cfg: RunConfig, cav: CavityConfig, params: PhysicalParams,
         dynamics_mod.EXCITED_STATE, omega_tilde, gamma, t_max_s, dt_s)
     p_e, p_g, p_v = states[:, :3].T
     analytic = dynamics_mod.p_omega_analytic(times, omega_tilde, gamma)
-    columns = [times, p_e, analytic, p_g, p_v, np.abs(p_e - analytic),
-               p_e + p_g + p_v]
-    return csv_pieces(DYNAMICS_HEADER, columns, cfg.output.precision)
-
-
-SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
-               "t0_s", "f", "tc_s", "te_s", "phase_over_pi", "loss_cavity",
-               "loss_free"]
+    columns = {"t_s": times, "p_e_numeric": p_e, "p_e_analytic": analytic,
+               "p_g": p_g, "p_v": p_v, "abs_err": np.abs(p_e - analytic),
+               "trace": p_e + p_g + p_v}
+    return csv_pieces(columns, cfg.output.precision)
 
 
 def cmd_scan(cfg: RunConfig, cav: CavityConfig,
@@ -384,32 +372,32 @@ def cmd_scan(cfg: RunConfig, cav: CavityConfig,
     """
     scan = cfg.scan
     delta_mhz = np.linspace(scan.from_mhz, scan.to_mhz, scan.points)
-    deltas = delta_mhz * TWO_PI_MHZ
-    inside = traploss_mod.in_default_window(deltas)
+    inside = traploss_mod.in_default_window(delta_mhz)
     if not (scan.allow_out_of_window or inside.all()):
         raise ConfigError(
-            f"detuning {delta_mhz[~inside][0]:.6g} MHz is outside "
+            f"detuning {float(delta_mhz[~inside][0])!r} MHz is outside "
             f"the validity window {traploss_mod.DEFAULT_WINDOW_MHZ} MHz; set "
             f"scan.allow_out_of_window (--allow-out-of-window) to override")
-    grid = traploss_mod.loss_grid(deltas, cav, params, scan.p_model)
+    grid = traploss_mod.loss_grid(delta_mhz * TWO_PI_MHZ, cav, params,
+                                  scan.p_model)
 
     times, geometry = grid.times, grid.times.geometry
-    header = list(SCAN_HEADER)
-    columns = [delta_mhz, grid.omega_tilde / TWO_PI_MHZ,
-               grid.n_pairs, geometry.r_condon * 1.0e8,
-               geometry.r_escape * 1.0e8, times.t_total, times.frac_resonant,
-               times.t_resonant, times.t_escape_region, grid.phase / math.pi,
-               grid.loss_cavity, grid.loss_free]
+    columns = {"delta_mhz": delta_mhz,
+               "omega_tilde_mhz": grid.omega_tilde / TWO_PI_MHZ,
+               "n_pairs": grid.n_pairs, "rc_ang": geometry.r_condon * 1.0e8,
+               "re_ang": geometry.r_escape * 1.0e8, "t0_s": times.t_total,
+               "f": times.frac_resonant, "tc_s": times.t_resonant,
+               "te_s": times.t_escape_region,
+               "phase_over_pi": grid.phase / math.pi,
+               "loss_cavity": grid.loss_cavity, "loss_free": grid.loss_free}
     if scan.include_p_excite:
-        header.append("p_excite")
         with float_range("p_excite at coupling.v_inf_cm_s "
                          f"{cfg.coupling.v_inf_cm_s!r}"):
-            columns.append(cavity_mod.landau_zener(
-                grid.delta, grid.omega_tilde, cfg.coupling.v_inf_cm_s, params))
+            columns["p_excite"] = cavity_mod.landau_zener(
+                grid.delta, grid.omega_tilde, cfg.coupling.v_inf_cm_s, params)
     if scan.allow_out_of_window:
-        header.append("in_window")
-        columns.append(inside)
-    return csv_pieces(header, columns, cfg.output.precision)
+        columns["in_window"] = inside
+    return csv_pieces(columns, cfg.output.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +506,8 @@ def _emit(path: Optional[str], pieces: Iterable[str]) -> None:
 
 def _window_note(delta_mhz: float) -> None:
     """A stderr note when a detuning lies outside the validity window."""
-    if not traploss_mod.in_default_window(delta_mhz * TWO_PI_MHZ):
-        print(f"note: detuning {delta_mhz:.6g} MHz is outside the validity "
+    if not traploss_mod.in_default_window(delta_mhz):
+        print(f"note: detuning {delta_mhz!r} MHz is outside the validity "
               f"window {traploss_mod.DEFAULT_WINDOW_MHZ} MHz of the "
               f"semiclassical model", file=sys.stderr)
 

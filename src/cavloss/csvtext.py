@@ -60,7 +60,7 @@ through ``%``.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -124,16 +124,19 @@ def _scale_table(precision: int) -> np.ndarray:
                   [0.0, 2.0**-51], np.inf)])
 
 
-def csv_pieces(header: list[str], columns: list,
+def csv_pieces(columns: Mapping[str, object],
                precision: int) -> Iterator[str]:
     """The header line, then one line per row of the columns, in pieces.
 
-    Float columns are written in scientific notation with ``precision``
-    significant digits, integer and boolean columns as ``%d``.  The pieces
-    are the header, the rows of each chunk of :data:`CSV_CHUNK_ROWS` and
-    the final newline, handed out one at a time.
+    ``columns`` maps each column name to its values, in output order; a
+    plain number is a one-row column.  Float columns are written in
+    scientific notation with ``precision`` significant digits, integer and
+    boolean columns as ``%d``.  The pieces are the header, the rows of
+    each chunk of :data:`CSV_CHUNK_ROWS` and the final newline, handed out
+    one at a time.
     """
-    columns = [np.asarray(column) for column in columns]
+    header = ",".join(columns)
+    columns = [np.atleast_1d(column) for column in columns.values()]
     kinds = tuple(column.dtype.kind in "biu" for column in columns)
     row_format = ",".join("%d" if is_int else f"%.{precision - 1}e"
                           for is_int in kinds)
@@ -141,7 +144,7 @@ def csv_pieces(header: list[str], columns: list,
     chunks = [slice(start, start + CSV_CHUNK_ROWS)
               for start in range(0, n_rows, CSV_CHUNK_ROWS)]
     # every row is written with the newline that ends the line before it
-    yield ",".join(header)
+    yield header
     if precision > _FAST_MAX_PRECISION:
         for rows in chunks:
             yield "".join(_percent_lines(row_format, columns, rows))

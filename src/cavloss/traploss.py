@@ -36,7 +36,6 @@ one detuning as :func:`loss_point` calls it (see :mod:`cavloss.grid`).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -197,8 +196,7 @@ def loss_point(delta: float, cavity: CavityConfig, params: PhysicalParams,
     return loss_grid(float(delta), cavity, params, p_model)
 
 
-def in_default_window(delta):
-    """True if the detuning lies in the trusted semiclassical window."""
-    lo = 2.0 * math.pi * DEFAULT_WINDOW_MHZ[0] * 1.0e6
-    hi = 2.0 * math.pi * DEFAULT_WINDOW_MHZ[1] * 1.0e6
-    return (lo * (1.0 + 1.0e-12) <= delta) & (delta <= hi * (1.0 - 1.0e-12))
+def in_default_window(delta_mhz):
+    """True if the detuning (MHz) lies in the trusted semiclassical window."""
+    lo, hi = DEFAULT_WINDOW_MHZ
+    return (lo <= delta_mhz) & (delta_mhz <= hi)

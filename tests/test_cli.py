@@ -152,8 +152,18 @@ def test_detuning_past_the_transition_exits_2(capsys, argv):
     assert "cavity length" not in err
 
 
+#: the header of each command's CSV, as the output contract states it
+TIMES_HEADER = ["delta_mhz", "r_condon_ang", "r_escape_ang", "t0_s", "f",
+                "tc_s", "te_s", "phase_over_pi"]
+DYNAMICS_HEADER = ["t_s", "p_e_numeric", "p_e_analytic", "p_g", "p_v",
+                   "abs_err", "trace"]
+SCAN_HEADER = ["delta_mhz", "omega_tilde_mhz", "n_pairs", "rc_ang", "re_ang",
+               "t0_s", "f", "tc_s", "te_s", "phase_over_pi", "loss_cavity",
+               "loss_free"]
+
+
 @pytest.mark.parametrize("command, header", [
-    ("times", cli.TIMES_HEADER), ("dynamics", cli.DYNAMICS_HEADER)])
+    ("times", TIMES_HEADER), ("dynamics", DYNAMICS_HEADER)])
 @pytest.mark.parametrize("delta_mhz, noted", [
     ("-5000", True), ("-1e-30", True),
     ("-350", False), ("-600", False), ("-1000", False),
@@ -171,6 +181,21 @@ def test_detuning_outside_the_window_is_noted(capsys, command, header,
         assert "outside the validity window" in err
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("document, argv, appended", [
+    ({}, [], []),
+    ({"scan": {"include_p_excite": True}}, [], ["p_excite"]),
+    ({}, ["--allow-out-of-window"], ["in_window"]),
+    ({"scan": {"include_p_excite": True}}, ["--allow-out-of-window"],
+     ["p_excite", "in_window"]),
+])
+def test_scan_header_line(capsys, tmp_path, document, argv, appended):
+    config = write_config(tmp_path, document)
+    code, out, err = run(capsys, ["--config", config, "scan", "--points", "3"]
+                         + argv)
+    assert code == 0 and err == ""
+    assert out.startswith(",".join(SCAN_HEADER + appended) + "\n")
 
 
 def test_float_flags_take_negative_exponents_after_equals():
@@ -404,7 +429,7 @@ class TestScanCommand:
                                           *sink])
             assert (code, out) == (2, "")
             assert err == (
-                "error: detuning -1200 MHz is outside the validity window "
+                "error: detuning -1200.0 MHz is outside the validity window "
                 "(-1000.0, -350.0) MHz; set scan.allow_out_of_window "
                 "(--allow-out-of-window) to override\n")
         assert not target.exists()
@@ -414,9 +439,20 @@ class TestScanCommand:
         code, out, err = run(capsys, ["scan", "--to-mhz", "-300"])
         assert (code, out) == (2, "")
         assert err == (
-            "error: detuning -349.246 MHz is outside the validity window "
-            "(-1000.0, -350.0) MHz; set scan.allow_out_of_window "
+            "error: detuning -349.2462311557789 MHz is outside the validity "
+            "window (-1000.0, -350.0) MHz; set scan.allow_out_of_window "
             "(--allow-out-of-window) to override\n")
+
+    def test_window_holds_its_edges_and_nothing_past_them(self, capsys):
+        # one ulp past -1000 MHz is outside: the window has no slack
+        assert in_default_window(np.array(traploss.DEFAULT_WINDOW_MHZ)).all()
+        past = np.nextafter(traploss.DEFAULT_WINDOW_MHZ, (-np.inf, np.inf))
+        assert not in_default_window(past).any()
+        code, out, err = run(capsys, ["scan", "--from-mhz",
+                                      "-1000.0000000000001"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: detuning -1000.0000000000001 MHz is "
+                              "outside the validity window")
 
     def test_out_of_window_tagging(self, capsys):
         code, out, _ = run(capsys, ["scan", "--points", "10",
@@ -435,7 +471,7 @@ class TestScanCommand:
                                     "--allow-out-of-window"])
         assert code == 0
         _, rows = parse_csv(out)
-        deltas = np.linspace(-1650.0, -25.0, 26) * TWO_PI_MHZ
+        deltas = np.linspace(-1650.0, -25.0, 26)
         assert [r["in_window"] for r in rows] \
             == ["1" if in_default_window(d) else "0" for d in deltas]
         assert [r["in_window"] for r in rows].count("1") == 11
@@ -877,9 +913,11 @@ def test_csv_matches_percent_oracle(capsys, monkeypatch, tmp_path, document,
     fast = run(capsys, ["--config", config] + argv)
     tables = []
 
-    def oracle(header, columns, precision):
-        tables.append(header)
-        return percent_csv_oracle(header, columns, precision)
+    def oracle(columns, precision):
+        tables.append(list(columns))
+        return percent_csv_oracle(
+            list(columns),
+            [np.atleast_1d(column) for column in columns.values()], precision)
 
     # the commands write CSV through this one name; patching it makes the
     # second run write every row by `%`
@@ -1159,46 +1197,53 @@ def test_tiny_decay_rate_keeps_the_times_output(capsys, tmp_path):
     assert capsys.readouterr() == (default, "")
 
 
-#: the edge values the probe below gives one float key of the schema
+#: the edge values the probe below draws for a float key of the schema
 EDGE_VALUES = [1e-320, 1e-300, 1e-30, 1e30, 1e300, 1e308, -1.0, 0.0]
+
+#: the float keys of the schema, as (section, key)
+FLOAT_KEYS = [key for key, (kind, _, _) in cli._FIELDS.items() if kind is float]
 
 #: the commands the probe runs
 PROBE_COMMANDS = [["constants"], ["times", "--delta-mhz", "-350"],
                   ["dynamics", "--delta-mhz", "-350"],
                   ["scan", "--points", "50"], ["validate"]]
 
+#: an edge value, or a magnitude log-uniform in 1e-300..1e300 of either sign
+PROBE_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+              st.floats(-300.0, 300.0), st.sampled_from([1.0, -1.0])))
+
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(key=st.sampled_from([key for key, (kind, _, _) in cli._FIELDS.items()
-                            if kind is float]),
-       value=st.sampled_from(EDGE_VALUES),
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.dictionaries(st.sampled_from(FLOAT_KEYS), PROBE_VALUES,
+                              min_size=1, max_size=3),
        mode=st.sampled_from(cavity.COUPLING_MODES),
        argv=st.sampled_from(PROBE_COMMANDS))
 # a builtin float division by zero: the pair count at a vanishing Gamma,
 # the step count at a vanishing step
-@example(("species", "gamma_a_mhz"), 1e-320, "microscopic", ["constants"])
-@example(("species", "gamma_a_mhz"), 1e-320, "microscopic", ["scan"])
-@example(("species", "c3_erg_ang3"), 1e300, "microscopic",
+@example({("species", "gamma_a_mhz"): 1e-320}, "microscopic", ["constants"])
+@example({("species", "gamma_a_mhz"): 1e-320}, "microscopic", ["scan"])
+@example({("species", "c3_erg_ang3"): 1e300}, "microscopic",
          ["dynamics", "--delta-mhz", "-350"])
 # a builtin float power that overflows: the step ceiling at a huge Gamma
-@example(("species", "gamma_a_mhz"), 1e300, "anchored",
+@example({("species", "gamma_a_mhz"): 1e300}, "anchored",
          ["dynamics", "--delta-mhz", "-350"])
 # a numpy overflow or invalid operation outside any guard
-@example(("species", "gamma_a_mhz"), 1e300, "microscopic", ["constants"])
-@example(("species", "gamma_a_mhz"), 1e-300, "microscopic", ["constants"])
+@example({("species", "gamma_a_mhz"): 1e300}, "microscopic", ["constants"])
+@example({("species", "gamma_a_mhz"): 1e-300}, "microscopic", ["constants"])
 # a builtin float product that overflows to inf without raising
-@example(("species", "trap_depth_mk"), 1e300, "anchored", ["constants"])
-@example(("species", "trap_depth_mhz"), 1e308, "microscopic", ["constants"])
-@example(("species", "gamma_a_mhz"), 1e300, "anchored", ["constants"])
-@example(("species", "c3_erg_ang3"), 1e300, "microscopic", ["constants"])
-def test_edge_values_run_clean_or_exit_2(tmp_path_factory, key, value, mode,
-                                         argv):
+@example({("species", "trap_depth_mk"): 1e300}, "anchored", ["constants"])
+@example({("species", "trap_depth_mhz"): 1e308}, "microscopic", ["constants"])
+@example({("species", "gamma_a_mhz"): 1e300}, "anchored", ["constants"])
+@example({("species", "c3_erg_ang3"): 1e300}, "microscopic", ["constants"])
+def test_edge_values_run_clean_or_exit_2(tmp_path_factory, values, mode, argv):
     # every config runs clean, fails validate by its report, or exits 2
     # with one error line: never a traceback, and never inf or NaN printed
-    section, name = key
-    document = {section: {name: value}}
-    document.setdefault("coupling", {})["mode"] = mode
+    document = {"coupling": {"mode": mode}}
+    for (section, name), value in values.items():
+        document.setdefault(section, {})[name] = value
     config = write_config(tmp_path_factory.mktemp("probe"), document)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

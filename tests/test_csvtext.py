@@ -17,7 +17,7 @@ from test_properties import PROPERTY
 
 def same_as_oracle(columns, precision):
     header = [f"c{j}" for j in range(len(columns))]
-    text = "".join(csv_pieces(header, columns, precision))
+    text = "".join(csv_pieces(dict(zip(header, columns)), precision))
     assert text == percent_csv_oracle(header, columns, precision)
     assert "\0" not in text
 
@@ -25,7 +25,7 @@ def same_as_oracle(columns, precision):
 def same_pieces_as_oracle(columns, precision):
     """The header, one piece per chunk and the final newline, joined."""
     header = [f"c{j}" for j in range(len(columns))]
-    pieces = list(csv_pieces(header, columns, precision))
+    pieces = list(csv_pieces(dict(zip(header, columns)), precision))
     assert "".join(pieces) == percent_csv_oracle(header, columns, precision)
     assert pieces[0] == ",".join(header) and pieces[-1] == "\n"
     assert len(pieces) == 2 + -(-len(columns[0]) // CSV_CHUNK_ROWS)
@@ -145,11 +145,10 @@ def test_all_fallback_chunk():
 
 
 def test_no_rows_is_the_header_line():
-    columns = [np.array([]), np.array([])]
+    columns = {"a": np.array([]), "b": np.array([])}
     for precision in (12, 17):
-        assert "".join(csv_pieces(["a", "b"], columns, precision)) == "a,b\n"
-        assert list(csv_pieces(["a", "b"], columns, precision)) \
-            == ["a,b", "\n"]
+        assert "".join(csv_pieces(columns, precision)) == "a,b\n"
+        assert list(csv_pieces(columns, precision)) == ["a,b", "\n"]
 
 
 @pytest.fixture
@@ -185,7 +184,7 @@ def test_near_ties_are_rare(slow):
     header = [f"c{j}" for j in range(6)]
     for precision in (6, 12):
         slow.clear()
-        text = "".join(csv_pieces(header, columns, precision))
+        text = "".join(csv_pieces(dict(zip(header, columns)), precision))
         assert text == percent_csv_oracle(header, columns, precision)
         assert len(slow) < 200
 
@@ -297,9 +296,9 @@ def test_scan_rows_take_the_fast_path_except_near_ties(slow, monkeypatch,
                                                        capsys):
     tables = []
 
-    def capture(header, columns, precision):
-        tables.append(columns)
-        return csv_pieces(header, columns, precision)
+    def capture(columns, precision):
+        tables.append(list(columns.values()))
+        return csv_pieces(columns, precision)
 
     monkeypatch.setattr(cli, "csv_pieces", capture)
     assert cli.main(["scan", "--points", "20000"]) == 0
