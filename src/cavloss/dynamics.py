@@ -28,13 +28,15 @@ analytic in b^2, so the value crosses the boundary continuously and no
 
 The two survival kernels are elementwise over grids (see
 :mod:`cavloss.grid`) and refuse a negative time, coupling or decay rate
-alike.  The analytic one classifies each pair of rates, not each sample,
-into its damping form, whatever the layout of the arguments: a grid whose
-pairs share one form takes it whole, a mixed grid takes each form on its
-own elements, and the hyperbolic form splits its times at b*t = 1 inside
-itself.  The rates stay arrays throughout, so every square is numpy's and
-a float call equals the same element of any grid bit for bit.  The
-``dynamics`` CSV takes one pair over all its samples at once.
+alike.  The analytic one has four forms: decoupled, oscillating, and
+hyperbolic with b*t <= 1 or beyond.  One classification gives each
+element its form, whatever the layout of the arguments: the rates alone
+pick among the first three, and b*t is formed only when some pair is
+hyperbolic.  A grid whose elements share one form takes it whole, a
+mixed grid takes each form on its own elements.  The rates stay arrays
+throughout, so every square is numpy's and a float call equals the same
+element of any grid bit for bit.  The ``dynamics`` CSV takes one pair
+over all its samples at once.
 
 Re c_eg, c_ev and c_gv are fed by nothing but themselves (the drive
 i*W*(p_e - p_g) of c_eg is imaginary), so from a start where they are 0,
@@ -193,22 +195,13 @@ def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
     return np.arange(n_steps + 1) * h, states[:n_steps + 1]
 
 
-def _sinc(x):
-    # sin(x)/x, analytic through x = 0: its series where |x| < 1e-4
+def _over_x(f, x, sign):
+    # f(x)/x for f = sin (sign -1) or sinh (sign +1), analytic through
+    # x = 0: its series 1 + sign*x^2/6*(1 + sign*x^2/20) where |x| < 1e-4
     small = np.abs(x) < 1.0e-4
-    value = np.sin(x) / np.where(small, 1.0, x)
+    value = f(x) / np.where(small, 1.0, x)
     if small.any():
-        x2 = np.square(x[small])
-        value[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
-    return value
-
-
-def _sinhc(x):
-    # sinh(x)/x, analytic through x = 0: its series where |x| < 1e-4
-    small = np.abs(x) < 1.0e-4
-    value = np.sinh(x) / np.where(small, 1.0, x)
-    if small.any():
-        x2 = np.square(x[small])
+        x2 = sign * np.square(x[small])
         value[small] = 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
     return value
 
@@ -220,42 +213,45 @@ def _decoupled(t, omega_tilde, gamma):
 def _oscillating(t, omega_tilde, gamma):
     quarter = 0.25 * gamma
     x = np.sqrt(omega_tilde**2 - quarter**2) * t
-    bracket = np.cos(x) - quarter * t * _sinc(x)
+    bracket = np.cos(x) - quarter * t * _over_x(np.sin, x, -1.0)
     return np.exp(-0.5 * gamma * t) * bracket**2
 
 
-def _hyperbolic(t, omega_tilde, gamma):
-    # cosh and sinhc while b*t <= 1; beyond, the exp(-gamma*t/4) prefactor
-    # is folded into the exponentials so cosh - sinh never cancels
-    # catastrophically.  Times on both sides take each side on its own.
+def _near(t, omega_tilde, gamma):
+    # hyperbolic with b*t <= 1: cosh and sinh(x)/x
+    quarter = 0.25 * gamma
+    x = np.sqrt(quarter**2 - omega_tilde**2) * t
+    bracket = np.cosh(x) - quarter * t * _over_x(np.sinh, x, 1.0)
+    return np.exp(-0.5 * gamma * t) * bracket**2
+
+
+def _far(t, omega_tilde, gamma):
+    # hyperbolic with b*t > 1: the exp(-gamma*t/4) prefactor is folded into
+    # the exponentials so cosh - sinh never cancels catastrophically
     quarter = 0.25 * gamma
     b = np.sqrt(quarter**2 - omega_tilde**2)
     x = b * t
-    far = x > 1.0
-    beyond = np.count_nonzero(far)   # faster than far.any() on small grids
-    if not beyond:
-        bracket = np.cosh(x) - quarter * t * _sinhc(x)
-        return np.exp(-0.5 * gamma * t) * bracket**2
-    if beyond == far.size:
-        a = quarter / b
-        w = 0.5 * ((1.0 - a) * np.exp(x - quarter * t)
-                   + (1.0 + a) * np.exp(-x - quarter * t))
-        return w * w
-    value = np.empty(x.shape)
-    for side in (~far, far):
-        value[side] = _hyperbolic(*_at(side, t, omega_tilde, gamma))
-    return value
+    a = quarter / b
+    w = 0.5 * ((1.0 - a) * np.exp(x - quarter * t)
+               + (1.0 + a) * np.exp(-x - quarter * t))
+    return w * w
 
 
 #: the forms of p(t), indexed by :func:`_form`
-_FORMS = (_decoupled, _oscillating, _hyperbolic)
+_FORMS = (_decoupled, _oscillating, _near, _far)
 
 
-def _form(omega_tilde, gamma):
-    """Index into _FORMS of each pair of rates: no coupling, W >= G/4, else
-    hyperbolic."""
-    hyperbolic = omega_tilde**2 < (0.25 * gamma)**2
-    return (omega_tilde != 0.0) * (1 + hyperbolic)
+def _form(t, omega_tilde, gamma):
+    """Index into _FORMS of each element: no coupling, W >= G/4, else
+    hyperbolic with b*t <= 1 or beyond.  The rates alone set the first
+    three; b*t is formed only when some pair is hyperbolic."""
+    omega_sq, quarter_sq = omega_tilde**2, (0.25 * gamma)**2
+    form = (omega_tilde != 0.0) * (1 + (omega_sq < quarter_sq))
+    hyperbolic = form == 2
+    if np.count_nonzero(hyperbolic):   # faster than .any() on small grids
+        far = np.sqrt(np.abs(quarter_sq - omega_sq)) * t > 1.0
+        form = form + (hyperbolic & far)
+    return form
 
 
 def _at(rows, *arrays):
@@ -289,7 +285,7 @@ def p_omega_analytic(t, omega_tilde, gamma):
     shape = np.broadcast(time, omega, decay).shape
     if time.shape != shape:   # a time for every element of the result
         time = np.broadcast_to(time, shape)
-    form = _form(omega, decay)
+    form = _form(time, omega, decay)
     counts = np.bincount(form.ravel(), minlength=len(_FORMS)).tolist()
     if form.size in counts:   # one form for every pair: no gather
         value = _FORMS[counts.index(form.size)](time, omega, decay)

@@ -66,9 +66,11 @@ _HEAD = (0.011058697269755882, 0.006006304603631226, 0.009130835819994715,
 class CollisionTimes(NamedTuple):
     """Time scales of a collision, as floats or as one array each.
 
-    ``t_total = t_resonant + t_escape_region`` holds exactly whenever
-    ``t_prime`` is zero (the shipped presets); ``geometry`` may be None
-    for synthetic bundles used in property checks.
+    With ``t_prime`` zero (the shipped presets), ``t_total = t_resonant +
+    t_escape_region`` holds exactly where ``frac_resonant >= 1/2``, since
+    ``t_total - t_resonant`` is then exact (Sterbenz's lemma); below 1/2
+    that difference rounds, and the sum may miss by an ulp.  ``geometry``
+    may be None for synthetic bundles used in property checks.
     """
 
     t_total: float              # s, R_C -> 0

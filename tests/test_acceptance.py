@@ -16,8 +16,8 @@ from cavloss import (CavityConfig, CollisionTimes, DivergenceError,
                      collision_times, condon_radius, coupling, fraction_f,
                      g0_constant, integrate_grid, landau_zener,
                      loss_closed_form, loss_grid, loss_no_cavity, loss_point,
-                     loss_series, max_stable_dt, p_omega_analytic, pair_count,
-                     resolve_params, total_time)
+                     loss_series, max_stable_dt, p_omega_analytic,
+                     p_omega_approx, pair_count, resolve_params, total_time)
 from cavloss.cli import (build_run_config, cavity_config, cmd_constants,
                          cmd_times, main)
 from oracles import TWO_PI_MHZ, g0_oracle
@@ -243,6 +243,26 @@ def test_12c_levels_off_toward_free_loss():
         gaps[mhz] = abs(point.loss_cavity - point.loss_free)
     verdict("12c levels off toward free loss", gaps[-950.0] < gaps[-500.0],
             f"|Lc-Lo|(-950)={gaps[-950.0]:.4f} vs |Lc-Lo|(-500)={gaps[-500.0]:.4f}")
+
+
+def test_far_gap_to_free_loss_depends_on_the_kernel():
+    # the modelling fact behind 12c: as omega_tilde -> 0 the approx kernel
+    # tends to exp(-Gamma*t/2), not to the free decay exp(-Gamma*t) that
+    # the analytic one returns, so far out only the analytic cavity curve
+    # meets the free-space one
+    weak = 1.0e-9 * GAMMA
+    assert p_omega_approx(1.0 / GAMMA, weak, GAMMA) \
+        == pytest.approx(math.exp(-0.5), rel=1.0e-12)
+    assert p_omega_analytic(1.0 / GAMMA, weak, GAMMA) \
+        == pytest.approx(math.exp(-1.0), rel=1.0e-12)
+    deltas = np.array([-5000.0, -10000.0]) * TWO_PI_MHZ
+    bounds = {"approx": ((0.0224, 0.0228), (0.0115, 0.0118)),
+              "analytic": ((-4.9e-4, -4.7e-4), (-1.9e-5, -1.7e-5))}
+    for kernel, ranges in bounds.items():
+        grid = loss_grid(deltas, cavity_config(CONFIG), RB85, kernel)
+        gaps = (grid.loss_cavity - grid.loss_free).tolist()
+        assert all(lo < gap < hi for gap, (lo, hi) in zip(gaps, ranges)), \
+            (kernel, gaps)
 
 
 def test_13_degenerate_inputs(capsys):

@@ -21,11 +21,22 @@ MIXED_STATE = np.array([0.5, 0.3, 0.2, -0.1])
 
 def damping_index(t, omega, gamma):
     """Each element's form of p(t): 0 decoupled, 1 oscillating, 2 hyperbolic
-    with b*t <= 1, 3 hyperbolic beyond; the rates' class plus b*t > 1."""
+    with b*t <= 1, 3 hyperbolic beyond, element by element in builtin floats.
+
+    Squares are products, as numpy's are: libm pow(x, 2) is not always x*x.
+    """
+    def index(t, w, g):
+        quarter = 0.25 * g
+        if w == 0.0:
+            return 0
+        if not w * w < quarter * quarter:
+            return 1
+        return 2 if math.sqrt(quarter * quarter - w * w) * t <= 1.0 else 3
+
     t, omega, gamma = np.broadcast_arrays(t, omega, gamma)
-    form = dynamics._form(omega, gamma)
-    b = np.sqrt(np.abs(omega**2 - (0.25 * gamma)**2))
-    return form + ((form == 2) & (b * t > 1.0))
+    return np.array([index(*element) for element in zip(
+        t.ravel().tolist(), omega.ravel().tolist(), gamma.ravel().tolist())],
+        dtype=int).reshape(t.shape)
 
 
 def closed_form_gap(run, omega, gamma):
@@ -385,6 +396,59 @@ class TestClosedForm:
         assert value.shape == (3,)
         assert value.tobytes() == 3 * p_omega_analytic(t[-1:], omega,
                                                        gamma).tobytes()
+
+    @pytest.mark.parametrize("layout", ["scalar", "per-element", "one-pair",
+                                        "2-d"])
+    def test_form_equals_the_damping_index(self, layout):
+        # the kernel's classification against the element-by-element oracle,
+        # on the layouts the kernel is called with; every hyperbolic pair
+        # takes times on both sides of b*t = 1
+        quarter = 0.25 * GAMMA_MOL
+        ratios = np.array([0.0, 0.02, 0.1, 0.5, 0.999999, 1.0, 1.000001, 3.0])
+        times = np.concatenate([[0.0], np.geomspace(1.0e-3, 1.0e3, 61)])
+        times /= quarter
+        if layout == "scalar":   # a plain number reaches _form as one element
+            cases = [tuple(np.array([v]) for v in (t, r * quarter, GAMMA_MOL))
+                     for t in times[::6] for r in ratios]
+        elif layout == "per-element":
+            t, r = (grid.ravel() for grid in np.meshgrid(times, ratios))
+            gammas = np.random.default_rng(5).choice([0.0, 0.5, 1.0, 2.0],
+                                                    t.size) * GAMMA_MOL
+            cases = [(t, r * quarter, gammas)]
+        elif layout == "one-pair":
+            cases = [(times, np.array([r * quarter]), np.array([GAMMA_MOL]))
+                     for r in ratios]
+        else:
+            cases = [(times[:, None], ratios * quarter, np.array([GAMMA_MOL]))]
+        seen = set()
+        for t, omega, gamma in cases:
+            index = damping_index(t, omega, gamma)
+            form = dynamics._form(t, omega, gamma)
+            assert np.array_equal(np.broadcast_to(form, index.shape), index)
+            seen |= set(index.ravel().tolist())
+        assert seen == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("f, sign", [(np.sin, -1.0), (np.sinh, 1.0)])
+    def test_series_of_f_over_x_meets_the_quotient(self, f, sign):
+        # below |x| = 1e-4 f(x)/x is its series: 1 at x = 0, and the
+        # quotient itself within an ulp on both sides of the switch
+        x = np.array([1.0e-7, 3.0e-5, -5.0e-5, 9.99e-5, 1.0e-4, 2.0e-4])
+        value = dynamics._over_x(f, x, sign)
+        assert np.all(np.abs(value - f(x) / x) <= 2.3e-16)
+        assert dynamics._over_x(f, np.zeros(1), sign).tolist() == [1.0]
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0e7, 4.7e8])
+    def test_hyperbolic_forms_agree_at_their_seam(self, gamma):
+        # the split at b*t = 1 is free: both forms give the same p(t) there
+        quarter = 0.25 * gamma
+        for ratio in (0.1, 0.5, 0.9, 0.999, 0.999999):
+            omega = np.array([ratio * quarter])
+            b = math.sqrt(quarter**2 - omega[0]**2)
+            t = np.array([0.5, 0.999, 1.0, 1.001, 2.0]) / b
+            near = dynamics._near(t, omega, np.array([gamma]))
+            far = dynamics._far(t, omega, np.array([gamma]))
+            assert np.all(np.abs(near - far) <= 1.0e-13 * far), (ratio, near,
+                                                                  far)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

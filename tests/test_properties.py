@@ -192,10 +192,8 @@ def test_overdamped_example_takes_the_hyperbolic_branch():
     # index 2 of (decoupled, oscillating, hyperbolic b*t <= 1, beyond)
     params, _, _, _, grid = run_case(OVERDAMPED)
     omega, gamma = grid.omega_tilde, params.gamma_mol
-    form = _form(omega, gamma)
-    b = np.sqrt(np.abs(omega**2 - (0.25 * gamma)**2))
     for t in (grid.times.t_resonant, 2.0 * grid.times.t_resonant):
-        assert np.all(form + ((form == 2) & (b * t > 1.0)) == 2)
+        assert np.all(_form(t, omega, gamma) == 2)
 
 
 def assert_scalar_calls_match(kernel, t, omega, gamma):
