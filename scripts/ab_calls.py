@@ -19,8 +19,10 @@ flipping which goes first from one call to the next.  Stdout is
 captured in memory.
 
 Printed: each version's median per-call time with its quartiles, the
-median over calls of the ratio of the working tree's time to REV's, and
-every call (index and argv) whose stdout differs between the two.
+median over calls of the ratio of the working tree's time to REV's,
+every call (index and argv) whose stdout differs between the two, and
+every call whose exit status is non-zero on either side or differs
+between them, with both statuses.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from pathlib import Path
 from same_bytes import ROOT, export
 
 
-def timed(main, argv: list) -> tuple[float, str]:
-    """Seconds and stdout of one call into ``main``."""
+def timed(main, argv: list) -> tuple[float, str, int]:
+    """Seconds, stdout and exit status of one call into ``main``."""
     buffer = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(buffer):
-        main(list(argv))
-    return time.perf_counter() - start, buffer.getvalue()
+        status = main(list(argv))
+    return time.perf_counter() - start, buffer.getvalue(), status
 
 
 def summary(name: str, seconds: list) -> str:
@@ -78,7 +80,7 @@ def main() -> int:
         workloads.write_configs(calls, directory)
 
         seconds = {"rev": [], "tree": []}
-        ratios, differ = [], set()
+        ratios, differ, statuses = [], set(), {}
         turn = 0
         for _ in range(args.rounds):
             for index, call in enumerate(calls):
@@ -86,11 +88,14 @@ def main() -> int:
                 turn += 1
                 result = {side: timed(mains[side], call.argv)
                           for side in order}
-                for side, (elapsed, _) in result.items():
+                for side, (elapsed, _, _) in result.items():
                     seconds[side].append(elapsed)
                 ratios.append(result["tree"][0] / result["rev"][0])
                 if result["tree"][1] != result["rev"][1]:
                     differ.add(index)
+                status = (result["rev"][2], result["tree"][2])
+                if status != (0, 0):
+                    statuses[index] = status
 
     print(f"{args.workload}, seed {args.seed}: {len(calls)} calls x "
           f"{args.rounds} rounds")
@@ -100,6 +105,9 @@ def main() -> int:
           f"{statistics.median(ratios):.4f}")
     for index in sorted(differ):
         print(f"stdout differs: call {index}: {' '.join(calls[index].argv)}")
+    for index, (rev, tree) in sorted(statuses.items()):
+        print(f"exit status {rev} at {args.rev}, {tree} in the tree: "
+              f"call {index}: {' '.join(calls[index].argv)}")
     return 0
 
 

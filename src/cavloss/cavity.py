@@ -84,7 +84,6 @@ class CavityConfig:
 class CouplingPoint(NamedTuple):
     """Coupling quantities, as floats or as one array each."""
 
-    delta: float          # rad/s
     omega_single: float   # averaged single quasimolecule Rabi frequency, rad/s
     n_pairs: float        # resonant pair count N
     omega_tilde: float    # collective Rabi frequency, rad/s
@@ -173,7 +172,7 @@ def coupling(delta, config: CavityConfig,
         n_pairs = np.divide(omega_tilde, omega_single,
                             where=omega_single > 0.0,
                             out=np.full_like(omega_tilde, math.inf)) ** 2
-    return CouplingPoint(delta=delta, omega_single=like(omega_single, delta),
+    return CouplingPoint(omega_single=like(omega_single, delta),
                          n_pairs=like(n_pairs, delta),
                          omega_tilde=like(omega_tilde, delta))
 

@@ -108,9 +108,6 @@ class RunConfig(NamedTuple):
 #: section name -> its record class, read once from RunConfig
 _SECTIONS = get_type_hints(RunConfig)
 
-#: section name -> {key: declared type}, in field order
-_TYPES = {name: get_type_hints(section) for name, section in _SECTIONS.items()}
-
 #: (section, key) -> the allowed values of a string field
 _CHOICES = {("coupling", "mode"): cavity_mod.COUPLING_MODES,
             ("scan", "p_model"): traploss_mod.P_MODELS}
@@ -125,7 +122,8 @@ def _classified(hint) -> tuple:
 #: (section, key) -> (type, nullable, choices) of every config field, in
 #: schema order; the type is bool, int, float or str
 _FIELDS = {(name, key): (*_classified(hint), _CHOICES.get((name, key)))
-           for name, hints in _TYPES.items() for key, hint in hints.items()}
+           for name, section in _SECTIONS.items()
+           for key, hint in get_type_hints(section).items()}
 
 
 def _checked(name: str, value, kind: type, nullable: bool, choices):
@@ -170,12 +168,12 @@ def build_run_config(document: Optional[dict] = None,
         raise ConfigError("config document must be a JSON object")
     given = {}
     for section, keys in document.items():
-        if section not in _TYPES:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(keys, dict):
             raise ConfigError(f"config section {section!r} must be an object")
         for key, value in keys.items():
-            if key not in _TYPES[section]:
+            if (section, key) not in _FIELDS:
                 raise ConfigError(f"unknown config key {section}.{key}")
             given[section, key] = value
     # an explicit trap_depth_mhz supersedes the default trap_depth_mk

@@ -1,10 +1,12 @@
 """Elementwise evaluation shared by the functions of the scan chain.
 
-Every function from the coupling to the loss takes a number, or a list
-or numpy array of them.  An array or a list is computed in one pass; a
-plain number is computed as a one-element array, so a scalar call runs
-exactly the operations of one element of a grid and agrees with it bit
-for bit, and the result comes back as a builtin float.
+Every numeric argument from the coupling to the loss takes a number, or
+a list or numpy array of them; a list gives the arrays an array gives,
+in every field of every record returned too (a CollisionTimes is taken
+as collision_times returns it).  Either is computed in one pass; a
+plain number as a one-element array, so a scalar call runs exactly the
+operations of one element of a grid, agrees with it bit for bit, and
+returns a builtin float.
 """
 
 from __future__ import annotations

@@ -137,6 +137,5 @@ def collision_times(delta, omega_tilde,
         frac_resonant=frac,
         t_resonant=t_c,
         t_escape_region=t0 - t_c,
-        t_prime=0.0,
         geometry=geometry,
     )

@@ -24,7 +24,6 @@ from .grid import as_grid, like, red_detuning, refuse
 class ResonanceGeometry(NamedTuple):
     """Radii bracketing the resonant region, floats or one array each."""
 
-    detuning: float    # rad/s, negative
     r_condon: float    # cm
     r_escape: float    # cm
     r_ratio: float     # r_escape / r_condon, in (0, 1]
@@ -71,5 +70,5 @@ def resonance_geometry(delta, omega_tilde,
     radius = as_grid(r_escape)   # NaN is refused too
     refuse(~((0.0 < radius) & (radius <= r_condon)), radius,
            "requires 0 < r_escape <= r_condon, got r_escape={!r} cm")
-    return ResonanceGeometry(detuning=delta, r_condon=r_condon,
-                             r_escape=r_escape, r_ratio=ratio)
+    return ResonanceGeometry(r_condon=r_condon, r_escape=r_escape,
+                             r_ratio=ratio)

@@ -85,33 +85,33 @@ def _resolve_p_model(p_model: Union[str, PModel]) -> PModel:
             f"got {p_model!r}") from None
 
 
-def single_passage_loss(times: CollisionTimes, omega_tilde, gamma: float,
+def single_passage_loss(times: CollisionTimes, omega_tilde, gamma,
                         p_model: Union[str, PModel]):
     """Loss probability of the first passage through the escape region.
 
-    Elementwise when the times and omega_tilde are arrays.
+    Elementwise when the times, omega_tilde or gamma are arrays.
     """
-    p = _resolve_p_model(p_model)
+    p, decay = _resolve_p_model(p_model), as_grid(gamma)
     loss = (p(times.t_resonant, omega_tilde, gamma)
-            * np.exp(-times.t_prime * gamma)
-            * -np.expm1(-2.0 * times.t_escape_region * gamma))
-    return like(loss, times.t_resonant, omega_tilde)
+            * np.exp(-times.t_prime * decay)
+            * -np.expm1(-2.0 * times.t_escape_region * decay))
+    return like(loss, times.t_resonant, omega_tilde, gamma)
 
 
-def loss_series(times: CollisionTimes, omega_tilde, gamma: float,
+def loss_series(times: CollisionTimes, omega_tilde, gamma,
                 p_model: Union[str, PModel]):
     """Multiple-passage loss by direct summation; returns (values, terms).
 
-    Elementwise when the times and omega_tilde are arrays.  The
+    Elementwise when the times, omega_tilde or gamma are arrays.  The
     per-passage factors form a geometric series with ratio q, summed by
     doubling, S_2n = S_n + q^n*S_n, until the block an element would add
     is 0 or below SERIES_REL_CUTOFF of its sum; ``terms`` is a power of
     two, reached within about 60 doublings for any q < 1.
     DivergenceError names the ratio of the first element with q >= 1.
     """
-    p = _resolve_p_model(p_model)
+    p, decay = _resolve_p_model(p_model), as_grid(gamma)
     ratio = as_grid(
-        np.exp(-2.0 * (times.t_prime + times.t_escape_region) * gamma)
+        np.exp(-2.0 * (times.t_prime + times.t_escape_region) * decay)
         * p(2.0 * times.t_resonant, omega_tilde, gamma))
     diverging = ratio >= 1.0
     if diverging.any():
@@ -130,8 +130,8 @@ def loss_series(times: CollisionTimes, omega_tilde, gamma: float,
         np.add(total, block, out=total, where=live)
         terms <<= live
         power = power * power
-    return (like(total, times.t_resonant, omega_tilde),
-            like(terms, times.t_resonant, omega_tilde))
+    return (like(total, times.t_resonant, omega_tilde, gamma),
+            like(terms, times.t_resonant, omega_tilde, gamma))
 
 
 def loss_closed_form(times: CollisionTimes, omega_tilde, gamma,
@@ -144,8 +144,8 @@ def loss_closed_form(times: CollisionTimes, omega_tilde, gamma,
     refuse(decay <= 0.0, decay,
            "decay rate must be positive for the closed form, got {!r}")
     p = _resolve_p_model(p_model)
-    g_te = gamma * times.t_escape_region
-    g_off = gamma * (times.t_prime + times.t_escape_region)
+    g_te = decay * times.t_escape_region
+    g_off = decay * (times.t_prime + times.t_escape_region)
     p_return = p(2.0 * times.t_resonant, omega_tilde, gamma)
     loss = (p(times.t_resonant, omega_tilde, gamma) * np.sinh(g_te)
             / (0.5 * (np.exp(g_off) - p_return * np.exp(-g_off))))
@@ -156,8 +156,8 @@ def loss_no_cavity(times: CollisionTimes, gamma):
     """Free-space loss sinh(G*t_e)/sinh(G*(t_c+t_e)) of independent pairs."""
     decay = as_grid(gamma)
     refuse(decay <= 0.0, decay, "decay rate must be positive, got {!r}")
-    loss = (np.sinh(gamma * times.t_escape_region)
-            / np.sinh(gamma * (times.t_resonant + times.t_escape_region)))
+    loss = (np.sinh(decay * times.t_escape_region)
+            / np.sinh(decay * (times.t_resonant + times.t_escape_region)))
     return like(loss, times.t_resonant, gamma)
 
 

@@ -145,8 +145,9 @@ class TestCollectiveRabi:
     def test_anchored_scaling_invariant(self):
         products = []
         for delta_mhz in np.linspace(-1000.0, -350.0, 40):
-            point = coupling(delta_mhz * TWO_PI_MHZ, make_config(), RB85)
-            products.append(point.omega_tilde * abs(point.delta))
+            delta = delta_mhz * TWO_PI_MHZ
+            point = coupling(delta, make_config(), RB85)
+            products.append(point.omega_tilde * abs(delta))
         ref = products[0]
         assert all(abs(p - ref) <= 1.0e-12 * ref for p in products)
 

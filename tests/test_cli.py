@@ -820,7 +820,7 @@ class TestValidateCommand:
          "potential.condon_monotonic"),
         (potential, "resonance_geometry",
          lambda delta, omega, params: potential.ResonanceGeometry(
-             delta, potential.condon_radius(delta, params),
+             potential.condon_radius(delta, params),
              np.ones(np.shape(delta)), None),
          "potential.escape_offset"),
         (kinematics, "total_time",
@@ -828,7 +828,7 @@ class TestValidateCommand:
          "kinematics.t0_monotonic"),
         (cavity, "coupling",
          lambda delta, cav, params: cavity.CouplingPoint(
-             delta, *(np.ones(np.shape(delta)),) * 3),
+             *(np.ones(np.shape(delta)),) * 3),
          "cavity.coupling_identity"),
         (cavity, "landau_zener",
          lambda delta, omega, v_inf, params: np.ones(np.shape(omega)),

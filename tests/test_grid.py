@@ -81,6 +81,7 @@ CAVITY = {mode: cavloss.CavityConfig(
     omega_tilde_ref=1.0e9, delta_ref=-2.0e9)
     for mode in ("anchored", "microscopic")}
 TIMES = cavloss.collision_times(np.array(DELTAS), np.array(OMEGAS), RB85)
+POINT = cavloss.collision_times(DELTAS[0], OMEGAS[0], RB85)   # of floats
 
 #: each stage of the scan chain, as a call on its sequence arguments
 STAGES = {
@@ -118,11 +119,16 @@ STAGES = {
     "p_omega_approx": lambda x: cavloss.p_omega_approx(
         x([1.0e-9, 2.0e-9]), 1.0e9, x([GAMMA, 0.5 * GAMMA])),
     "single_passage_loss": lambda x: cavloss.single_passage_loss(
-        TIMES, x(OMEGAS), GAMMA, "analytic"),
+        TIMES, x(OMEGAS), x([GAMMA, 0.5 * GAMMA]), "analytic"),
     "loss_series": lambda x: cavloss.loss_series(
-        TIMES, x(OMEGAS), GAMMA, "approx"),
+        TIMES, x(OMEGAS), x([GAMMA, 0.5 * GAMMA]), "approx"),
+    # the decay rate alone is a sequence
+    "loss_series-point": lambda x: cavloss.loss_series(
+        POINT, OMEGAS[0], x([GAMMA, 0.5 * GAMMA]), "approx"),
     "loss_closed_form": lambda x: cavloss.loss_closed_form(
         TIMES, x(OMEGAS), x([GAMMA, GAMMA]), "approx"),
+    "loss_closed_form-point": lambda x: cavloss.loss_closed_form(
+        POINT, OMEGAS[0], x([GAMMA, 0.5 * GAMMA]), "analytic"),
     "loss_no_cavity": lambda x: cavloss.loss_no_cavity(
         TIMES, x([GAMMA, 0.5 * GAMMA])),
     "loss_grid": lambda x: cavloss.loss_grid(
@@ -131,10 +137,8 @@ STAGES = {
 
 
 def leaves(result):
-    """The values of a result, records and pairs opened field by field; a
-    tuple of floats is an argument echoed as given."""
-    if isinstance(result, tuple) and not all(isinstance(value, float)
-                                             for value in result):
+    """The values of a result, records and pairs opened field by field."""
+    if isinstance(result, tuple):
         return [leaf for field in result for leaf in leaves(field)]
     return [result]
 
@@ -146,10 +150,7 @@ class TestSequenceInputs:
         given, wanted = leaves(stage(sequence)), leaves(stage(np.array))
         assert len(given) == len(wanted)
         for value, array in zip(given, wanted):
-            # a field that echoes an argument keeps it as given
-            if isinstance(array, np.ndarray) and not isinstance(value,
-                                                                sequence):
-                assert isinstance(value, np.ndarray)
+            assert type(value) is type(array)
             assert np.asarray(value).dtype == np.asarray(array).dtype
             assert np.asarray(value).shape == np.asarray(array).shape
             assert np.asarray(value).tobytes() == np.asarray(array).tobytes()

@@ -129,7 +129,6 @@ class TestGeometry:
         geometry = resonance_geometry(DELTA_350, 200.0 * TWO_PI_MHZ, RB85)
         assert geometry.r_escape == geometry.r_condon * geometry.r_ratio
         assert 0.0 < geometry.r_escape < geometry.r_condon
-        assert geometry.detuning == DELTA_350
 
     def test_rejects_positive_detuning(self):
         with pytest.raises(DomainError):

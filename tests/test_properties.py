@@ -277,9 +277,8 @@ def test_scalar_views_return_builtin_floats():
     values += [whole.delta, whole.omega_tilde, whole.n_pairs, whole.phase,
                whole.loss_cavity, whole.loss_free, whole.times.t_total,
                whole.times.frac_resonant, whole.times.t_resonant,
-               whole.times.t_escape_region, whole.times.geometry.detuning,
-               whole.times.geometry.r_condon, whole.times.geometry.r_escape,
-               whole.times.geometry.r_ratio]
+               whole.times.t_escape_region, whole.times.geometry.r_condon,
+               whole.times.geometry.r_escape, whole.times.geometry.r_ratio]
     coupled = coupling(delta, cavity, params)
     values += [coupled.omega_single, coupled.n_pairs, coupled.omega_tilde]
     assert [type(v) for v in values] == [float] * len(values)
