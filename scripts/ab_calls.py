@@ -19,10 +19,12 @@ flipping which goes first from one call to the next.  Stdout is
 captured in memory.
 
 Printed: each version's median per-call time with its quartiles, the
-median over calls of the ratio of the working tree's time to REV's,
-every call (index and argv) whose stdout differs between the two, and
-every call whose exit status is non-zero on either side or differs
-between them, with both statuses.
+median over calls of the ratio of the working tree's time to REV's, each
+version's median pass time (the sum of one round's calls) and the number
+of rounds whose pass the working tree ran faster (ties count for
+neither), every call (index and argv) whose stdout differs between the
+two, and every call whose exit status is non-zero on either side or
+differs between them, with both statuses.
 """
 
 from __future__ import annotations
@@ -80,9 +82,12 @@ def main() -> int:
         workloads.write_configs(calls, directory)
 
         seconds = {"rev": [], "tree": []}
+        passes = {"rev": [], "tree": []}
         ratios, differ, statuses = [], set(), {}
         turn = 0
         for _ in range(args.rounds):
+            for side in passes:
+                passes[side].append(0.0)
             for index, call in enumerate(calls):
                 order = ("rev", "tree") if turn % 2 else ("tree", "rev")
                 turn += 1
@@ -90,6 +95,7 @@ def main() -> int:
                           for side in order}
                 for side, (elapsed, _, _) in result.items():
                     seconds[side].append(elapsed)
+                    passes[side][-1] += elapsed
                 ratios.append(result["tree"][0] / result["rev"][0])
                 if result["tree"][1] != result["rev"][1]:
                     differ.add(index)
@@ -103,6 +109,11 @@ def main() -> int:
     print(summary("    tree", seconds["tree"]))
     print(f"median per-call ratio tree/{args.rev}: "
           f"{statistics.median(ratios):.4f}")
+    wins = sum(tree < rev for rev, tree in zip(passes["rev"], passes["tree"]))
+    print(f"median pass: {args.rev} "
+          f"{1e3 * statistics.median(passes['rev']):.3f} ms, tree "
+          f"{1e3 * statistics.median(passes['tree']):.3f} ms; tree faster in "
+          f"{wins} of {args.rounds} rounds")
     for index in sorted(differ):
         print(f"stdout differs: call {index}: {' '.join(calls[index].argv)}")
     for index, (rev, tree) in sorted(statuses.items()):

@@ -17,9 +17,12 @@ read as 64-bit integers tells.  An integer cell is one digit.  Every
 piece of a cell (the separator, sign, first digit and '.' as one word,
 the digits as left-aligned 4-digit words, the exponent word written last
 over their pad bytes) is one strided view per run of adjacent columns of
-equal width.  A positive cell in a column with a sign slot leaves a NUL
-there, and the NULs are deleted from the chunk's text in one pass, only
-when some were written.
+equal width.  The words are built as integers: a lead word is the first
+digit shifted into place beside its separator and '.', and a sign slot
+shifts it one byte further.  A positive cell in a column with a sign
+slot leaves a NUL there, and the NULs are deleted from the chunk's text
+in one pass, only when some were written; a chunk with no negative cell
+does not look for them.
 
 A float cell takes the fast path only when its digits are certain.  With
 e = floor(log10|x|), corrected by one either way, the mantissa
@@ -40,14 +43,18 @@ values: x * 1 and x / 1 are exact, so leaving out a factor that is 1 for
 every cell changes no bit.  From the least and greatest k = p-1-e of the
 chunk, the multiply by 10^min(k, 22) runs only when some k > 0 and the
 divide only when some k < 0.  The second factor and the tie guard run
-only on the cells with |k| > 22, found when the chunk has any.  At the
-default 12 digits a scan's cells have k in 6..20, so one multiply and no
-guard; a ``dynamics`` run's reach k = 26 in its ``abs_err`` cells and
-first ``t_s`` cells, which alone take the second multiply and the guard.
-Likewise a chunk whose cells are all
-finite and nonzero, all in [10^(p-1), 10^p) on the first try and none
-in doubt (a few min/max reductions tell) builds no per-cell mask, and
-its rows need no search for ``%`` rows.
+only on the cells with |k| > 22, found when the chunk has any, by one
+comparison unless it has both k < -22 and k > 22.  A near tie among them
+is handed back by its position, and only its row is marked for ``%``, so
+near ties alone build no per-cell mask.  At the default 12 digits a
+scan's cells have k in 6..20, so one multiply and no guard; a
+``dynamics`` run's reach k = 26 in its ``abs_err`` cells and first
+``t_s`` cells, which alone take the second multiply and the guard.
+Likewise a chunk whose cells are all finite and nonzero, all in
+[10^(p-1), 10^p) on the first try and none an exact tie (a few min/max
+reductions tell) builds no per-cell mask, and its rows need no search
+for ``%`` rows; nor does it look for a carry into the next decade when
+its greatest m is below 10^p - 1/2.
 
 A row with any other cell (a tie, NaN, inf, a subnormal, a three-digit
 exponent, an integer outside 0..9) is written by ``%`` over its whole
@@ -208,9 +215,14 @@ def _mantissa(ax: np.ndarray, index: np.ndarray, precision: int):
             m = apply(m, scaled, out=scaled)
     if k_low >= -_EXACT and k_high <= _EXACT:
         return m, None, None
-    # k > 22 below this index, k < -22 above it
+    # k > 22 below this index, k < -22 above it; one side needs one test
     top = precision - 1 + _E0 - _EXACT
-    wide = np.flatnonzero((index < top) | (index > top + 2 * _EXACT))
+    if k_low >= -_EXACT:
+        wide = np.flatnonzero(index < top)
+    elif k_high <= _EXACT:
+        wide = np.flatnonzero(index > top + 2 * _EXACT)
+    else:
+        wide = np.flatnonzero((index < top) | (index > top + 2 * _EXACT))
     at = index.take(wide)
     twice = m.take(wide) * c.take(at, mode="clip") / d.take(at, mode="clip")
     np.put(m, wide, twice)
@@ -218,10 +230,13 @@ def _mantissa(ax: np.ndarray, index: np.ndarray, precision: int):
 
 
 def _float_cells(x: np.ndarray, precision: int):
-    """The digits, exponent index e + _E0 and accepted mask of float cells.
+    """The digits, exponent index e + _E0, accepted mask and near ties of
+    float cells.
 
-    The mask is None when every cell is accepted; the digits of a cell
-    that is not are 0.
+    The mask is None when every cell it covers is accepted; the digits of
+    a cell it rejects are 0.  The near ties, the cells in doubt after two
+    scalings, are flat positions (None for none) and are rejected too,
+    though the mask does not cover them.
     """
     lo, hi = 10.0 ** (precision - 1), 10.0 ** precision
     ax = np.abs(x)
@@ -234,19 +249,19 @@ def _float_cells(x: np.ndarray, precision: int):
     index += _E0
     m, wide, guard = _mantissa(ax, index, precision)
     in_range = None
-    if m.min() < lo or m.max() >= hi:   # log10 was one off
+    high = m.max()
+    if m.min() < lo or high >= hi:   # log10 was one off
         index += (m >= hi).astype(np.intp) - (m < lo)
         m, wide, guard = _mantissa(ax, index, precision)
         in_range = (m >= lo) & (m < hi)
+        high = m.max()
     digits = np.rint(m)
     # |m - rint(m)| = 1/2 - |frac(m) - 1/2|, both exact below 2**52
     off = np.abs(np.subtract(m, digits, out=m), out=m)
     sure = None if off.max() < 0.5 else off < 0.5
+    doubt = None
     if wide is not None:
         doubt = wide[0.5 - off.take(wide) <= guard]
-        if len(doubt):
-            sure = off < 0.5
-            np.put(sure, doubt, False)
     accept = None
     for mask in (regular, in_range, sure):
         if mask is not None:
@@ -255,11 +270,11 @@ def _float_cells(x: np.ndarray, precision: int):
         digits *= accept
         if zero is not None:
             accept |= zero
-    if digits.max() == hi:   # rint carried into the next decade
+    if high >= hi - 0.5:   # rint may have carried into the next decade
         carry = digits == hi
         index += carry
         digits[carry] = lo
-    return digits, index, accept
+    return digits, index, accept, doubt
 
 
 def _float_words(digits, index, by_column, negative, leads_row: bool,
@@ -280,16 +295,18 @@ def _float_words(digits, index, by_column, negative, leads_row: bool,
         rest -= quotient * 10_000
         words.append(_DIGITS4.take(rest))
         rest = quotient
-    lead = rest * 256.0 + _LEAD   # rest is now the first digit
+    lead = rest   # the first digit
+    lead <<= 8
+    lead += _LEAD
     if leads_row:
         lead[:, 0] += _NEWLINE
     for j in np.flatnonzero(negative).tolist():
         # a sign slot after the separator moves the digit and '.' up
         separator = ord("\n" if j == 0 and leads_row else ",")
         column = lead[:, j]
-        column *= 256.0
-        column -= 255.0 * separator
-        column += np.signbit(by_column[j]) * float(ord("-") << 8)
+        column <<= 8
+        column -= 255 * separator
+        column += np.signbit(by_column[j]) * (ord("-") << 8)
     return lead, words[::-1], _EXPONENT4.take(index, mode="clip")
 
 
@@ -309,12 +326,14 @@ def _write_chunk(buf, kinds, row_format, precision, columns, rows: slice):
         by_column = np.array(floats, dtype=float)
         bits = by_column.view(np.int64)   # negative where the sign bit is
         negative = bits.min(axis=1) < 0
-        # a positive cell in a column with a sign slot leaves it NUL
-        nul = bool((negative & (bits.max(axis=1) >= 0)).any())
-        digits, index, accept = _float_cells(
+        if negative.any():   # a positive cell there leaves its slot NUL
+            nul = bool((negative & (bits.max(axis=1) >= 0)).any())
+        digits, index, accept, doubt = _float_cells(
             np.ascontiguousarray(by_column.T), precision)
         if accept is not None:
             percent[np.flatnonzero(~accept) // len(floats)] = True
+        if doubt is not None:
+            percent[doubt // len(floats)] = True
         lead, words, exponent = _float_words(
             digits, index, by_column, negative, not kinds[0], precision)
     if ints:   # an integer cell is its one digit

@@ -65,6 +65,7 @@ no Python loop runs per step.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -144,11 +145,17 @@ def _rk4_matrix(a: np.ndarray, h: float) -> np.ndarray:
 
 def _orbit(m: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
     """The stack first, M @ first, ..., M^(count-1) @ first, for one M or a
-    stack of them (with ``first`` stacked alike)."""
+    stack of them (with ``first`` stacked alike).
+
+    One M steps by ``ndarray.dot``: the same BLAS gemm or gemv call as
+    ``np.matmul``, so the same bits, without the gufunc dispatch that costs
+    more than a 4x4 product.  A stack keeps ``np.matmul``.
+    """
     stack = np.empty((count,) + np.shape(first))
     stack[0] = first
+    product = m.dot if m.ndim == 2 else functools.partial(np.matmul, m)
     for j in range(1, count):
-        np.matmul(m, stack[j - 1], out=stack[j])
+        product(stack[j - 1], out=stack[j])
     return stack
 
 
@@ -205,7 +212,8 @@ def _over_x(f, x, sign):
     # f(x)/x for f = sin (sign -1) or sinh (sign +1), analytic through
     # x = 0: its series 1 + sign*x^2/6*(1 + sign*x^2/20) where |x| < 1e-4
     small = np.abs(x) < 1.0e-4
-    value = f(x) / np.where(small, 1.0, x)
+    value = f(x)
+    value /= np.where(small, 1.0, x)
     if small.any():
         x2 = sign * np.square(x[small])
         value[small] = 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
@@ -219,8 +227,14 @@ def _decoupled(t, omega_tilde, gamma):
 def _oscillating(t, omega_tilde, gamma):
     quarter = 0.25 * gamma
     x = np.sqrt(omega_tilde**2 - quarter**2) * t
-    bracket = np.cos(x) - quarter * t * _over_x(np.sin, x, -1.0)
-    return np.exp(-0.5 * gamma * t) * bracket**2
+    sine = _over_x(np.sin, x, -1.0)
+    sine *= quarter * t
+    bracket = np.cos(x, out=x)
+    bracket -= sine
+    bracket *= bracket
+    decay = np.exp(np.multiply(-0.5 * gamma, t, out=sine), out=sine)
+    decay *= bracket
+    return decay
 
 
 def _near(t, omega_tilde, gamma):

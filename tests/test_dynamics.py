@@ -260,6 +260,39 @@ class TestMatrixCore:
             assert batch[:, i].tobytes() == dynamics._orbit(
                 m, np.eye(4), 6).tobytes()
 
+    @pytest.mark.parametrize("case", ["underdamped", "overdamped",
+                                      "decay-free"])
+    def test_orbit_bits_do_not_depend_on_the_product_call(self, case):
+        # the default run at -436.3 MHz, an overdamped run and a decay-free
+        # one, each stepped through the same blocked powers in the same order
+        # by a loop of np.matmul: the states are the same bytes
+        from cavloss import coupling, resolve_params
+        from cavloss.cli import build_run_config, cavity_config
+        config = build_run_config()
+        omega = coupling(-436.3 * TWO_PI_MHZ, cavity_config(config),
+                         resolve_params(config.species)).omega_tilde
+        omega, gamma, refine = {"underdamped": (omega, GAMMA_MOL, 1),
+                                "overdamped": (0.05 * GAMMA_MOL, GAMMA_MOL, 2),
+                                "decay-free": (OMEGA_200, 0.0, 1)}[case]
+        t_end, dt = default_run(omega, gamma)
+        times, states = integrate_grid(EXCITED_STATE, omega, gamma, t_end,
+                                       dt / refine)
+        n_steps = len(times) - 1
+        assert n_steps >= 2000
+        step = dynamics._rk4_matrix(generator(omega, gamma), t_end / n_steps)
+        block = math.isqrt(n_steps) + 1
+        inner = np.empty((block, 4, 4))
+        inner[0] = np.eye(4)
+        for j in range(1, block):
+            np.matmul(step, inner[j - 1], out=inner[j])
+        jump = inner[-1] @ step
+        bases = np.empty((-(-(n_steps + 1) // block), 4))
+        bases[0] = EXCITED_STATE
+        for b in range(1, len(bases)):
+            np.matmul(jump, bases[b - 1], out=bases[b])
+        expected = (bases @ inner.reshape(block * 4, 4).T).reshape(-1, 4)
+        assert states.tobytes() == expected[:n_steps + 1].tobytes()
+
     def test_zero_span_returns_the_start_state(self):
         times, states = integrate_grid(MIXED_STATE, OMEGA_200, GAMMA_MOL,
                                        0.0, 1.0e-12)
